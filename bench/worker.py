@@ -115,7 +115,7 @@ def probes(plan) -> list:
 def main(plan_path: str, result_path: str) -> None:
     with open(plan_path) as fh:
         plan = json.load(fh)
-    # touch every code path once so that the timed passes run warm
+    # a small solve, residual and FD solve, so imports and caches are in place
     spec, _ = cli.parse_problem_file(next(iter(plan["problems"].values())))
     sol = gfadm.gfadm_solve(spec, 1, backend=gfadm.GRID, grid_size=8)
     gfadm.residual(spec, sol, 1, [0.5], method=gfadm.SPECTRAL)
