@@ -13,7 +13,10 @@ against references computed apart from gfadm (``reference.py``), feeds the
 checks deliberately wrong outputs (``checks.self_test``) and prints, as its
 last line, one JSON object with the operations attempted and failed and
 the end-to-end metrics (``--trace 0``) or the per-layer metrics of a traced
-run (``--trace 1``).  Outputs, traces and CLI files go to
+run (``--trace 1``).  Times are CPU seconds at a reference speed, which
+the host's changing speed does not move (``speed.py``); every process
+that does gfadm's work runs a ``SpeedClock``.  Outputs, traces and CLI
+files go to
 ``bench/out/<workload>/``.  See bench/README.md.
 """
 
@@ -46,8 +49,6 @@ SRC = ROOT / "src"
 OUT = BENCH / "out"
 
 SETUP_RUNS = 5
-IMPORT_PROBE = ("import time; t = time.perf_counter(); import gfadm.cli; "
-                "print(time.perf_counter() - t)")
 CHILD_TIMEOUT = 170.0
 
 GRID_PROBLEMS = ["catalytic", "oxygen_alpha1", "oxygen_alpha2", "oxygen_alpha3",
@@ -58,6 +59,11 @@ N_TERMS = 11
 GRID_SIZE = 64
 FD_POINTS = 512
 CLI_N_LIST = "2,4,8"
+# a compare takes about 20 ms and an exact solve about 60 ms, a few slices
+# of the speed clock: repeat them so that each one's median is taken over
+# several
+COMPARE_REPEATS = 5
+EXACT_SOLVE_REPEATS = 5
 
 
 def _solve(problem, backend):
@@ -74,25 +80,28 @@ def _bound(problem, ns):
 
 
 def _compare(problem):
-    return {"op": "compare", "problem": problem, "n": N_TERMS, "M": FD_POINTS}
+    return [{"op": "compare", "problem": problem, "n": N_TERMS, "M": FD_POINTS}
+            ] * COMPARE_REPEATS
 
 
 def grid_solve_ops():
-    """Per problem: grid solve, then one residual (n = 11), bound and compare."""
+    """Per problem: grid solve, then one residual (n = 11), one bound and the
+    compares."""
     ops = []
     for p in GRID_PROBLEMS:
         ops += [_solve(p, "grid"), _residual(p, N_TERMS), _bound(p, [2, 4, 8, 11]),
-                _compare(p)]
+                *_compare(p)]
     return ops
 
 
 def exact_residual_ops():
-    """Per problem: exact solve, the residual table n = 2..11, bound, compare."""
+    """Per problem: the exact solves, the residual table n = 2..11, one bound
+    and the compares."""
     ops = []
     for p in EXACT_PROBLEMS:
-        ops += ([_solve(p, "exact_polynomial")]
+        ops += ([_solve(p, "exact_polynomial")] * EXACT_SOLVE_REPEATS
                 + [_residual(p, n) for n in range(2, N_TERMS + 1)]
-                + [_bound(p, range(2, N_TERMS + 1)), _compare(p)])
+                + [_bound(p, range(2, N_TERMS + 1))] + _compare(p))
     return ops
 
 
@@ -126,18 +135,27 @@ def run_child(argv, env, log_stem: Path):
     return wall, proc.returncode, usage.ru_maxrss
 
 
+def cli_child(stem: Path, trace: str, args: list, env):
+    """Run bench/cli_child.py: (its result or None, exit code, peak RSS)."""
+    result = Path(f"{stem}.json")
+    _, code, rss = run_child([sys.executable, str(BENCH / "cli_child.py"),
+                              str(result), trace, *args], env, stem)
+    return (json.loads(result.read_text()) if result.is_file() else None), code, rss
+
+
 def measure_setup(out: Path):
-    """Wall time of fresh interpreters importing gfadm.cli, and the import."""
-    walls, imports = [], []
+    """Medians over SETUP_RUNS fresh interpreters that import gfadm.cli: the
+    interpreter's CPU seconds at the reference speed, and the import's wall
+    seconds."""
+    runs = []
     for k in range(SETUP_RUNS):
         stem = out / f"setup{k}"
-        wall, code, _ = run_child([sys.executable, "-c", IMPORT_PROBE],
-                                  child_env(), stem)
-        if code != 0:
+        result, code, _ = cli_child(stem, "-", ["import"], child_env())
+        if code != 0 or result is None:
             sys.exit(f"error: importing gfadm.cli failed, see {stem}.err")
-        walls.append(wall)
-        imports.append(float(Path(f"{stem}.out").read_text()))
-    return statistics.median(walls), statistics.median(imports)
+        runs.append(result)
+    return (statistics.median(r["seconds"] for r in runs),
+            statistics.median(r["import_s"] for r in runs))
 
 
 def run_worker(args, problems_dir: Path, xs, probe_points, out: Path):
@@ -213,17 +231,20 @@ def run_cli(args, problems_dir: Path, problems, xs, out: Path):
         pass_dir = out / "cli" / f"pass{k}"
         pass_dir.mkdir(parents=True)
         env = child_env(GFADM_OUT_DIR=str(pass_dir))
-        t_pass = time.perf_counter()
+        t_pass, ref_pass = time.perf_counter(), 0.0
         for name in CLI_PROBLEMS:
             ini = problems_dir / f"{name}.ini"
             for cmd, extra in commands:
                 stem = pass_dir / f"{name}-{cmd}"
-                prefix = [sys.executable, "-m", "gfadm.cli"]
+                trace = "-"
                 if traced:
-                    traces.append(f"{stem}.npz")
-                    prefix = [sys.executable, str(BENCH / "cli_child.py"), traces[-1]]
-                wall, code, peak = run_child([*prefix, cmd, str(ini), *extra], env, stem)
-                rss = max(rss, peak)
+                    trace = f"{stem}.npz"
+                    traces.append(trace)
+                t0 = time.perf_counter()
+                child, code, peak = cli_child(stem, trace, [cmd, str(ini), *extra], env)
+                wall = time.perf_counter() - t0
+                ref_s = child["seconds"] if child else wall
+                rss, ref_pass = max(rss, peak), ref_pass + ref_s
                 stdout = Path(f"{stem}.out").read_text()
                 wrote = [line[len("wrote "):] for line in stdout.splitlines()
                          if line.startswith("wrote ")]
@@ -233,28 +254,49 @@ def run_cli(args, problems_dir: Path, problems, xs, out: Path):
                                   if not line.startswith("wrote "))
                 rec = {"op": "cli", "cmd": cmd, "problem": name, "exit": code,
                        "texts": {"stdout": shown, **files}, "seconds": wall,
-                       "traced": traced}
-                if code != 0:
+                       "ref_s": ref_s, "traced": traced}
+                if child is None:
+                    rec["error"] = f"no result from cli_child.py (exit code {code})"
+                elif code != 0:
                     rec["error"] = f"exit code {code}"
                 records.append(rec)
-                if code == 0:
+                if "error" not in rec:
                     try:
                         records += _cli_records(name, cmd, stdout, files,
                                                 problems[name].run)
                     except (KeyError, IndexError, ValueError) as exc:
                         rec["error"] = f"unreadable output: {exc!r}"
-        passes.append({"traced": traced, "seconds": time.perf_counter() - t_pass})
+        passes.append({"traced": traced, "seconds": time.perf_counter() - t_pass,
+                       "ref_s": ref_pass})
         if time.perf_counter() - start >= args.seconds and passes[-1]["traced"] == \
                 bool(args.trace):
             break
     return records, passes, rss, traces
 
 
+def op_seconds(of_kind: list) -> float:
+    """The time of one operation of a kind: the mean, over the distinct
+    operations of a pass, of each one's median reference seconds (see
+    speed.py) over the passes.
+
+    A pass mixes operations of very different cost (a bound on co2_pge and
+    on catalytic differ by 2x); a median over the mixture would jump between
+    them as the number of passes changes, while this stays put.  Failed
+    operations count (as time to failure) only when every one failed.
+    """
+    ok = [r for r in of_kind if "error" not in r] or of_kind
+    by_op = {}
+    for r in ok:
+        key = (r["problem"], r.get("n"), r.get("backend"))
+        by_op.setdefault(key, []).append(r["ref_s"])
+    return statistics.fmean(statistics.median(v) for v in by_op.values())
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=inputs.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     if not (SRC / "gfadm" / "cli.py").is_file():
@@ -285,10 +327,10 @@ def main() -> int:
     applied, missed = checks.self_test(records, ctx)
     ops = [r for r in records if "seconds" in r]
     failed = [r for r in ops if "error" in r]
-    untraced = [p["seconds"] for p in passes if not p["traced"]]
+    untraced = [p["ref_s"] for p in passes if not p["traced"]]
 
     if args.trace:
-        traced = [p["seconds"] for p in passes if p["traced"]]
+        traced = [p["ref_s"] for p in passes if p["traced"]]
         values = tracing.layer_metrics(traces, len(traced))
         values["cli.import_s"] = import_s
         overhead = statistics.median(traced) / statistics.median(untraced) - 1.0
@@ -300,11 +342,8 @@ def main() -> int:
         values = {"setup_s": setup_s, "pass_s": statistics.median(untraced),
                   "peak_rss_mb": rss / 1024.0}
         for kind in ("solve", "residual", "bound", "compare"):
-            of_kind = [r for r in ops if r.get("cmd", r["op"]) == kind]
-            # time to failure only when every operation of the kind failed
-            times = [r["seconds"] for r in of_kind if "error" not in r] \
-                or [r["seconds"] for r in of_kind]
-            values[f"{kind}_s"] = statistics.median(times)
+            values[f"{kind}_s"] = op_seconds(
+                [r for r in ops if r.get("cmd", r["op"]) == kind])
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]}
                for m in spec["per_layer" if args.trace else "end_to_end"]}

@@ -96,7 +96,8 @@ def _resolve(module: str, path: str):
 class Tracer:
     """Records spans around the wrapped functions while installed."""
 
-    def __init__(self):
+    def __init__(self, clock=time.perf_counter):
+        self.clock = clock
         self.names = list(TARGETS)
         self.name_ix = array("i")
         self.parent = array("i")
@@ -111,6 +112,7 @@ class Tracer:
     def _wrap(self, name: str, fn, amount):
         nid = self.names.index(name)
         stack = self._stack
+        clock = self.clock
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
@@ -121,11 +123,11 @@ class Tracer:
             self.amount.append(0.0)
             self.end.append(0.0)
             stack.append(idx)
-            self.start.append(time.perf_counter())
+            self.start.append(clock())
             try:
                 result = fn(*args, **kwargs)
             finally:
-                self.end[idx] = time.perf_counter()
+                self.end[idx] = clock()
                 stack.pop()
             if amount is not None:
                 self.amount[idx] = amount(result, args)

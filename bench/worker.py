@@ -5,8 +5,10 @@ Usage: python3 bench/worker.py PLAN.json RESULT.json
 The plan (written by run.py) names the generated problem files, the
 abscissae and the operation list of one pass.  The worker repeats whole
 passes until the plan's seconds are used (at least one), timing every
-operation, then probes kernel_apply and the exact backend for the checks,
-and writes every record to RESULT.json.  With tracing on, it runs one
+operation and pass in wall seconds and on a ``SpeedClock`` (CPU seconds at
+the reference speed, see speed.py), then probes kernel_apply and the exact
+backend for the checks, and writes every record and the calibration times
+to RESULT.json.  With tracing on, it runs one
 untraced pass first, then traced passes, and saves the spans.
 """
 
@@ -20,6 +22,7 @@ from scipy.interpolate import interp1d
 
 import gfadm
 import gfadm.cli as cli
+from speed import SpeedClock
 from tracing import Tracer
 
 
@@ -74,21 +77,24 @@ OPS = {"solve": _solve, "residual": _residual, "bound": _bound,
        "compare": _compare}
 
 
-def run_pass(plan, records, tracer=None) -> float:
+def run_pass(plan, records, clock, tracer=None) -> dict:
+    """One pass over the operation list: its wall and reference seconds."""
     state = {}
-    t_pass = time.perf_counter()
+    t_pass, c_pass = time.perf_counter(), clock.now()
     for op in plan["ops"]:
         if tracer is not None:
             tracer.op_id = len(records)
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), clock.now()
         try:
             out = OPS[op["op"]](op, state, plan)
         except Exception as exc:  # one failed operation must not end the run
             out = {"error": f"{type(exc).__name__}: {exc}"}
         out["seconds"] = time.perf_counter() - t0
+        out["ref_s"] = clock.now() - c0
         out["traced"] = tracer is not None
         records.append({**op, **out})
-    return time.perf_counter() - t_pass
+    return {"seconds": time.perf_counter() - t_pass,
+            "ref_s": clock.now() - c_pass}
 
 
 def probes(plan) -> list:
@@ -122,23 +128,27 @@ def main(plan_path: str, result_path: str) -> None:
     gfadm.fd_solve(spec, M=64)
 
     records, passes = [], []
+    clock = SpeedClock()
+    clock.start()
     start = time.perf_counter()
     tracer = None
     if plan["trace"]:
-        passes.append({"traced": False, "seconds": run_pass(plan, records)})
-        tracer = Tracer()
+        passes.append({"traced": False, **run_pass(plan, records, clock)})
+        tracer = Tracer(clock.now)
         tracer.install()
     while True:
         passes.append({"traced": tracer is not None,
-                       "seconds": run_pass(plan, records, tracer)})
+                       **run_pass(plan, records, clock, tracer)})
         if time.perf_counter() - start >= plan["seconds"]:
             break
+    clock.stop()
     if tracer is not None:
         tracer.uninstall()
         tracer.save(plan["trace_path"])
     records += probes(plan)
     with open(result_path, "w") as fh:
-        json.dump({"records": records, "passes": passes}, fh)
+        json.dump({"records": records, "passes": passes,
+                   "calibrations": clock.calibrations.tolist()}, fh)
 
 
 if __name__ == "__main__":
