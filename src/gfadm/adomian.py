@@ -1,130 +1,49 @@
 """Adomian polynomial generation.
 
-The row values A_0..A_n of a nonlinearity f at a point are the Taylor
-coefficients of ``f(x, sum_j y1_j lam^j, sum_j y2_j lam^j)`` in lam, so
-coefficient n equals (1/n!) d^n/dlam^n at lam = 0.  Computing them through
-truncated-series arithmetic is definitionally exact at the truncation order
-and needs no per-nonlinearity derivation.
+The rows A_0..A_n of a nonlinearity f are the Taylor coefficients of
+``f(x, sum_j y1_j lam^j, sum_j y2_j lam^j)`` in lam, so row n equals
+(1/n!) d^n/dlam^n at lam = 0.  Computing them through truncated-series
+arithmetic is definitionally exact at the truncation order and needs no
+per-nonlinearity derivation.
 
-Two coefficient rings back the same expansion: plain floats (pointwise
-values at a grid node) and polynomials in x (the exact backend, for
-polynomial nonlinearities only).
+One expansion serves every coefficient ring of :class:`TruncatedSeries`:
+one point x (float rows), an array of points (the rows at all of them in
+one call, as the grid backend and the residual search use), or
+``x = Polynomial.identity()`` with polynomial terms (rows as exact
+polynomials in x, for the exact backend; polynomial f only).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularDivisionError, UnsupportedBackendError
-from .expr import Expression, evaluate, eval_series
+from .expr import Expression, eval_series
 from .grids import Polynomial
 from .series import TruncatedSeries
 
 
-def adomian_coefficients(f: Expression, x: float, y1_terms, y2_terms) -> list[float]:
-    """Rows A_0..A_n at the point x from the component term values so far."""
+def adomian_coefficients(f: Expression, x, y1_terms, y2_terms) -> np.ndarray:
+    """Rows A_0..A_n of f at x from the component term values so far.
+
+    ``x`` is one point or an array of points; each term is then a value or
+    an array of values at them, and the rows have shape ``(n+1,)`` or
+    ``(n+1, len(x))``.  A vanishing denominator raises
+    :class:`SingularDivisionError` at the first point where it vanishes.
+    """
     if len(y1_terms) != len(y2_terms):
         raise UnsupportedBackendError("term lists must have equal length")
     y1 = TruncatedSeries(y1_terms)
     y2 = TruncatedSeries(y2_terms)
     try:
-        out = eval_series(f, x, y1, y2)
+        return eval_series(f, x, y1, y2).coeffs
     except SingularDivisionError as exc:
-        raise SingularDivisionError(str(exc), location=x) from None
-    return out.coeffs.tolist()
-
-
-class PolySeries:
-    """Truncated series whose coefficients are polynomials in x."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: list[Polynomial]):
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def constant(cls, value, order: int) -> "PolySeries":
-        poly = value if isinstance(value, Polynomial) else Polynomial([float(value)])
-        out = [poly] + [Polynomial.zero() for _ in range(order)]
-        return cls(out)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __neg__(self):
-        return PolySeries([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        return PolySeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        return PolySeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        n = self.order + 1
-        out = [Polynomial.zero() for _ in range(n)]
-        for i, a in enumerate(self.coeffs):
-            if a.degree == 0 and a.coeffs[0] == 0.0:
-                continue
-            for j in range(n - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
-        return PolySeries(out)
-
-    def __truediv__(self, other):
-        raise UnsupportedBackendError(
-            "rational nonlinearities are not supported by the exact backend"
-        )
+        where = float(np.ravel(x)[exc.index])
+        raise SingularDivisionError(str(exc), location=where) from None
 
 
 def adomian_polynomial_rows(
     f: Expression, y1_terms: list[Polynomial], y2_terms: list[Polynomial]
 ) -> list[Polynomial]:
     """Rows A_0..A_n as exact polynomials in x (polynomial f only)."""
-    if len(y1_terms) != len(y2_terms):
-        raise UnsupportedBackendError("term lists must have equal length")
-    order = len(y1_terms) - 1
-    x = PolySeries.constant(Polynomial.identity(), order)
-    out = evaluate(
-        f,
-        x,
-        PolySeries(list(y1_terms)),
-        PolySeries(list(y2_terms)),
-        lambda c: PolySeries.constant(c, order),
-    )
-    return out.coeffs
-
-
-@dataclass
-class AdomianTableau:
-    """Row values A_{i,j}(s_k) for both components over a grid.
-
-    ``rows1``/``rows2`` have shape (n_rows, n_points); row j depends only on
-    component terms 0..j (triangular dependency).
-    """
-
-    grid: np.ndarray
-    rows1: np.ndarray
-    rows2: np.ndarray
-
-
-def build_tableau(
-    f1: Expression,
-    f2: Expression,
-    grid: np.ndarray,
-    y1_rows: np.ndarray,
-    y2_rows: np.ndarray,
-) -> AdomianTableau:
-    """Tableau from term values: ``y1_rows[j, k]`` is y_{1,j}(s_k)."""
-    n_rows, n_pts = np.asarray(y1_rows).shape
-    rows1 = np.empty((n_rows, n_pts))
-    rows2 = np.empty((n_rows, n_pts))
-    for k in range(n_pts):
-        s = float(grid[k])
-        t1 = list(np.asarray(y1_rows)[:, k])
-        t2 = list(np.asarray(y2_rows)[:, k])
-        rows1[:, k] = adomian_coefficients(f1, s, t1, t2)
-        rows2[:, k] = adomian_coefficients(f2, s, t1, t2)
-    return AdomianTableau(np.asarray(grid, dtype=float), rows1, rows2)
+    return list(adomian_coefficients(f, Polynomial.identity(), y1_terms, y2_terms))

@@ -65,13 +65,11 @@ class ResidualReport:
         return buf.getvalue()
 
 
-def _operator_value(comp, d1, d2, x: float) -> float:
-    """L psi at x from first/second derivative evaluators."""
-    if x <= _SINGULAR_X:
-        return (1.0 + comp.alpha) * float(d2(0.0))
-    if comp.alpha == 0.0:
-        return float(d2(x))
-    return float(d2(x)) + comp.alpha / x * float(d1(x))
+def _operator_value(comp, d1, d2, x: np.ndarray) -> np.ndarray:
+    """L psi at the points x from first/second derivative evaluators."""
+    near0 = x <= _SINGULAR_X
+    regular = d2(x) + comp.alpha / np.where(near0, 1.0, x) * d1(x)
+    return np.where(near0, (1.0 + comp.alpha) * float(d2(0.0)), regular)
 
 
 def _spectral_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
@@ -91,36 +89,34 @@ def _spectral_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
             psi_eval = psi_gf
         fns.append((comp, psi_eval, d1, d2))
 
-    def residual_at(x: float):
-        psi1 = float(fns[0][1](x))
-        psi2 = float(fns[1][1](x))
-        out = []
-        for comp, _, d1, d2 in fns:
-            lhs = _operator_value(comp, d1, d2, x)
-            rhs = eval_scalar(comp.rhs, x, psi1, psi2)
-            out.append(abs(lhs - rhs))
-        return tuple(out)
+    def residual_at(x: np.ndarray):
+        psi1 = fns[0][1](x)
+        psi2 = fns[1][1](x)
+        return tuple(
+            np.abs(_operator_value(comp, d1, d2, x)
+                   - eval_scalar(comp.rhs, x, psi1, psi2))
+            for comp, _, d1, d2 in fns
+        )
 
     return residual_at
 
 
 def _adomian_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
-    def residual_at(x: float):
-        t1 = sol.term_values(1, x)
-        t2 = sol.term_values(2, x)
-        psi1 = float(sum(t1[: n + 1]))
-        psi2 = float(sum(t2[: n + 1]))
-        out = []
-        for comp in p.components:
-            rows = adomian_coefficients(comp.rhs, x, t1[:n], t2[:n])
-            rhs = eval_scalar(comp.rhs, x, psi1, psi2)
-            out.append(abs(float(np.sum(rows)) - rhs))
-        return tuple(out)
+    def residual_at(x: np.ndarray):
+        t1 = [t(x) for t in sol.terms1[: n + 1]]
+        t2 = [t(x) for t in sol.terms2[: n + 1]]
+        psi1, psi2 = sum(t1), sum(t2)
+        return tuple(
+            np.abs(np.sum(adomian_coefficients(comp.rhs, x, t1[:n], t2[:n]), axis=0)
+                   - eval_scalar(comp.rhs, x, psi1, psi2))
+            for comp in p.components
+        )
 
     return residual_at
 
 
 def _residual_fn(p, sol, n, method):
+    """The residuals (r1, r2) as a function of an array of points."""
     if n > sol.n_terms:
         raise UsageError(f"order {n} exceeds stored terms {sol.n_terms}")
     if method == SPECTRAL:
@@ -141,12 +137,11 @@ def residual(
 ) -> ResidualReport:
     """Pointwise residual report at the requested abscissae."""
     fn = _residual_fn(p, sol, n, method)
-    report = ResidualReport(n=n, method=method)
-    for x in xs:
-        r1, r2 = fn(float(x))
-        report.points1.append((float(x), r1))
-        report.points2.append((float(x), r2))
-    return report
+    xs = np.asarray(xs, dtype=float).ravel()
+    r1, r2 = fn(xs)
+    return ResidualReport(n=n, method=method,
+                          points1=list(zip(xs.tolist(), r1.tolist())),
+                          points2=list(zip(xs.tolist(), r2.tolist())))
 
 
 def max_residual(
@@ -165,27 +160,24 @@ def max_residual(
     fn = _residual_fn(p, sol, n, method)
     alphas = [c.alpha for c in p.components]
 
-    def weight(x, i):
-        return x ** alphas[i] if weighted else 1.0
+    def weigh(x, i, vals):
+        return vals * x ** alphas[i] if weighted else vals
+
+    def negated_at(x, i):
+        x = np.clip(x, 0.0, 1.0)
+        return -float(weigh(x, i, fn(np.array([x]))[i][0]))
 
     xs = np.concatenate(([0.0], np.linspace(0.001, 0.999, 901), [1.0]))
-    vals = np.array([fn(float(x)) for x in xs])
-    if weighted:
-        vals = vals * np.stack([xs**alphas[0], xs**alphas[1]], axis=1)
-
+    dense = fn(xs)
     out = []
     for i in range(2):
-        j = int(np.argmax(vals[:, i]))
-        best = float(vals[j, i])
+        vals = weigh(xs, i, dense[i])
+        j = int(np.argmax(vals))
+        best = float(vals[j])
         lo, hi = float(xs[max(j - 1, 0)]), float(xs[min(j + 1, xs.size - 1)])
         if hi > lo:
-            res = minimize_scalar(
-                lambda x, i=i: -fn(float(np.clip(x, 0.0, 1.0)))[i]
-                * weight(float(np.clip(x, 0.0, 1.0)), i),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
+            res = minimize_scalar(negated_at, args=(i,), bounds=(lo, hi),
+                                  method="bounded", options={"xatol": 1e-10})
             best = max(best, float(-res.fun))
         out.append(best)
     return tuple(out)

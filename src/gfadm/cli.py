@@ -208,7 +208,8 @@ def _fail(exc: GfadmError) -> int:
     click.echo(f"error: {exc}", err=True)
     if isinstance(exc, NoConvergenceError):
         return 3
-    if isinstance(exc, (ProblemFileError, ExpressionError, UsageError)):
+    if isinstance(exc, (ProblemFileError, ExpressionError, UsageError,
+                        UnsupportedBackendError)):
         return 1
     return 2
 

@@ -35,14 +35,16 @@ class SingularDivisionError(EvaluationError):
     """Division by a series whose constant term vanishes.
 
     Signals that the nonlinearity's denominator is zero at the expansion
-    point.  ``location`` carries the grid abscissa when known.
+    point.  ``location`` carries the abscissa when known; ``index`` is the
+    position of the first such point among point-valued coefficients.
     """
 
-    def __init__(self, message, location=None):
+    def __init__(self, message, location=None, index=0):
         if location is not None:
             message = f"{message} (at x={location:g})"
         super().__init__(message)
         self.location = location
+        self.index = index
 
 
 class NumericError(GfadmError):

@@ -10,13 +10,14 @@ non-negative integer exponent):
     atom   := NUMBER | 'x' | 'y1' | 'y2' | '(' expr ')'
 
 Expressions are immutable trees; evaluation is reentrant.  The same tree
-evaluates on scalars (or numpy arrays) and on :class:`TruncatedSeries`
-arguments, the latter producing the truncated Taylor expansion of
-``f(x, y1(lam), y2(lam))`` through series arithmetic.
+evaluates on scalars (or numpy arrays) and, through ``eval_series``, on
+:class:`TruncatedSeries` arguments over any coefficient ring, producing the
+truncated Taylor expansion of ``f(x, y1(lam), y2(lam))``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -190,35 +191,40 @@ def parse_expression(text: str) -> Expression:
     return _Parser(text).parse()
 
 
-def evaluate(e: Expression, x, y1, y2, lift):
+def evaluate(e: Expression, x, y1, y2, lift, div=operator.truediv):
     """Evaluate structurally with values from an arbitrary arithmetic ring.
 
-    ``lift`` embeds a float constant into the ring; ``x``, ``y1``, ``y2``
-    must already be ring elements supporting ``+ - * /`` and integer power.
+    ``lift`` embeds a float constant into the ring and ``div`` divides two
+    values; ``x``, ``y1``, ``y2`` must already support ``+ - *`` with each
+    other and with lifted constants.
     """
-    if isinstance(e, Const):
-        return lift(e.value)
-    if isinstance(e, Var):
-        return {"x": x, "y1": y1, "y2": y2}[e.name]
-    if isinstance(e, Add):
-        return evaluate(e.left, x, y1, y2, lift) + evaluate(e.right, x, y1, y2, lift)
-    if isinstance(e, Sub):
-        return evaluate(e.left, x, y1, y2, lift) - evaluate(e.right, x, y1, y2, lift)
-    if isinstance(e, Mul):
-        return evaluate(e.left, x, y1, y2, lift) * evaluate(e.right, x, y1, y2, lift)
-    if isinstance(e, Div):
-        num = evaluate(e.left, x, y1, y2, lift)
-        den = evaluate(e.right, x, y1, y2, lift)
-        return num / den
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, x, y1, y2, lift)
-    if isinstance(e, PowInt):
-        base = evaluate(e.base, x, y1, y2, lift)
-        out = lift(1.0)
-        for _ in range(e.exponent):
-            out = out * base
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
+    env = {"x": x, "y1": y1, "y2": y2}
+
+    def ev(e):
+        if isinstance(e, Const):
+            return lift(e.value)
+        if isinstance(e, Var):
+            return env[e.name]
+        if isinstance(e, Add):
+            return ev(e.left) + ev(e.right)
+        if isinstance(e, Sub):
+            return ev(e.left) - ev(e.right)
+        if isinstance(e, Mul):
+            return ev(e.left) * ev(e.right)
+        if isinstance(e, Div):
+            return div(ev(e.left), ev(e.right))
+        if isinstance(e, Neg):
+            return -ev(e.operand)
+        if isinstance(e, PowInt):
+            if e.exponent == 0:
+                return lift(1.0)
+            base = out = ev(e.base)
+            for _ in range(e.exponent - 1):
+                out = out * base
+            return out
+        raise TypeError(f"not an expression node: {e!r}")
+
+    return ev(e)
 
 
 def eval_scalar(e: Expression, x, y1, y2):
@@ -238,18 +244,24 @@ def eval_scalar(e: Expression, x, y1, y2):
     return float(val) if scalar else np.asarray(val, dtype=float)
 
 
-def eval_series(e: Expression, x: float, y1: TruncatedSeries, y2: TruncatedSeries):
-    """Taylor expansion of ``f(x, y1(lam), y2(lam))`` at the common order."""
+def eval_series(e: Expression, x, y1: TruncatedSeries, y2: TruncatedSeries):
+    """Taylor expansion of ``f(x, y1(lam), y2(lam))`` at the common order.
+
+    ``x`` and the literals of f enter as elements of the coefficient ring of
+    y1 and y2: a float, the array of points the coefficients are values at,
+    or ``Polynomial.identity()`` for polynomial coefficients.  Operands of a
+    division, and a result free of y1 and y2, become constant series of
+    that ring, so a vanishing divisor is caught by the series division.
+    """
     if y1.order != y2.order:
         raise EvaluationError("series arguments must share the truncation order")
-    order = y1.order
-    return evaluate(
-        e,
-        TruncatedSeries.constant(float(x), order),
-        y1,
-        y2,
-        lambda c: TruncatedSeries.constant(c, order),
-    )
+    zero = 0.0 * y1
+
+    def as_series(v):
+        return v if isinstance(v, TruncatedSeries) else zero + v
+
+    out = evaluate(e, x, y1, y2, lambda c: c, lambda a, b: as_series(a) / as_series(b))
+    return as_series(out)
 
 
 def to_text(e: Expression) -> str:

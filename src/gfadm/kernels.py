@@ -145,12 +145,12 @@ def kernel_monomial_image(k: KernelSpec, m: int) -> Polynomial:
     """Closed form of ``J_m(x) = int_0^1 G(x, s) s^(alpha+m) ds``.
 
     J_m solves ``J'' + (alpha/x) J' = x^m`` with ``J'(0) = 0`` and
-    ``J(1) + robin_shift J'(1) = 0``; only the non-logarithmic lane_emden
-    branch has a polynomial image.
+    ``J(1) + robin_shift J'(1) = 0``.  Every lane_emden kernel has this
+    polynomial image, the logarithmic one at alpha = 1 included.
     """
-    if k.family != LANE_EMDEN or k.alpha == 1.0:
+    if k.family != LANE_EMDEN:
         raise UnsupportedBackendError(
-            "monomial images exist only for lane_emden kernels with alpha != 1"
+            "monomial images exist only for lane_emden kernels"
         )
     if m < 0:
         raise UsageError("monomial exponent must be >= 0")

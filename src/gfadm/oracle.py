@@ -31,7 +31,7 @@ class OracleSolution:
         return self.y1 if component == 1 else self.y2
 
 
-def _component_residual(comp, x, y, other_first, f_vals, h):
+def _component_residual(comp, x, y, f_vals, h):
     """Discrete defect rows for one component given f values at the nodes."""
     m = x.size - 1
     r = np.empty(m + 1)
@@ -56,8 +56,8 @@ def _residual_vector(p, x, z, h):
     y1, y2 = z[: m + 1], z[m + 1 :]
     f1 = eval_scalar(p.component1.rhs, x, y1, y2)
     f2 = eval_scalar(p.component2.rhs, x, y1, y2)
-    r1 = _component_residual(p.component1, x, y1, None, f1, h)
-    r2 = _component_residual(p.component2, x, y2, None, f2, h)
+    r1 = _component_residual(p.component1, x, y1, f1, h)
+    r2 = _component_residual(p.component2, x, y2, f2, h)
     return np.concatenate([r1, r2])
 
 

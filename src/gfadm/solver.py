@@ -12,7 +12,7 @@ No undetermined constants appear anywhere; the partial sums
 Two backends: ``grid`` stores each term as values on a Chebyshev-Lobatto
 grid (works for any nonlinearity); ``exact_polynomial`` keeps every term as
 an exact polynomial via closed-form monomial images (polynomial
-nonlinearities with alpha != 1 only).
+nonlinearities and lane_emden kernels only).
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adomian import adomian_coefficients, adomian_polynomial_rows
-from .errors import (
-    DegreeCapError,
-    SingularDivisionError,
-    UnsupportedBackendError,
-    UsageError,
-)
+from .errors import DegreeCapError, UnsupportedBackendError, UsageError
 from .expr import Expression, contains_division, parse_expression
 from .grids import GridFunction, Polynomial, chebyshev_lobatto
 from .kernels import DIRICHLET_DIRICHLET, LANE_EMDEN, KernelSpec, kernel_apply, \
@@ -132,10 +127,6 @@ class SolutionSeries:
     def n_terms(self) -> int:
         return len(self.terms1) - 1
 
-    def term_values(self, component: int, x):
-        terms = self.terms1 if component == 1 else self.terms2
-        return [t(x) for t in terms]
-
     def partial_sum(self, component: int, n: int, x):
         terms = self.terms1 if component == 1 else self.terms2
         if not 0 <= n <= self.n_terms:
@@ -171,13 +162,8 @@ def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
     vals2 = [base2(nodes)]
     rows1, rows2 = [], []
     for j in range(1, n_terms + 1):
-        a1 = np.empty(nodes.size)
-        a2 = np.empty(nodes.size)
-        for k, s in enumerate(nodes):
-            t1 = [v[k] for v in vals1]
-            t2 = [v[k] for v in vals2]
-            a1[k] = adomian_coefficients(f[0], s, t1, t2)[-1]
-            a2[k] = adomian_coefficients(f[1], s, t1, t2)[-1]
+        a1 = adomian_coefficients(f[0], nodes, vals1, vals2)[-1]
+        a2 = adomian_coefficients(f[1], nodes, vals1, vals2)[-1]
         g1 = GridFunction(nodes, a1)
         g2 = GridFunction(nodes, a2)
         rows1.append(g1)
@@ -204,11 +190,8 @@ def _solve_exact(p: ProblemSpec, n_terms: int) -> SolutionSeries:
             raise UnsupportedBackendError(
                 "exact backend requires polynomial nonlinearities"
             )
-        kern = comp.kernel()
-        if kern.family != LANE_EMDEN or kern.alpha == 1.0:
-            raise UnsupportedBackendError(
-                "exact backend requires lane_emden kernels with alpha != 1"
-            )
+        if comp.kernel().family != LANE_EMDEN:
+            raise UnsupportedBackendError("exact backend requires lane_emden kernels")
     base1, base2 = build_baseline(p)
     kern = [c.kernel() for c in p.components]
     f = [c.rhs for c in p.components]

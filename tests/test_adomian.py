@@ -10,7 +10,6 @@ from gfadm import (
     adomian_polynomial_rows,
     parse_expression,
 )
-from gfadm.adomian import build_tableau
 
 
 class TestPointwise:
@@ -109,17 +108,51 @@ class TestPolynomialRows:
             adomian_polynomial_rows(f, [Polynomial([1.0])], [Polynomial([1.0])])
 
 
-def test_build_tableau_triangular():
+def test_rows_on_point_array_triangular():
     f1 = parse_expression("y1*y2")
     f2 = parse_expression("y1^2")
     grid = np.linspace(0, 1, 5)
-    y1_rows = np.vstack([np.ones(5), 0.1 * grid])
-    y2_rows = np.vstack([2 * np.ones(5), 0.2 * grid])
-    tab = build_tableau(f1, f2, grid, y1_rows, y2_rows)
-    assert tab.rows1.shape == (2, 5)
+    y1_terms = [np.ones(5), 0.1 * grid]
+    y2_terms = [2 * np.ones(5), 0.2 * grid]
+    rows1 = adomian_coefficients(f1, grid, y1_terms, y2_terms)
+    rows2 = adomian_coefficients(f2, grid, y1_terms, y2_terms)
+    assert rows1.shape == rows2.shape == (2, 5)
     # row 0 is f at the zeroth terms
-    assert np.allclose(tab.rows1[0], 2.0)
-    assert np.allclose(tab.rows2[0], 1.0)
+    assert np.allclose(rows1[0], 2.0)
+    assert np.allclose(rows2[0], 1.0)
     # row 1 of y1*y2: y10*y21 + y11*y20
-    assert np.allclose(tab.rows1[1], 0.2 * grid + 0.2 * grid)
-    assert np.all(np.isfinite(tab.rows1)) and np.all(np.isfinite(tab.rows2))
+    assert np.allclose(rows1[1], 0.2 * grid + 0.2 * grid)
+    assert np.all(np.isfinite(rows1)) and np.all(np.isfinite(rows2))
+
+
+@pytest.mark.parametrize("text", [
+    "x*y1^3 - 0.4*y1*y2 + 2 - x^2",
+    "1 - 5*y1*y2/((0.0001 + y1)*(0.0001 + y2)) + y2/(2 + x)",
+])
+def test_array_rows_match_pointwise(text):
+    f = parse_expression(text)
+    rng = np.random.default_rng(5)
+    xs = np.linspace(0.0, 1.0, 17)
+    y1_terms = [1.0 + 0.5 * xs] + list(rng.uniform(-0.3, 0.3, size=(6, xs.size)))
+    y2_terms = [0.8 + xs**2] + list(rng.uniform(-0.3, 0.3, size=(6, xs.size)))
+    rows = adomian_coefficients(f, xs, y1_terms, y2_terms)
+    assert rows.shape == (7, xs.size)
+    for k, x in enumerate(xs):
+        slow = adomian_coefficients(f, float(x), [t[k] for t in y1_terms],
+                                    [t[k] for t in y2_terms])
+        assert np.max(np.abs(rows[:, k] - slow)) <= 1e-12
+
+
+def test_array_singular_division_carries_first_location():
+    xs = np.linspace(0.0, 1.0, 9)
+    # the denominator y1 - 2x vanishes at x = 0.5 and x = 0.75
+    y1_terms = [np.where(xs == 0.75, 1.5, 2.0 * xs + 0.1), np.zeros(9)]
+    y1_terms[0][4] = 1.0
+    with pytest.raises(SingularDivisionError) as exc:
+        adomian_coefficients(parse_expression("y2/(y1 - 2*x)"), xs, y1_terms,
+                             [np.ones(9), np.ones(9)])
+    assert exc.value.location == pytest.approx(0.5)
+    with pytest.raises(SingularDivisionError) as exc:
+        adomian_coefficients(parse_expression("y1/(x - 0.25)"), xs,
+                             [np.ones(9)], [np.ones(9)])
+    assert exc.value.location == pytest.approx(0.25)

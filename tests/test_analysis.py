@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from gfadm import (
     ADOMIAN_IDENTITY,
@@ -14,8 +15,10 @@ from gfadm import (
     catalytic_problem,
     catalytic_symmetric_problem,
     co2_pge_problem,
+    adomian_coefficients,
     convergence_estimate,
     error_bound,
+    eval_scalar,
     gfadm_solve,
     lipschitz_estimate,
     max_residual,
@@ -26,6 +29,67 @@ from gfadm import (
 )
 
 ABSCISSAE = [0.1 * i for i in range(1, 10)]
+
+
+def _pointwise_residual(p, sol, n, x):
+    """|sum_{j<n} A_j(x) - f(x, psi1, psi2)| from scalar rows at one point."""
+    t1 = [float(t(x)) for t in sol.terms1[: n + 1]]
+    t2 = [float(t(x)) for t in sol.terms2[: n + 1]]
+    return tuple(
+        abs(float(np.sum(adomian_coefficients(c.rhs, x, t1[:n], t2[:n])))
+            - eval_scalar(c.rhs, x, sum(t1), sum(t2)))
+        for c in p.components
+    )
+
+
+def _pointwise_max_residual(p, sol, n, weighted):
+    """The dense search plus bounded refinement, one point at a time."""
+    alphas = [c.alpha for c in p.components]
+
+    def r(x, i):
+        x = float(np.clip(x, 0.0, 1.0))
+        weight = x ** alphas[i] if weighted else 1.0
+        return _pointwise_residual(p, sol, n, x)[i] * weight
+
+    xs = np.concatenate(([0.0], np.linspace(0.001, 0.999, 901), [1.0]))
+    dense = np.array([[r(x, 0), r(x, 1)] for x in xs])
+    out = []
+    for i in range(2):
+        j = int(np.argmax(dense[:, i]))
+        res = minimize_scalar(lambda x: -r(x, i), method="bounded",
+                              bounds=(xs[max(j - 1, 0)], xs[min(j + 1, xs.size - 1)]),
+                              options={"xatol": 1e-10})
+        out.append(max(dense[j, i], -res.fun))
+    return out
+
+
+@pytest.mark.parametrize("make, backend, weighted", [
+    (catalytic_problem, EXACT, False),
+    (lambda: oxygen_problem(2.0), GRID, True),
+    (co2_pge_problem, GRID, False),
+])
+def test_array_residuals_match_pointwise(make, backend, weighted):
+    p = make()
+    sol = gfadm_solve(p, 6, backend=backend)
+    rep = residual(p, sol, 6, ABSCISSAE)
+    for (x, r1), (_, r2) in zip(rep.points1, rep.points2):
+        s1, s2 = _pointwise_residual(p, sol, 6, x)
+        assert abs(r1 - s1) <= 1e-12 and abs(r2 - s2) <= 1e-12
+    fast = max_residual(p, sol, 6, weighted=weighted)
+    slow = _pointwise_max_residual(p, sol, 6, weighted)
+    assert np.max(np.abs(np.subtract(fast, slow))) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [catalytic_problem, co2_pge_problem])
+def test_array_spectral_residuals_match_single_points(make):
+    p = make()
+    sol = gfadm_solve(p, 4, backend=GRID)
+    xs = [0.0, 1e-12] + ABSCISSAE + [1.0]
+    rep = residual(p, sol, 4, xs, method=SPECTRAL)
+    for (x, r1), (_, r2) in zip(rep.points1, rep.points2):
+        one = residual(p, sol, 4, [x], method=SPECTRAL)
+        assert abs(one.points1[0][1] - r1) <= 1e-12
+        assert abs(one.points2[0][1] - r2) <= 1e-12
 
 
 def test_zero_rhs_zero_residual():

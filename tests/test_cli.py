@@ -174,6 +174,14 @@ class TestErrors:
         res = runner.invoke(main, ["solve", _write(tmp_path, bad)])
         assert res.exit_code == 2
 
+    def test_unsupported_backend_exit_1(self, runner, tmp_path):
+        # the exact backend cannot expand the rational oxygen rates
+        res = runner.invoke(main, ["solve", _problem("example2_oxygen.ini"),
+                                   "--backend", "poly",
+                                   "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 1
+        assert "polynomial" in res.output
+
     def test_bad_abscissae(self, runner, tmp_path):
         res = runner.invoke(main, ["solve", _write(tmp_path, ZERO_RHS),
                                    "--abscissae", "0.5,1.5"])

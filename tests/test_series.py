@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gfadm import OrderMismatchError, SingularDivisionError, TruncatedSeries
-from gfadm.series import series_add, series_div, series_mul, series_pow_int
+from gfadm import (
+    OrderMismatchError,
+    Polynomial,
+    SingularDivisionError,
+    TruncatedSeries,
+    UnsupportedBackendError,
+)
 
 
 def ts(*coeffs):
@@ -13,61 +18,61 @@ def ts(*coeffs):
 
 class TestAdd:
     def test_coefficientwise(self):
-        assert series_add(ts(1, 2), ts(3, 4)) == ts(4, 6)
+        assert ts(1, 2) + ts(3, 4) == ts(4, 6)
 
     def test_additive_identity(self):
-        assert series_add(ts(1, 0, 0), ts(0, 0, 0)) == ts(1, 0, 0)
+        assert ts(1, 0, 0) + ts(0, 0, 0) == ts(1, 0, 0)
 
     def test_additive_inverse(self):
-        assert series_add(ts(0.5, -0.5), ts(-0.5, 0.5)) == ts(0, 0)
+        assert ts(0.5, -0.5) + ts(-0.5, 0.5) == ts(0, 0)
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatchError):
-            series_add(ts(1, 2), ts(1, 2, 3))
+            ts(1, 2) + ts(1, 2, 3)
 
 
 class TestMul:
     def test_square_binomial(self):
-        assert series_mul(ts(1, 1, 0), ts(1, 1, 0)) == ts(1, 2, 1)
+        assert ts(1, 1, 0) * ts(1, 1, 0) == ts(1, 2, 1)
 
     def test_annihilator(self):
-        assert series_mul(ts(1, 2, 3), ts(0, 0, 0)) == ts(0, 0, 0)
+        assert ts(1, 2, 3) * ts(0, 0, 0) == ts(0, 0, 0)
 
     def test_scalar_scaling(self):
-        assert series_mul(ts(2, 0, 0), ts(1, 1, 1)) == ts(2, 2, 2)
+        assert ts(2, 0, 0) * ts(1, 1, 1) == ts(2, 2, 2)
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatchError):
-            series_mul(ts(1), ts(1, 2))
+            ts(1) * ts(1, 2)
 
 
 class TestDiv:
     def test_geometric_series(self):
-        q = series_div(ts(1, 0, 0, 0), ts(1, 1, 0, 0))
+        q = ts(1, 0, 0, 0) / ts(1, 1, 0, 0)
         assert np.allclose(q.coeffs, [1, -1, 1, -1], atol=1e-14)
 
     def test_exact_factor(self):
-        q = series_div(ts(1, 2, 1), ts(1, 1, 0))
+        q = ts(1, 2, 1) / ts(1, 1, 0)
         assert np.allclose(q.coeffs, [1, 1, 0], atol=1e-14)
 
     def test_zero_constant_term(self):
         with pytest.raises(SingularDivisionError):
-            series_div(ts(1, 0), ts(0, 1))
+            ts(1, 0) / ts(0, 1)
 
 
 class TestPow:
     def test_square(self):
-        assert series_pow_int(ts(1, 1, 0), 2) == ts(1, 2, 1)
+        assert ts(1, 1, 0) ** 2 == ts(1, 2, 1)
 
     def test_empty_product(self):
-        assert series_pow_int(ts(3, 0, 0), 0) == ts(1, 0, 0)
+        assert ts(3, 0, 0) ** 0 == ts(1, 0, 0)
 
     def test_lambda_cubed(self):
-        assert series_pow_int(ts(0, 1, 0, 0), 3) == ts(0, 0, 0, 1)
+        assert ts(0, 1, 0, 0) ** 3 == ts(0, 0, 0, 1)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(OrderMismatchError):
-            series_pow_int(ts(1, 1), -1)
+            ts(1, 1) ** -1
 
 
 coeff = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -99,10 +104,18 @@ def test_ring_axioms(abc):
     st.lists(coeff, min_size=5, max_size=5),
     st.lists(coeff, min_size=5, max_size=5).filter(lambda v: abs(v[0]) >= 0.1),
 )
+@example(av=[4, 0, 0, 0, 0], bv=[0.421875, 9.5, 0, 0, 0])
 def test_div_mul_roundtrip(av, bv):
     a, b = ts(*av), ts(*bv)
     q = a / b
-    assert np.all(np.abs((q * b).coeffs - a.coeffs) <= 1e-10)
+    # q_k grows like (b1/b0)^k, so the roundoff of coefficient k of q*b
+    # scales with sum_i |q_i| |b_{k-i}|, not with a; subnormal results add
+    # an absolute error of one subnormal unit per operation
+    k = np.arange(len(av))
+    scale = (ts(*np.abs(q.coeffs)) * ts(*np.abs(b.coeffs))).coeffs
+    fp = np.finfo(float)
+    bound = 8 * (k + 1) * (fp.eps * scale + fp.smallest_subnormal)
+    assert np.all(np.abs((q * b).coeffs - a.coeffs) <= bound)
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,3 +134,42 @@ def test_constant_constructor():
     s = TruncatedSeries.constant(2.5, 3)
     assert s.order == 3
     assert s == ts(2.5, 0, 0, 0)
+
+
+class TestRingElements:
+    def test_scalar_scales(self):
+        assert 2.0 * ts(1, 2, 3) == ts(2, 4, 6)
+        assert ts(1, 2, 3) * 2.0 == ts(2, 4, 6)
+
+    def test_scalar_shifts_coefficient0(self):
+        assert ts(1, 2, 3) + 1.5 == ts(2.5, 2, 3)
+        assert 1.5 - ts(1, 2, 3) == ts(0.5, -2, -3)
+        assert ts(1, 2, 3) - 1.0 == ts(0, 2, 3)
+
+    def test_point_values(self):
+        x = np.array([0.0, 0.5, 1.0])
+        s = TruncatedSeries([1.0 + x, x, x**2])
+        assert s.coeffs.shape == (3, 3)
+        prod = x * s + 1.0
+        assert np.allclose(prod.coeffs, [1 + x * (1 + x), x**2, x**3])
+        # one point of the product equals the product at that point
+        sq = (s * s).coeffs
+        for k in range(3):
+            assert np.allclose(sq[:, k], (ts(*s.coeffs[:, k]) ** 2).coeffs,
+                               rtol=0, atol=1e-15)
+
+    def test_point_values_division_index(self):
+        a = TruncatedSeries([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        b = TruncatedSeries([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(SingularDivisionError) as exc:
+            a / b
+        assert exc.value.index == 1
+
+    def test_polynomial_coefficients(self):
+        x = Polynomial.identity()
+        s = TruncatedSeries([Polynomial([1.0]), x])
+        sq = x * s * s - 1.0
+        assert np.allclose(sq[0].coeffs, [-1.0, 1.0])
+        assert np.allclose(sq[1].coeffs, [0.0, 0.0, 2.0])
+        with pytest.raises(UnsupportedBackendError):
+            s / s

@@ -133,11 +133,18 @@ def test_exact_backend_rejects_division():
         gfadm_solve(p, 2, backend=EXACT)
 
 
-def test_exact_backend_rejects_alpha1():
-    c = ComponentSpec.make("lane_emden", alpha=1.0, left=NEUMANN_ZERO,
-                           a=1, b=0, c=1, rhs="y1^2")
-    with pytest.raises(UnsupportedBackendError):
-        gfadm_solve(ProblemSpec(c, c), 2, backend=EXACT)
+def test_exact_backend_alpha1_matches_grid():
+    c1 = ComponentSpec.make("lane_emden", alpha=1.0, left=NEUMANN_ZERO,
+                            a=1, b=0, c=1, rhs="y1^2 - 0.5*x*y2")
+    c2 = ComponentSpec.make("lane_emden", alpha=1.0, left=NEUMANN_ZERO,
+                            a=1, b=0.5, c=2, rhs="0.3*y1*y2")
+    p = ProblemSpec(c1, c2)
+    exact = gfadm_solve(p, 4, backend=EXACT)
+    grid = gfadm_solve(p, 4, backend=GRID)
+    for x in (0.0, 0.25, 0.6, 1.0):
+        for i in (1, 2):
+            assert exact.partial_sum(i, 4, x) == pytest.approx(
+                grid.partial_sum(i, 4, x), abs=1e-10)
 
 
 def test_degree_cap():
