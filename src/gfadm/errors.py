@@ -51,14 +51,6 @@ class NumericError(GfadmError):
     """A numeric computation failed to reach its accuracy target."""
 
 
-class QuadratureError(NumericError):
-    """Quadrature did not converge; ``estimate`` is the best value achieved."""
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 class DegreeCapError(NumericError):
     """Polynomial degree exceeded the hard cap of the exact backend."""
 

@@ -7,6 +7,8 @@ with barycentric interpolation and spectral differentiation.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -89,6 +91,22 @@ def chebyshev_lobatto(n: int) -> np.ndarray:
         raise UsageError("grid needs at least two nodes")
     k = np.arange(n + 1)
     return 0.5 * (1.0 - np.cos(np.pi * k / n))
+
+
+@functools.lru_cache(maxsize=None)
+def chebyshev_coefficient_matrix(n: int) -> np.ndarray:
+    """Map from values on the n-grid to Chebyshev coefficients in 2x - 1.
+
+    The node ``chebyshev_lobatto(n)[k]`` is ``t = cos(pi (n - k) / n)``, so
+    the discrete cosine transform of the values gives the coefficients.
+    """
+    j = np.arange(n + 1)
+    basis = np.cos(np.pi * np.outer(j, n - j) / n)  # T_j at node k
+    w = np.ones(n + 1)
+    w[[0, -1]] = 0.5
+    out = (2.0 / n) * w[:, None] * basis * w[None, :]
+    out.flags.writeable = False
+    return out
 
 
 def _lobatto_weights(n: int) -> np.ndarray:

@@ -16,18 +16,22 @@ classical kernel for ``y''`` with zero values at both ends,
     G(x, s) = s (x - 1)  for s <= x,   x (s - 1)  for x <= s.
 
 ``kernel_apply`` computes the weighted integral of the kernel against a
-grid function, which is one step of the solution recursion.
+function, which is one step of the solution recursion.  The image of a grid
+function's interpolant is a polynomial, computed exactly up to rounding on
+Chebyshev coefficients (Greengard 1991; Olver & Townsend 2013).  Any other
+callable is integrated by composite quadrature, the independent reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from numpy.polynomial import chebyshev
 
-from .errors import QuadratureError, UnsupportedBackendError, UsageError
-from .grids import Polynomial
+from .errors import UnsupportedBackendError, UsageError
+from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix
 
 LANE_EMDEN = "lane_emden"
 DIRICHLET_DIRICHLET = "dirichlet_dirichlet"
@@ -43,8 +47,6 @@ class KernelSpec:
     family: str
     alpha: float = 0.0
     robin_shift: float = 0.0
-    left_value: float = 0.0  # dirichlet_dirichlet baseline data (solver-owned)
-    right_value: float = 0.0
 
     def __post_init__(self):
         if self.family not in (LANE_EMDEN, DIRICHLET_DIRICHLET):
@@ -102,10 +104,10 @@ def _panels(k: KernelSpec, x: float) -> list[tuple[float, float]]:
     return refined
 
 
-def _quad(k: KernelSpec, g, x: float, panels) -> float:
+def _quad(k: KernelSpec, g, x: float) -> float:
     total = 0.0
     alpha = k.weight_exponent
-    for a, b in panels:
+    for a, b in _panels(k, x):
         h = 0.5 * (b - a)
         s = a + h * (_GL_NODES + 1.0)
         vals = np.asarray(g(s), dtype=float)
@@ -114,31 +116,57 @@ def _quad(k: KernelSpec, g, x: float, panels) -> float:
     return total
 
 
-def kernel_apply(k: KernelSpec, g, x: float, check: bool = False) -> float:
-    """Weighted integral ``int_0^1 G(x, s) s^alpha g(s) ds``.
+@functools.lru_cache(maxsize=64)
+def _image_coeffs(k: KernelSpec, n: int) -> np.ndarray:
+    """Map from values on the n-grid to the image's coefficients in 2x - 1.
 
-    ``g`` is a callable (GridFunction or plain function) accepting a numpy
-    array of abscissae.  The quadrature splits at the kink s = x; with
-    ``check=True`` the panels are halved once and a disagreement beyond the
-    accuracy target raises :class:`QuadratureError`.
+    With ``w = y'`` a lane_emden image solves ``x w' + alpha w = x g``, a
+    system upper triangular on Chebyshev coefficients with ``j + alpha`` on
+    the diagonal for T_j, then ``y(1) + robin_shift w(1) = 0``.  A
+    dirichlet_dirichlet image solves ``y'' = g``, ``y(0) = y(1) = 0``.
     """
-    if not 0.0 <= x <= 1.0:
+    g = chebyshev_coefficient_matrix(n)  # one column per node value
+    if k.family == DIRICHLET_DIRICHLET:
+        y = chebyshev.chebint(g, 2, lbnd=-1, scl=0.5, axis=0)
+        y[:2] -= 0.5 * y.sum(axis=0)  # subtract x y(1), with x = (T_0 + T_1)/2
+    else:
+        size = n + 2
+        eye = np.eye(size)
+        # multiplication by x of coefficients of degree <= n:
+        # x T_k = T_k / 2 + (T_k-1 + T_k+1) / 4, and x T_0 = (T_0 + T_1) / 2
+        xmul = 0.5 * np.eye(size, n + 1) + 0.25 * (np.eye(size, n + 1, 1)
+                                                  + np.eye(size, n + 1, -1))
+        xmul[1, 0] = 0.5
+        # x w' + alpha w = x g, with d/dx = 2 d/dt
+        op = 2.0 * xmul @ chebyshev.chebder(eye, axis=0) + k.alpha * eye
+        rhs = xmul @ g
+        # the first row (singular at alpha = 0) becomes regularity, w(x=0) = 0
+        op[0] = (-1.0) ** np.arange(size)
+        rhs[0] = 0.0
+        w = np.linalg.solve(op, rhs)
+        y = chebyshev.chebint(w, lbnd=1, scl=0.5, axis=0)
+        y[0] -= k.robin_shift * w.sum(axis=0)  # T_k(1) = 1
+    y.flags.writeable = False
+    return y
+
+
+def kernel_apply(k: KernelSpec, g, x):
+    """Weighted integral ``int_0^1 G(x, s) s^alpha g(s) ds`` at a point or array.
+
+    For a :class:`GridFunction` the image of its interpolant is evaluated
+    from its exact Chebyshev coefficients.  Any other callable accepting a
+    numpy array of abscissae is integrated by composite quadrature split at
+    the kink s = x.
+    """
+    xs = np.asarray(x, dtype=float)
+    if not np.all((0.0 <= xs) & (xs <= 1.0)):
         raise UsageError("kernel_apply wants x in [0, 1]")
-    panels = _panels(k, x)
-    value = _quad(k, g, x, panels)
-    if check:
-        halved = []
-        for a, b in panels:
-            m = 0.5 * (a + b)
-            halved += [(a, m), (m, b)]
-        refined = _quad(k, g, x, halved)
-        if abs(refined - value) > 1e-10 + 1e-10 * abs(refined):
-            raise QuadratureError(
-                f"quadrature disagreement {abs(refined - value):.3e} at x={x:g}",
-                estimate=refined,
-            )
-        value = refined
-    return value
+    if isinstance(g, GridFunction):
+        coeffs = _image_coeffs(k, g.values.size - 1) @ g.values
+        out = chebyshev.chebval(2.0 * xs - 1.0, coeffs)
+    else:
+        out = np.reshape([_quad(k, g, t) for t in xs.ravel()], xs.shape)
+    return float(out) if xs.ndim == 0 else out
 
 
 def kernel_monomial_image(k: KernelSpec, m: int) -> Polynomial:
@@ -166,21 +194,10 @@ def kernel_monomial_image(k: KernelSpec, m: int) -> Polynomial:
 def kernel_bound_m(k: KernelSpec) -> float:
     """``max over x in [0,1] of |int_0^1 G(x,s) s^alpha ds|``.
 
-    Dense grid first (no unimodality assumed), then bounded local
-    refinement around the grid maximizer.
+    The image of 1 is ``(x^2 - 1 - 2 robin_shift) / (2 (1 + alpha))`` for
+    lane_emden, largest in size at x = 0, and ``(x^2 - x)/2`` for
+    dirichlet_dirichlet, largest at x = 1/2.
     """
-    ones = lambda s: np.ones_like(s)
-    xs = np.linspace(0.0, 1.0, 1001)
-    vals = np.array([abs(kernel_apply(k, ones, x)) for x in xs])
-    i = int(np.argmax(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, xs.size - 1)]
-    if hi <= lo:
-        return float(vals[i])
-    res = minimize_scalar(
-        lambda x: -abs(kernel_apply(k, ones, float(np.clip(x, 0.0, 1.0)))),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(max(vals[i], -res.fun))
+    if k.family == DIRICHLET_DIRICHLET:
+        return 0.125
+    return (1.0 + 2.0 * k.robin_shift) / (2.0 * (1.0 + k.alpha))

@@ -10,9 +10,13 @@ No undetermined constants appear anywhere; the partial sums
 ``psi_{i,n} = sum_{j<=n} y_{i,j}`` are the approximants.
 
 Two backends: ``grid`` stores each term as values on a Chebyshev-Lobatto
-grid (works for any nonlinearity); ``exact_polynomial`` keeps every term as
-an exact polynomial via closed-form monomial images (polynomial
-nonlinearities and lane_emden kernels only).
+grid (works for any nonlinearity) and takes each kernel application as the
+exact image of the row's interpolant, evaluated at the nodes; every row
+must be resolved by the grid, its last two Chebyshev coefficients below
+``RESOLVED`` times its largest, or the solve raises ``NumericError``.
+``exact_polynomial`` keeps every term as an exact polynomial via
+closed-form monomial images (polynomial nonlinearities and lane_emden
+kernels only).
 """
 
 from __future__ import annotations
@@ -22,15 +26,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adomian import adomian_coefficients, adomian_polynomial_rows
-from .errors import DegreeCapError, UnsupportedBackendError, UsageError
+from .errors import DegreeCapError, NumericError, UnsupportedBackendError, UsageError
 from .expr import Expression, contains_division, parse_expression
-from .grids import GridFunction, Polynomial, chebyshev_lobatto
+from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, \
+    chebyshev_lobatto
 from .kernels import DIRICHLET_DIRICHLET, LANE_EMDEN, KernelSpec, kernel_apply, \
     kernel_monomial_image
 
 GRID = "grid"
 EXACT = "exact_polynomial"
 DEGREE_CAP = 60
+# largest relative size of a grid row's last two Chebyshev coefficients
+RESOLVED = 1e-6
 
 NEUMANN_ZERO = "neumann0"
 DIRICHLET = "dirichlet"
@@ -80,9 +87,7 @@ class ComponentSpec:
         if self.left_kind == NEUMANN_ZERO:
             return KernelSpec(LANE_EMDEN, alpha=self.alpha,
                               robin_shift=self.b / self.a)
-        return KernelSpec(DIRICHLET_DIRICHLET,
-                          left_value=self.left_value,
-                          right_value=self.c / self.a)
+        return KernelSpec(DIRICHLET_DIRICHLET)
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,16 @@ def evaluate_partial_sum(sol: SolutionSeries, n: int, x: float):
     return (sol.partial_sum(1, n, x), sol.partial_sum(2, n, x))
 
 
+def _check_resolved(row: np.ndarray, grid_size: int, j: int, component: int):
+    coeffs = np.abs(chebyshev_coefficient_matrix(grid_size) @ row)
+    if coeffs[-2:].max() > RESOLVED * coeffs.max():
+        raise NumericError(
+            f"grid size {grid_size} does not resolve Adomian row {j} of component"
+            f" {component}: last coefficients {coeffs[-2:].max():.3e} against"
+            f" largest {coeffs.max():.3e}; use a larger grid"
+        )
+
+
 def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
     nodes = chebyshev_lobatto(grid_size)
     base1, base2 = build_baseline(p)
@@ -164,12 +179,14 @@ def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
     for j in range(1, n_terms + 1):
         a1 = adomian_coefficients(f[0], nodes, vals1, vals2)[-1]
         a2 = adomian_coefficients(f[1], nodes, vals1, vals2)[-1]
+        _check_resolved(a1, grid_size, j - 1, 1)
+        _check_resolved(a2, grid_size, j - 1, 2)
         g1 = GridFunction(nodes, a1)
         g2 = GridFunction(nodes, a2)
         rows1.append(g1)
         rows2.append(g2)
-        vals1.append(np.array([kernel_apply(kern[0], g1, x) for x in nodes]))
-        vals2.append(np.array([kernel_apply(kern[1], g2, x) for x in nodes]))
+        vals1.append(kernel_apply(kern[0], g1, nodes))
+        vals2.append(kernel_apply(kern[1], g2, nodes))
 
     terms1 = [GridFunction(nodes, v) for v in vals1]
     terms2 = [GridFunction(nodes, v) for v in vals2]

@@ -92,6 +92,22 @@ def test_array_spectral_residuals_match_single_points(make):
         assert abs(one.points2[0][1] - r2) <= 1e-12
 
 
+@pytest.mark.parametrize("make", [catalytic_problem, catalytic_symmetric_problem,
+                                  lambda: oxygen_problem(1.0),
+                                  lambda: oxygen_problem(2.0),
+                                  lambda: oxygen_problem(3.0),
+                                  co2_pge_problem])
+def test_method_agreement_of_maxima(make):
+    """No roundoff spike at the singular point in the spectral maxima."""
+    p = make()
+    sol = gfadm_solve(p, 11, backend=GRID)
+    for n in range(1, 12):
+        spec = max_residual(p, sol, n, method=SPECTRAL)
+        adom = max_residual(p, sol, n, method=ADOMIAN_IDENTITY)
+        for a, b in zip(spec, adom):
+            assert abs(a - b) <= 1e-6 + 1e-3 * b, (n, spec, adom)
+
+
 def test_zero_rhs_zero_residual():
     c1 = ComponentSpec.make("lane_emden", alpha=2.0, left=NEUMANN_ZERO,
                             a=1, b=0, c=1, rhs="0")

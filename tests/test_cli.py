@@ -1,4 +1,5 @@
 import importlib.resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -6,6 +7,10 @@ from click.testing import CliRunner
 from gfadm.cli import main
 
 PROBLEMS = importlib.resources.files("gfadm") / "problems"
+# default solve, bound and residual-summary outputs of the bundled problems
+GOLDEN = Path(__file__).parent / "golden"
+BUNDLED = ["example1_catalytic", "example1_symmetric", "example2_oxygen",
+           "example3_co2_pge"]
 
 
 @pytest.fixture()
@@ -152,6 +157,25 @@ class TestCompare:
         assert dev <= 1e-10
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_golden_outputs(runner, tmp_path, name):
+    """Default CLI outputs are byte-identical to the recorded ones."""
+    problem = _problem(f"{name}.ini")
+    res = runner.invoke(main, ["solve", problem,
+                               "--out", str(tmp_path / f"{name}_solution.csv")])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["residual", problem,
+                               "--out", str(tmp_path / f"{name}_residual")])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["bound", problem])
+    assert res.exit_code == 0, res.output
+    (tmp_path / f"{name}_bound.txt").write_text(res.stdout)
+    golden = sorted(GOLDEN.glob(f"{name}_*"))
+    assert len(golden) >= 3
+    for path in golden:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 class TestErrors:
     def test_missing_file(self, runner):
         res = runner.invoke(main, ["solve", "/nonexistent.ini"])
@@ -181,6 +205,15 @@ class TestErrors:
                                    "--out", str(tmp_path / "s.csv")])
         assert res.exit_code == 1
         assert "polynomial" in res.output
+
+    def test_unresolved_grid_exit_2(self, runner, tmp_path):
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, ["solve", _problem("example1_catalytic.ini"),
+                                   "--backend", "grid", "--grid-size", "1",
+                                   "--n", "3", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "grid size 1" in res.output
+        assert not out.exists()
 
     def test_bad_abscissae(self, runner, tmp_path):
         res = runner.invoke(main, ["solve", _write(tmp_path, ZERO_RHS),

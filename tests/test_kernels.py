@@ -12,7 +12,7 @@ from gfadm import (
     kernel_eval,
     kernel_monomial_image,
 )
-from gfadm.grids import Polynomial
+from gfadm.grids import GridFunction, Polynomial, chebyshev_lobatto
 
 LE0 = KernelSpec(LANE_EMDEN, alpha=0.0)
 LE1 = KernelSpec(LANE_EMDEN, alpha=1.0)
@@ -74,12 +74,55 @@ class TestKernelApply:
         assert kernel_apply(DD, ONES, 0.5) == pytest.approx(-1 / 8, abs=1e-10)
 
     def test_check_mode(self):
-        v = kernel_apply(LE1, ONES, 0.5, check=True)
+        v = kernel_apply(LE1, ONES, 0.5)
         assert v == pytest.approx((0.5**2 - 1) / 4, abs=1e-10)
 
     def test_domain_violation(self):
         with pytest.raises(UsageError):
             kernel_apply(LE2, ONES, -0.1)
+
+
+# every kernel family, singular weights of several strengths, Robin shifts
+IMAGE_KERNELS = [KernelSpec(LANE_EMDEN, alpha=a, robin_shift=r)
+                 for a in (0.0, 0.5, 1.0, 2.0, 3.0) for r in (0.0, 0.5)] + [DD]
+DENSE_X = np.concatenate(([0.0, 1e-9, 1e-4], np.linspace(0.01, 1.0, 34)))
+
+
+class TestGridImage:
+    """The exact image of a grid function against the quadrature reference."""
+
+    @pytest.mark.parametrize("k", IMAGE_KERNELS)
+    @pytest.mark.parametrize("fn", [lambda s: np.exp(np.sin(3 * s)),
+                                    lambda s: 1.0 / (1.2 + s)])
+    def test_matches_quadrature(self, k, fn):
+        nodes = chebyshev_lobatto(64)
+        g = GridFunction(nodes, fn(nodes))
+        xs = np.array([0.0, 0.013, 0.31, 0.5, 0.77, 1.0])
+        fast = kernel_apply(k, g, xs)
+        ref = kernel_apply(k, lambda s: g(s), xs)
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("k", IMAGE_KERNELS)
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_monomials(self, k, n):
+        nodes = chebyshev_lobatto(n)
+        for m in range(min(n, 6) + 1):
+            fast = kernel_apply(k, GridFunction(nodes, nodes**m), DENSE_X)
+            if k.family == LANE_EMDEN:
+                exact = kernel_monomial_image(k, m)(DENSE_X)
+            else:
+                exact = (DENSE_X ** (m + 2) - DENSE_X) / ((m + 1) * (m + 2))
+            assert np.max(np.abs(fast - exact)) <= 1e-14
+
+    def test_scalar_and_array_points(self):
+        nodes = chebyshev_lobatto(8)
+        g = GridFunction(nodes, np.cos(nodes))
+        assert kernel_apply(LE2, g, DENSE_X).shape == DENSE_X.shape
+        one = kernel_apply(LE2, g, 0.5)
+        assert isinstance(one, float)
+        assert one == kernel_apply(LE2, g, np.array([0.5]))[0]
+        with pytest.raises(UsageError):
+            kernel_apply(LE2, g, np.array([0.5, 1.5]))
 
 
 class TestMonomialImage:
@@ -118,6 +161,19 @@ class TestBound:
 
     def test_dirichlet(self):
         assert kernel_bound_m(DD) == pytest.approx(1 / 8, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [LE0, LE1, LE2, DD,
+                                   KernelSpec(LANE_EMDEN, alpha=0.0, robin_shift=0.5),
+                                   KernelSpec(LANE_EMDEN, alpha=2.0, robin_shift=0.5)])
+    def test_closed_form_is_dense_maximum(self, k):
+        xs = np.linspace(0.0, 1.0, 101)
+        dense = np.max(np.abs(kernel_apply(k, ONES, xs)))
+        if k.family == LANE_EMDEN:
+            closed = (1 + 2 * k.robin_shift) / (2 * (1 + k.alpha))
+        else:
+            closed = 1 / 8
+        assert kernel_bound_m(k) == closed
+        assert abs(kernel_bound_m(k) - dense) <= 1e-12
 
 
 def _fd(vals, h, order):

@@ -8,6 +8,7 @@ from gfadm import (
     NEUMANN_ZERO,
     ComponentSpec,
     DegreeCapError,
+    NumericError,
     ProblemSpec,
     UnsupportedBackendError,
     UsageError,
@@ -154,6 +155,23 @@ def test_degree_cap():
         # the cubic doubles the degree gain per term: deg y_ij = 2j, so the
         # cap of 60 trips at the 31st term
         gfadm_solve(ProblemSpec(c, c), 31, backend=EXACT)
+
+
+BUNDLED = [catalytic_problem, catalytic_symmetric_problem,
+           lambda: oxygen_problem(1.0), lambda: oxygen_problem(2.0),
+           lambda: oxygen_problem(3.0), co2_pge_problem]
+
+
+def test_unresolved_grid_raises():
+    with pytest.raises(NumericError, match="grid size 8 .* row 4 of component 1"):
+        gfadm_solve(catalytic_problem(), 11, grid_size=8)
+
+
+@pytest.mark.parametrize("grid_size", [16, 32, 64])
+@pytest.mark.parametrize("make", BUNDLED)
+def test_bundled_problems_resolved(make, grid_size):
+    sol = gfadm_solve(make(), 11, grid_size=grid_size)
+    assert sol.n_terms == 11
 
 
 def test_usage_errors():
