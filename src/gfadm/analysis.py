@@ -22,7 +22,6 @@ interpolant shows there is rounding that the division by x would magnify.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,32 +37,20 @@ SPECTRAL = "spectral"
 ADOMIAN_IDENTITY = "adomian_identity"
 
 _SINGULAR_X = 1e-10
+# sample points per coordinate of the Lipschitz box
+_LIPSCHITZ_SAMPLES = 11
+# padding of the solution box, relative to the range of the partial sums
+_BOX_PADDING = 0.1
 
 
 @dataclass
 class ResidualReport:
-    """Pointwise residuals per component plus optional per-order maxima."""
+    """Pointwise residuals per component."""
 
     n: int
     method: str
     points1: list = field(default_factory=list)  # (x, r_1n(x))
     points2: list = field(default_factory=list)
-    max_residuals: dict = field(default_factory=dict)  # n -> (maxr1, maxr2)
-
-    def points_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,r1,r2\n")
-        for (x, r1), (_, r2) in zip(self.points1, self.points2):
-            buf.write(f"{x:.7f},{r1:.5E},{r2:.5E}\n")
-        return buf.getvalue()
-
-    def summary_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,maxr1,maxr2\n")
-        for n in sorted(self.max_residuals):
-            m1, m2 = self.max_residuals[n]
-            buf.write(f"{n},{m1:.5E},{m2:.5E}\n")
-        return buf.getvalue()
 
 
 def _operator_value(comp, d1, d2, x: np.ndarray) -> np.ndarray:
@@ -188,7 +175,6 @@ def lipschitz_estimate(
     f1: Expression,
     f2: Expression,
     box,
-    samples: int = 11,
 ) -> tuple[float, float]:
     """(l1, l2): max sampled |df_i/dy_j| over the box, inflated by 10%.
 
@@ -198,9 +184,9 @@ def lipschitz_estimate(
     (x0, x1), (a0, a1), (b0, b1) = box
     if x1 < x0 or a1 < a0 or b1 < b0:
         raise UsageError("empty Lipschitz box")
-    xs = np.linspace(x0, x1, samples)
-    ys1 = np.linspace(a0, a1, samples)
-    ys2 = np.linspace(b0, b1, samples)
+    xs = np.linspace(x0, x1, _LIPSCHITZ_SAMPLES)
+    ys1 = np.linspace(a0, a1, _LIPSCHITZ_SAMPLES)
+    ys2 = np.linspace(b0, b1, _LIPSCHITZ_SAMPLES)
     h1 = 1e-6 * max(a1 - a0, 1.0)
     h2 = 1e-6 * max(b1 - b0, 1.0)
     gx, gy1, gy2 = np.meshgrid(xs, ys1, ys2, indexing="ij")
@@ -216,7 +202,7 @@ def lipschitz_estimate(
     return 1.1 * l1, 1.1 * l2
 
 
-def solution_box(sol: SolutionSeries, padding: float = 0.1):
+def solution_box(sol: SolutionSeries):
     """Rectangle spanned by the computed partial sums, padded."""
     xs = np.linspace(0.0, 1.0, 101)
     ranges = []
@@ -227,7 +213,7 @@ def solution_box(sol: SolutionSeries, padding: float = 0.1):
             cum = cum + np.asarray(t(xs), dtype=float)
             lo = min(lo, float(cum.min()))
             hi = max(hi, float(cum.max()))
-        pad = padding * max(hi - lo, 1e-12)
+        pad = _BOX_PADDING * max(hi - lo, 1e-12)
         ranges.append((lo - pad, hi + pad))
     return ((0.0, 1.0), ranges[0], ranges[1])
 

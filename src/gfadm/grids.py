@@ -137,11 +137,6 @@ class GridFunction:
         n = self.nodes.size - 1
         self.weights = _lobatto_weights(n) if weights is None else weights
 
-    @classmethod
-    def from_callable(cls, n: int, fn) -> "GridFunction":
-        nodes = chebyshev_lobatto(n)
-        return cls(nodes, np.asarray([fn(x) for x in nodes], dtype=float))
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0

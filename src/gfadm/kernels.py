@@ -74,15 +74,6 @@ def _kernel_values(k: KernelSpec, x: float, s: np.ndarray) -> np.ndarray:
     return np.where(s <= x, s * (x - 1.0), x * (s - 1.0))
 
 
-def kernel_eval(k: KernelSpec, x: float, s: float) -> float:
-    """Pointwise kernel value with domain checks."""
-    if not (0.0 <= x <= 1.0 and 0.0 <= s <= 1.0):
-        raise UsageError("kernel arguments must lie in [0, 1]")
-    if k.family == LANE_EMDEN and k.alpha >= 1.0 and max(x, s) == 0.0:
-        raise UsageError("lane_emden kernel with alpha >= 1 needs max(x, s) > 0")
-    return float(_kernel_values(k, x, np.asarray(s, dtype=float)))
-
-
 def _panels(k: KernelSpec, x: float) -> list[tuple[float, float]]:
     cuts = sorted({0.0, float(x), 1.0})
     base = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]

@@ -154,16 +154,6 @@ def test_residual_order_check():
         residual(p, sol, 3, [0.5], method="bogus")
 
 
-def test_csv_shapes():
-    p = catalytic_problem()
-    sol = gfadm_solve(p, 3, backend=GRID)
-    rep = residual(p, sol, 3, [0.25, 0.75])
-    lines = rep.points_csv().strip().splitlines()
-    assert lines[0] == "x,r1,r2"
-    assert len(lines) == 3
-    assert lines[1].startswith("0.2500000,")
-
-
 class TestLipschitz:
     def test_linear(self):
         l1, l2 = lipschitz_estimate(parse_expression("2*y1"),

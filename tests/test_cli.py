@@ -1,9 +1,13 @@
 import importlib.resources
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gfadm
 from gfadm.cli import main
 
 PROBLEMS = importlib.resources.files("gfadm") / "problems"
@@ -219,3 +223,15 @@ class TestErrors:
         res = runner.invoke(main, ["solve", _write(tmp_path, ZERO_RHS),
                                    "--abscissae", "0.5,1.5"])
         assert res.exit_code == 1
+
+
+def test_import_loads_no_scipy():
+    # scipy is loaded only when the oracle runs (fd_solve, compare)
+    code = ("import sys, gfadm.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(gfadm.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

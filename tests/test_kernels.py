@@ -9,16 +9,25 @@ from gfadm import (
     UsageError,
     kernel_apply,
     kernel_bound_m,
-    kernel_eval,
     kernel_monomial_image,
 )
 from gfadm.grids import GridFunction, Polynomial, chebyshev_lobatto
+from gfadm.kernels import _kernel_values
 
 LE0 = KernelSpec(LANE_EMDEN, alpha=0.0)
 LE1 = KernelSpec(LANE_EMDEN, alpha=1.0)
 LE2 = KernelSpec(LANE_EMDEN, alpha=2.0)
 LE3 = KernelSpec(LANE_EMDEN, alpha=3.0)
 DD = KernelSpec(DIRICHLET_DIRICHLET)
+
+
+def kernel_eval(k: KernelSpec, x: float, s: float) -> float:
+    """G(x, s) at one point of the unit square, rejecting points outside it."""
+    if not (0.0 <= x <= 1.0 and 0.0 <= s <= 1.0):
+        raise UsageError("kernel arguments must lie in [0, 1]")
+    if k.family == LANE_EMDEN and k.alpha >= 1.0 and max(x, s) == 0.0:
+        raise UsageError("lane_emden kernel with alpha >= 1 needs max(x, s) > 0")
+    return float(_kernel_values(k, x, np.asarray(s, dtype=float)))
 
 
 class TestKernelEval:
