@@ -29,9 +29,8 @@ import numpy as np
 from .adomian import adomian_coefficients
 from .errors import BoundInapplicableError, EvaluationError, UsageError
 from .expr import Expression, eval_scalar
-from .grids import GridFunction
 from .kernels import kernel_bound_m
-from .solver import EXACT, GRID, ProblemSpec, SolutionSeries, build_baseline
+from .solver import ProblemSpec, SolutionSeries, build_baseline
 
 SPECTRAL = "spectral"
 ADOMIAN_IDENTITY = "adomian_identity"
@@ -63,19 +62,9 @@ def _operator_value(comp, d1, d2, x: np.ndarray) -> np.ndarray:
 def _spectral_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
     fns = []
     for i, comp in enumerate(p.components, start=1):
-        if sol.backend == EXACT:
-            psi = sol.partial_sum_polynomial(i, n)
-            d1 = psi.deriv()
-            d2 = d1.deriv()
-            psi_eval = psi
-        else:
-            vals = np.sum([t.values for t in (sol.terms1, sol.terms2)[i - 1][: n + 1]],
-                          axis=0)
-            psi_gf = GridFunction(sol.nodes, vals)
-            d1 = psi_gf.derivative()
-            d2 = d1.derivative()
-            psi_eval = psi_gf
-        fns.append((comp, psi_eval, d1, d2))
+        psi = sol.psi(i, n)
+        d1 = psi.derivative()
+        fns.append((comp, psi, d1, d1.derivative()))
 
     def residual_at(x: np.ndarray):
         psi1 = fns[0][1](x)
@@ -207,12 +196,8 @@ def solution_box(sol: SolutionSeries):
     xs = np.linspace(0.0, 1.0, 101)
     ranges = []
     for i in (1, 2):
-        cum = np.zeros(xs.size)
-        lo, hi = np.inf, -np.inf
-        for t in (sol.terms1, sol.terms2)[i - 1]:
-            cum = cum + np.asarray(t(xs), dtype=float)
-            lo = min(lo, float(cum.min()))
-            hi = max(hi, float(cum.max()))
+        vals = np.array([sol.psi(i, n)(xs) for n in range(sol.n_terms + 1)])
+        lo, hi = float(vals.min()), float(vals.max())
         pad = _BOX_PADDING * max(hi - lo, 1e-12)
         ranges.append((lo - pad, hi + pad))
     return ((0.0, 1.0), ranges[0], ranges[1])

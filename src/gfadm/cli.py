@@ -245,8 +245,8 @@ def cmd_solve(file, n_terms, backend, grid_size, out, abscissae):
         if bk == EXACT:
             payload = {
                 "n": n,
-                "psi1": sol.partial_sum_polynomial(1, n).coeffs.tolist(),
-                "psi2": sol.partial_sum_polynomial(2, n).coeffs.tolist(),
+                "psi1": sol.psi(1, n).coeffs.tolist(),
+                "psi2": sol.psi(2, n).coeffs.tolist(),
                 "terms1": [t.coeffs.tolist() for t in sol.terms1],
                 "terms2": [t.coeffs.tolist() for t in sol.terms2],
             }

@@ -2,7 +2,9 @@
 
 These are the two term representations used by the solver backends: exact
 monomial-coefficient polynomials, and values on a Chebyshev-Lobatto grid
-with barycentric interpolation and spectral differentiation.
+with barycentric interpolation and spectral differentiation.  Both are
+called on points, added with ``+`` and differentiated with ``derivative()``,
+so the solver and the analysis treat them alike.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class Polynomial:
     def __call__(self, x):
         return npoly.polyval(x, self.coeffs)
 
-    def deriv(self) -> "Polynomial":
+    def derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial.zero()
         return Polynomial(npoly.polyder(self.coeffs))
@@ -162,6 +164,9 @@ class GridFunction:
             np.fill_diagonal(d, -d.sum(axis=1))
             _diff_cache[n] = d
         return d
+
+    def __add__(self, other: "GridFunction") -> "GridFunction":
+        return GridFunction(self.nodes, self.values + other.values, self.weights)
 
     def derivative(self) -> "GridFunction":
         return GridFunction(self.nodes, self.diff_matrix() @ self.values, self.weights)

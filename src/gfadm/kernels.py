@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import UnsupportedBackendError, UsageError
+from .errors import UsageError
 from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix
 
 LANE_EMDEN = "lane_emden"
@@ -163,18 +163,20 @@ def kernel_apply(k: KernelSpec, g, x):
 def kernel_monomial_image(k: KernelSpec, m: int) -> Polynomial:
     """Closed form of ``J_m(x) = int_0^1 G(x, s) s^(alpha+m) ds``.
 
-    J_m solves ``J'' + (alpha/x) J' = x^m`` with ``J'(0) = 0`` and
-    ``J(1) + robin_shift J'(1) = 0``.  Every lane_emden kernel has this
-    polynomial image, the logarithmic one at alpha = 1 included.
+    For lane_emden, J_m solves ``J'' + (alpha/x) J' = x^m`` with
+    ``J'(0) = 0`` and ``J(1) + robin_shift J'(1) = 0``; every such kernel
+    has this polynomial image, the logarithmic one at alpha = 1 included.
+    For dirichlet_dirichlet, ``J'' = x^m`` with ``J(0) = J(1) = 0`` gives
+    ``(x^(m+2) - x) / ((m+1)(m+2))``.
     """
-    if k.family != LANE_EMDEN:
-        raise UnsupportedBackendError(
-            "monomial images exist only for lane_emden kernels"
-        )
     if m < 0:
         raise UsageError("monomial exponent must be >= 0")
-    denom = (m + 2.0) * (m + 1.0 + k.alpha)
     coeffs = np.zeros(m + 3)
+    if k.family == DIRICHLET_DIRICHLET:
+        coeffs[m + 2] = 1.0 / ((m + 1.0) * (m + 2.0))
+        coeffs[1] = -coeffs[m + 2]
+        return Polynomial(coeffs)
+    denom = (m + 2.0) * (m + 1.0 + k.alpha)
     coeffs[m + 2] = 1.0 / denom
     # particular solution x^(m+2)/denom; the additive constant enforces the
     # right boundary condition

@@ -15,13 +15,15 @@ exact image of the row's interpolant, evaluated at the nodes; every row
 must be resolved by the grid, its last two Chebyshev coefficients below
 ``RESOLVED`` times its largest, or the solve raises ``NumericError``.
 ``exact_polynomial`` keeps every term as an exact polynomial via
-closed-form monomial images (polynomial nonlinearities and lane_emden
-kernels only).
+closed-form monomial images (polynomial nonlinearities only).  Both run
+the same recursion; they differ in how a row is computed and imaged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,6 +72,9 @@ class ComponentSpec:
             raise UsageError("the singular operator requires y'(0) = 0 (regularity)")
         if self.a == 0.0:
             raise UsageError("right boundary condition needs a != 0")
+        if not all(map(math.isfinite, (self.alpha, self.left_value, self.a,
+                                       self.b, self.c, self.b / self.a))):
+            raise UsageError("alpha, the left value, a, b, c and b/a must be finite")
         if self.left_kind == DIRICHLET and self.b != 0.0:
             raise UsageError(
                 "two-sided Dirichlet components support only b = 0 on the right"
@@ -118,117 +123,114 @@ def build_baseline(p: ProblemSpec) -> tuple[Polynomial, Polynomial]:
 
 @dataclass
 class SolutionSeries:
-    """Computed term functions y_{i,0..n} plus the Adomian rows behind them."""
+    """Computed term functions y_{i,0..n} plus the Adomian rows behind them.
 
-    backend: str
+    Terms and rows are Polynomials (exact backend) or GridFunctions (grid
+    backend); the partial sums are formed once, in the same type.
+    """
+
     problem: ProblemSpec
     terms1: list
     terms2: list
     rows1: list = field(default_factory=list)  # A_{1,j}, j = 0..n-1
     rows2: list = field(default_factory=list)
-    nodes: np.ndarray | None = None
+    _sums: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._sums = (list(accumulate(self.terms1)), list(accumulate(self.terms2)))
 
     @property
     def n_terms(self) -> int:
         return len(self.terms1) - 1
 
-    def partial_sum(self, component: int, n: int, x):
-        terms = self.terms1 if component == 1 else self.terms2
+    def psi(self, component: int, n: int):
+        """The partial sum psi_{component,n}, in the type of the terms."""
         if not 0 <= n <= self.n_terms:
             raise UsageError(f"partial-sum order {n} outside stored range")
-        return sum(t(x) for t in terms[: n + 1])
+        return self._sums[component - 1][n]
 
-    def partial_sum_polynomial(self, component: int, n: int) -> Polynomial:
-        if self.backend != EXACT:
-            raise UnsupportedBackendError("polynomial form needs the exact backend")
-        terms = self.terms1 if component == 1 else self.terms2
-        if not 0 <= n <= self.n_terms:
-            raise UsageError(f"partial-sum order {n} outside stored range")
-        out = Polynomial.zero()
-        for t in terms[: n + 1]:
-            out = out + t
-        return out
+    def partial_sum(self, component: int, n: int, x):
+        return self.psi(component, n)(x)
 
 
 def evaluate_partial_sum(sol: SolutionSeries, n: int, x: float):
-    """(psi_1n(x), psi_2n(x)) from the stored terms."""
+    """(psi_1n(x), psi_2n(x)) from the stored partial sums."""
     if not 0.0 <= x <= 1.0:
         raise UsageError("evaluation point must lie in [0, 1]")
     return (sol.partial_sum(1, n, x), sol.partial_sum(2, n, x))
 
 
-def _check_resolved(row: np.ndarray, grid_size: int, j: int, component: int):
-    coeffs = np.abs(chebyshev_coefficient_matrix(grid_size) @ row)
-    if coeffs[-2:].max() > RESOLVED * coeffs.max():
-        raise NumericError(
-            f"grid size {grid_size} does not resolve Adomian row {j} of component"
-            f" {component}: last coefficients {coeffs[-2:].max():.3e} against"
-            f" largest {coeffs.max():.3e}; use a larger grid"
-        )
+def _finite(data: np.ndarray, j: int, component: int) -> None:
+    # a non-finite row gives a non-finite image, so this also catches
+    # overflow in Polynomial series arithmetic, which checks only floats
+    if not np.all(np.isfinite(data)):
+        raise NumericError(f"term {j + 1} of component {component} is not finite")
+
+
+def _recurse(p: ProblemSpec, n_terms: int, base, rows, image) -> SolutionSeries:
+    """y_{i,j} = image(G_i, A_{i,j-1}) for j = 1..n_terms from the terms ``base``.
+
+    ``rows(f, terms1, terms2)`` is the last Adomian row of f over the terms
+    so far; ``image(kernel, row, j, i)`` is the next term of component i
+    from its row j.
+    """
+    kern = [c.kernel() for c in p.components]
+    terms = ([base[0]], [base[1]])
+    adomian = ([], [])
+    for j in range(n_terms):
+        new = [rows(c.rhs, *terms) for c in p.components]
+        for i in range(2):
+            adomian[i].append(new[i])
+            terms[i].append(image(kern[i], new[i], j, i + 1))
+    return SolutionSeries(p, terms[0], terms[1], adomian[0], adomian[1])
 
 
 def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
     nodes = chebyshev_lobatto(grid_size)
-    base1, base2 = build_baseline(p)
-    kern = [c.kernel() for c in p.components]
-    f = [c.rhs for c in p.components]
 
-    vals1 = [base1(nodes)]
-    vals2 = [base2(nodes)]
-    rows1, rows2 = [], []
-    for j in range(1, n_terms + 1):
-        a1 = adomian_coefficients(f[0], nodes, vals1, vals2)[-1]
-        a2 = adomian_coefficients(f[1], nodes, vals1, vals2)[-1]
-        _check_resolved(a1, grid_size, j - 1, 1)
-        _check_resolved(a2, grid_size, j - 1, 2)
-        g1 = GridFunction(nodes, a1)
-        g2 = GridFunction(nodes, a2)
-        rows1.append(g1)
-        rows2.append(g2)
-        vals1.append(kernel_apply(kern[0], g1, nodes))
-        vals2.append(kernel_apply(kern[1], g2, nodes))
+    def rows(f, terms1, terms2):
+        a = adomian_coefficients(f, nodes, [t.values for t in terms1],
+                                 [t.values for t in terms2])
+        return GridFunction(nodes, a[-1])
 
-    terms1 = [GridFunction(nodes, v) for v in vals1]
-    terms2 = [GridFunction(nodes, v) for v in vals2]
-    return SolutionSeries(GRID, p, terms1, terms2, rows1, rows2, nodes)
+    def image(kern, row, j, component):
+        coeffs = np.abs(chebyshev_coefficient_matrix(grid_size) @ row.values)
+        if coeffs[-2:].max() > RESOLVED * coeffs.max():
+            raise NumericError(
+                f"grid size {grid_size} does not resolve Adomian row {j} of"
+                f" component {component}: last coefficients"
+                f" {coeffs[-2:].max():.3e} against largest {coeffs.max():.3e};"
+                " use a larger grid"
+            )
+        values = kernel_apply(kern, row, nodes)
+        _finite(values, j, component)
+        return GridFunction(nodes, values)
 
-
-def _apply_monomial_images(kern: KernelSpec, row: Polynomial) -> Polynomial:
-    out = Polynomial.zero()
-    for m, cm in enumerate(row.coeffs):
-        if cm != 0.0:
-            out = out + cm * kernel_monomial_image(kern, m)
-    return out
+    base = [GridFunction(nodes, b(nodes)) for b in build_baseline(p)]
+    return _recurse(p, n_terms, base, rows, image)
 
 
 def _solve_exact(p: ProblemSpec, n_terms: int) -> SolutionSeries:
-    for comp in p.components:
-        if contains_division(comp.rhs):
-            raise UnsupportedBackendError(
-                "exact backend requires polynomial nonlinearities"
-            )
-        if comp.kernel().family != LANE_EMDEN:
-            raise UnsupportedBackendError("exact backend requires lane_emden kernels")
-    base1, base2 = build_baseline(p)
-    kern = [c.kernel() for c in p.components]
-    f = [c.rhs for c in p.components]
+    if any(contains_division(c.rhs) for c in p.components):
+        raise UnsupportedBackendError("exact backend requires polynomial nonlinearities")
 
-    terms1, terms2 = [base1], [base2]
-    rows1, rows2 = [], []
-    for j in range(1, n_terms + 1):
-        r1 = adomian_polynomial_rows(f[0], terms1, terms2)[-1]
-        r2 = adomian_polynomial_rows(f[1], terms1, terms2)[-1]
-        rows1.append(r1)
-        rows2.append(r2)
-        t1 = _apply_monomial_images(kern[0], r1)
-        t2 = _apply_monomial_images(kern[1], r2)
-        if max(t1.degree, t2.degree) > DEGREE_CAP:
+    def rows(f, terms1, terms2):
+        return adomian_polynomial_rows(f, terms1, terms2)[-1]
+
+    def image(kern, row, j, component):
+        out = Polynomial.zero()
+        for m, cm in enumerate(row.coeffs):
+            if cm != 0.0:
+                out = out + cm * kernel_monomial_image(kern, m)
+        if out.degree > DEGREE_CAP:
             raise DegreeCapError(
-                f"term degree {max(t1.degree, t2.degree)} exceeds cap {DEGREE_CAP}"
+                f"degree {out.degree} of term {j + 1} of component {component}"
+                f" exceeds cap {DEGREE_CAP}"
             )
-        terms1.append(t1)
-        terms2.append(t2)
-    return SolutionSeries(EXACT, p, terms1, terms2, rows1, rows2)
+        _finite(out.coeffs, j, component)
+        return out
+
+    return _recurse(p, n_terms, build_baseline(p), rows, image)
 
 
 def gfadm_solve(

@@ -86,8 +86,8 @@ def test_criterion_01_printed_series(ex1):
     t0 = time.perf_counter()
     sol = gfadm_solve(p, 5, backend=EXACT)
     elapsed = time.perf_counter() - t0
-    coeffs = sol.partial_sum_polynomial(1, 5).coeffs[::2]  # even powers only
-    odd = sol.partial_sum_polynomial(1, 5).coeffs[1::2]
+    coeffs = sol.psi(1, 5).coeffs[::2]  # even powers only
+    odd = sol.psi(1, 5).coeffs[1::2]
     assert np.allclose(odd, 0.0, atol=1e-14)
     for got, want, tol in zip(coeffs, CATALYTIC_PSI15_COEFFS,
                               [1e-5, 1e-5, 1e-5, 1e-5, 5e-4, 5e-4]):

@@ -211,6 +211,27 @@ def test_solution_box_covers_partial_sums():
             assert b0 <= v2 <= b1
 
 
+@pytest.mark.parametrize("make, backend", [
+    (m, GRID) for m in (catalytic_problem, catalytic_symmetric_problem,
+                        lambda: oxygen_problem(1.0), lambda: oxygen_problem(2.0),
+                        lambda: oxygen_problem(3.0), co2_pge_problem)
+] + [(catalytic_problem, EXACT), (catalytic_symmetric_problem, EXACT)])
+def test_solution_box_matches_term_sums(make, backend):
+    # the box from the stored partial sums against term-by-term cumulative
+    # sums, the reference, padded by 10% of their range
+    sol = gfadm_solve(make(), 11, backend=backend)
+    xs = np.linspace(0.0, 1.0, 101)
+    want = []
+    for terms in (sol.terms1, sol.terms2):
+        cum = np.cumsum([t(xs) for t in terms], axis=0)
+        lo, hi = cum.min(), cum.max()
+        pad = 0.1 * max(hi - lo, 1e-12)
+        want.append((lo - pad, hi + pad))
+    box = solution_box(sol)
+    assert box[0] == (0.0, 1.0)
+    assert np.max(np.abs(np.array(box[1:]) - want)) <= 1e-12
+
+
 def test_convergence_estimate_structure():
     p = catalytic_symmetric_problem()
     sol = gfadm_solve(p, 6, backend=GRID)

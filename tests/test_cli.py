@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -218,6 +219,48 @@ class TestErrors:
         assert res.exit_code == 2
         assert "grid size 1" in res.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, backend", [
+        ("alpha=2", "alpha=nan", "grid"),
+        ("alpha=2", "alpha=nan", "poly"),
+        ("alpha=2", "alpha=inf", "poly"),
+        ("b=0 c=1", "b=nan c=1", "grid"),
+        ("a=1 b=0 c=1", "a=1e-300 b=1e300 c=1", "grid"),
+    ])
+    def test_non_finite_parameter_exit_1(self, runner, tmp_path, old, new, backend):
+        bad = ZERO_RHS.replace("rhs = 0", "rhs = 0.5*y1^2", 1).replace(old, new, 1)
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, ["solve", _write(tmp_path, bad), "--n", "1",
+                                   "--backend", backend, "--out", str(out)])
+        assert res.exit_code == 1
+        assert "finite" in res.output
+        assert not out.exists()
+        assert not out.with_suffix(".coeffs.json").exists()
+
+    def test_non_finite_parameter_bound_exit_1(self, runner, tmp_path):
+        bad = ZERO_RHS.replace("alpha=2", "alpha=nan", 1)
+        res = runner.invoke(main, ["bound", _write(tmp_path, bad)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "finite" in res.output
+
+    @pytest.mark.parametrize("old, new, n, backend", [
+        # overflow in the Adomian rows
+        ("rhs = 0", "rhs = 1e200*y1^2", "3", "poly"),
+        # overflow in the kernel image of the last term
+        ("b=0 c=1\nrhs = 0", "b=10 c=1\nrhs = 1e308", "1", "poly"),
+        ("b=0 c=1\nrhs = 0", "b=10 c=1\nrhs = 1e308", "1", "grid"),
+    ])
+    def test_overflow_exit_2(self, runner, tmp_path, old, new, n, backend):
+        bad = ZERO_RHS.replace(old, new, 1)
+        out = tmp_path / "s.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = runner.invoke(main, ["solve", _write(tmp_path, bad), "--n", n,
+                                       "--backend", backend, "--out", str(out)])
+        assert res.exit_code == 2
+        assert "finite" in res.output
+        assert not out.exists()
+        assert not out.with_suffix(".coeffs.json").exists()
 
     def test_bad_abscissae(self, runner, tmp_path):
         res = runner.invoke(main, ["solve", _write(tmp_path, ZERO_RHS),

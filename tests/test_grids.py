@@ -9,7 +9,7 @@ class TestPolynomial:
     def test_eval_and_deriv(self):
         p = Polynomial([1, 0, 3])  # 1 + 3x^2
         assert p(2.0) == pytest.approx(13.0)
-        assert np.allclose(p.deriv().coeffs, [0, 6])
+        assert np.allclose(p.derivative().coeffs, [0, 6])
 
     def test_trailing_zero_trim(self):
         assert Polynomial([1, 2, 0, 0]).degree == 1

@@ -5,7 +5,6 @@ from gfadm import (
     DIRICHLET_DIRICHLET,
     LANE_EMDEN,
     KernelSpec,
-    UnsupportedBackendError,
     UsageError,
     kernel_apply,
     kernel_bound_m,
@@ -147,9 +146,16 @@ class TestMonomialImage:
         p = kernel_monomial_image(LE0, 0)
         assert np.allclose(p.coeffs, [-1 / 2, 0, 1 / 2], atol=1e-14)
 
-    def test_log_branch_rejected(self):
-        with pytest.raises(UnsupportedBackendError):
-            kernel_monomial_image(DD, 0)
+    def test_dirichlet_dirichlet_image(self):
+        # J'' = x^m with J(0) = J(1) = 0: (x^(m+2) - x) / ((m+1)(m+2))
+        for m in range(9):
+            p = kernel_monomial_image(DD, m)
+            want = np.zeros(m + 3)
+            want[m + 2] = 1.0 / ((m + 1) * (m + 2))
+            want[1] = -want[m + 2]
+            assert np.array_equal(p.coeffs, want)
+            for x in (0.0, 0.31, 0.77, 1.0):
+                assert abs(p(x) - kernel_apply(DD, lambda s: s**m, x)) <= 1e-9
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("m", range(9))

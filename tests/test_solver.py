@@ -21,7 +21,7 @@ from gfadm import (
     oxygen_problem,
 )
 from gfadm.adomian import adomian_coefficients
-from gfadm.grids import GridFunction
+from gfadm.grids import GridFunction, Polynomial
 
 
 class TestComponentSpec:
@@ -106,9 +106,7 @@ def test_left_derivative_vanishes():
     p = catalytic_problem()
     sol = gfadm_solve(p, 6, backend=GRID)
     for i in (1, 2):
-        terms = (sol.terms1, sol.terms2)[i - 1]
-        vals = np.sum([t.values for t in terms], axis=0)
-        d = GridFunction(sol.nodes, vals).derivative()
+        d = sol.psi(i, 6).derivative()
         assert abs(d(0.0)) <= 1e-6
 
 
@@ -160,6 +158,54 @@ def test_degree_cap():
 BUNDLED = [catalytic_problem, catalytic_symmetric_problem,
            lambda: oxygen_problem(1.0), lambda: oxygen_problem(2.0),
            lambda: oxygen_problem(3.0), co2_pge_problem]
+
+
+# the bundled problems whose right-hand sides are polynomial
+EXACT_BUNDLED = [catalytic_problem, catalytic_symmetric_problem]
+
+
+@pytest.mark.parametrize("backend, make", [(GRID, m) for m in BUNDLED]
+                         + [(EXACT, m) for m in EXACT_BUNDLED])
+def test_psi_matches_term_sums(backend, make):
+    # the stored partial sums against term-by-term sums, the reference
+    sol = gfadm_solve(make(), 11, backend=backend)
+    kind = GridFunction if backend == GRID else Polynomial
+    xs = np.linspace(0.0, 1.0, 101)
+    for i, terms in ((1, sol.terms1), (2, sol.terms2)):
+        for n in range(sol.n_terms + 1):
+            psi = sol.psi(i, n)
+            assert isinstance(psi, kind)
+            old = sum(t(xs) for t in terms[: n + 1])
+            assert np.max(np.abs(psi(xs) - old)) <= 1e-12
+            assert sol.partial_sum(i, n, 0.37) == psi(0.37)
+
+
+def test_exact_backend_flat_dirichlet_matches_grid():
+    # a two-sided Dirichlet component runs on the exact backend through the
+    # closed-form dirichlet_dirichlet monomial images
+    c1 = ComponentSpec.make("flat", left=DIRICHLET, left_value=1.0, a=1, b=0,
+                            c=0.5, rhs="0.5*y1*y2 - x^2")
+    c2 = ComponentSpec.make("flat", left=NEUMANN_ZERO, a=1, b=0, c=1,
+                            rhs="0.3*y1^2 + 0.2*x*y2")
+    p = ProblemSpec(c1, c2)
+    exact = gfadm_solve(p, 6, backend=EXACT)
+    grid = gfadm_solve(p, 6, backend=GRID)
+    assert isinstance(exact.terms1[6], Polynomial)
+    xs = np.linspace(0.0, 1.0, 41)
+    for i in (1, 2):
+        for n in range(7):
+            assert np.max(np.abs(exact.psi(i, n)(xs) - grid.psi(i, n)(xs))) <= 1e-10
+
+
+def test_non_finite_parameters_rejected():
+    for kw in ({"alpha": float("nan")}, {"alpha": float("inf")},
+               {"a": float("inf")}, {"b": float("nan")}, {"c": float("-inf")},
+               {"a": 1e-300, "b": 1e300}):
+        with pytest.raises(UsageError, match="finite"):
+            ComponentSpec.make("lane_emden", **{"alpha": 2.0, "rhs": "y1", **kw})
+    with pytest.raises(UsageError, match="finite"):
+        ComponentSpec.make("flat", left=DIRICHLET, left_value=float("nan"),
+                           rhs="y1")
 
 
 def test_unresolved_grid_raises():
