@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularDivisionError, UnsupportedBackendError
+from .errors import NumericError, SingularDivisionError, UnsupportedBackendError
 from .expr import Expression, eval_series
 from .grids import Polynomial
 from .series import TruncatedSeries
@@ -36,10 +36,15 @@ def adomian_coefficients(f: Expression, x, y1_terms, y2_terms) -> np.ndarray:
     y1 = TruncatedSeries(y1_terms)
     y2 = TruncatedSeries(y2_terms)
     try:
-        return eval_series(f, x, y1, y2).coeffs
+        rows = eval_series(f, x, y1, y2).coeffs
     except SingularDivisionError as exc:
         where = float(np.ravel(x)[exc.index])
         raise SingularDivisionError(str(exc), location=where) from None
+    # series arithmetic checks float coefficients as it goes; checking
+    # Polynomial ones on every operation would slow the exact backend
+    if rows.dtype == object and not all(np.all(np.isfinite(r.coeffs)) for r in rows):
+        raise NumericError("non-finite coefficient in an Adomian row")
+    return rows
 
 
 def adomian_polynomial_rows(

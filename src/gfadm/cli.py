@@ -3,52 +3,60 @@
 Subcommands: ``solve`` (series solution tables), ``residual`` (pointwise
 and maximum residual reports), ``bound`` (contraction factor and
 truncation bounds), ``compare`` (cross-check against the finite-difference
-oracle).  Problems are described by INI-style files; see the bundled files
-under ``gfadm/problems`` for the format.
+oracle).  Each reads an INI-style problem file (see ``gfadm/problems``);
+the order (``--n`` or ``--n-list``), ``--backend`` and ``--grid-size``
+come from the flag, else the file's ``[run]`` section, else the defaults
+n_terms 5, backend grid, grid_size 64.
 
-Exit codes: 0 success, 1 input error, 2 numeric error, 3 oracle error.
-Output files default to the directory named by ``GFADM_OUT_DIR`` (or the
-working directory).  Solution values print with 7 decimals and residuals
-in scientific notation with 6 significant digits, so files are bit-stable
-across runs.
+Exit codes: 0 success, 1 input error (click's usage errors included),
+2 numeric error, 3 oracle error.  Without ``--out``, output files go to
+``GFADM_OUT_DIR`` (or the working directory).  Values print with fixed
+digits (7 decimals, residuals to 6 significant), so files are bit-stable.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import click
-import numpy as np
 
 from . import analysis, oracle
-from .errors import (
-    EvaluationError,
-    ExpressionError,
-    GfadmError,
-    NoConvergenceError,
-    NumericError,
-    ProblemFileError,
-    UnsupportedBackendError,
-    UsageError,
-)
-from .solver import (
-    DIRICHLET,
-    EXACT,
-    GRID,
-    NEUMANN_ZERO,
-    ComponentSpec,
-    ProblemSpec,
-    evaluate_partial_sum,
-    gfadm_solve,
-)
+from .errors import ExpressionError, GfadmError, NoConvergenceError, ProblemFileError, \
+    UnsupportedBackendError, UsageError
+from .solver import DIRICHLET, EXACT, GRID, NEUMANN_ZERO, ComponentSpec, ProblemSpec, \
+    SolutionSeries, evaluate_partial_sum, gfadm_solve
 
 _BACKENDS = {"grid": GRID, "poly": EXACT}
 DEFAULT_ABSCISSAE = [round(0.1 * i, 1) for i in range(1, 10)]
+_fmt_sol, _fmt_res = "{:.7f}".format, "{:.5E}".format  # solutions, residuals
+# operator and left lines: line -> (its name in messages, {word: the key
+# its parameters must give, or None when it takes none})
+_WORDS = {
+    "operator": ("operator", {"flat": None, "lane_emden": "alpha"}),
+    "left": ("left condition", {NEUMANN_ZERO: None, DIRICHLET: "value"}),
+}
+# list options: name -> (converter, test of one value, message when one fails)
+_LISTS = {
+    "n": (int, lambda n: n >= 1, "n values must be >= 1"),
+    "abscissae": (float, lambda x: 0.0 <= x <= 1.0, "abscissae must lie in [0, 1]"),
+}
+
+
+def _backend(word: str) -> str:
+    if word not in _BACKENDS:
+        raise ProblemFileError(f"unknown backend {word!r}")
+    return _BACKENDS[word]
+
+
+# [run] key -> converter; int raises ValueError on a bad value
+_RUN = {"n_terms": int, "backend": _backend, "grid_size": int}
 
 
 def _parse_kv(text: str, keys, context: str) -> dict:
@@ -66,6 +74,23 @@ def _parse_kv(text: str, keys, context: str) -> dict:
     return out
 
 
+def _parse_word(section, line: str) -> tuple[str, float]:
+    """The word of an operator or left line and its parameter (0 if none)."""
+    label, table = _WORDS[line]
+    word, *rest = section[line].split(None, 1) or [""]  # an empty line: word ''
+    if word not in table:
+        raise ProblemFileError(f"unknown {label} {word!r}")
+    key = table[word]
+    if key is None:
+        if rest:
+            raise ProblemFileError(f"{word} {label} takes no parameters")
+        return word, 0.0
+    value = _parse_kv(rest[0], {key}, line).get(key) if rest else None
+    if value is None:
+        raise ProblemFileError(f"{word} {label} needs {key}=<value>")
+    return word, value
+
+
 def _parse_component(section) -> ComponentSpec:
     allowed = {"operator", "left", "right", "rhs"}
     unknown = set(section) - allowed
@@ -75,36 +100,8 @@ def _parse_component(section) -> ComponentSpec:
         if key not in section:
             raise ProblemFileError(f"missing key {key!r} in [{section.name}]")
 
-    op_parts = section["operator"].split(None, 1)
-    if op_parts[0] == "flat":
-        operator, alpha = "flat", 0.0
-        if len(op_parts) > 1:
-            raise ProblemFileError("flat operator takes no parameters")
-    elif op_parts[0] == "lane_emden":
-        operator = "lane_emden"
-        if len(op_parts) != 2:
-            raise ProblemFileError("lane_emden operator needs alpha=<value>")
-        alpha = _parse_kv(op_parts[1], {"alpha"}, "operator").get("alpha")
-        if alpha is None:
-            raise ProblemFileError("lane_emden operator needs alpha=<value>")
-    else:
-        raise ProblemFileError(f"unknown operator {op_parts[0]!r}")
-
-    left_parts = section["left"].split(None, 1)
-    if left_parts[0] == "neumann0":
-        left, left_value = NEUMANN_ZERO, 0.0
-        if len(left_parts) > 1:
-            raise ProblemFileError("neumann0 takes no parameters")
-    elif left_parts[0] == "dirichlet":
-        left = DIRICHLET
-        if len(left_parts) != 2:
-            raise ProblemFileError("dirichlet left condition needs value=<value>")
-        left_value = _parse_kv(left_parts[1], {"value"}, "left").get("value")
-        if left_value is None:
-            raise ProblemFileError("dirichlet left condition needs value=<value>")
-    else:
-        raise ProblemFileError(f"unknown left condition {left_parts[0]!r}")
-
+    operator, alpha = _parse_word(section, "operator")
+    left, left_value = _parse_word(section, "left")
     right = _parse_kv(section["right"], {"a", "b", "c"}, "right")
     if set(right) != {"a", "b", "c"}:
         raise ProblemFileError("right condition needs a=, b= and c=")
@@ -129,8 +126,7 @@ def parse_problem_file(path) -> tuple[ProblemSpec, dict]:
     except configparser.Error as exc:
         raise ProblemFileError(f"bad problem file {path}: {exc}") from exc
 
-    known = {"component.1", "component.2", "run"}
-    unknown = set(parser.sections()) - known
+    unknown = set(parser.sections()) - {"component.1", "component.2", "run"}
     if unknown:
         raise ProblemFileError(f"unknown sections {sorted(unknown)}")
     for name in ("component.1", "component.2"):
@@ -141,127 +137,129 @@ def parse_problem_file(path) -> tuple[ProblemSpec, dict]:
     c2 = _parse_component(parser["component.2"])
 
     run = {"n_terms": 5, "backend": GRID, "grid_size": 64}
-    if "run" in parser:
-        section = parser["run"]
-        unknown = set(section) - {"n_terms", "backend", "grid_size"}
-        if unknown:
-            raise ProblemFileError(f"unknown keys {sorted(unknown)} in [run]")
-        try:
-            if "n_terms" in section:
-                run["n_terms"] = int(section["n_terms"])
-            if "grid_size" in section:
-                run["grid_size"] = int(section["grid_size"])
-        except ValueError as exc:
-            raise ProblemFileError(f"bad [run] value: {exc}") from exc
-        if "backend" in section:
-            if section["backend"] not in _BACKENDS:
-                raise ProblemFileError(f"unknown backend {section['backend']!r}")
-            run["backend"] = _BACKENDS[section["backend"]]
+    section = parser["run"] if "run" in parser else {}
+    unknown = set(section) - set(_RUN)
+    if unknown:
+        raise ProblemFileError(f"unknown keys {sorted(unknown)} in [run]")
+    try:
+        run.update((key, _RUN[key](text)) for key, text in section.items())
+    except ValueError as exc:
+        raise ProblemFileError(f"bad [run] value: {exc}") from exc
 
-    name = Path(path).stem
-    return ProblemSpec(c1, c2, name=name), run
+    return ProblemSpec(c1, c2, name=Path(path).stem), run
 
 
-def _out_dir() -> Path:
-    return Path(os.environ.get("GFADM_OUT_DIR", "."))
+def _parse_list(text: str, name: str) -> list:
+    convert, valid, rule = _LISTS[name]
+    try:
+        values = [convert(tok) for tok in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise UsageError(f"bad {name} list: {exc}") from None
+    if not values or not all(map(valid, values)):
+        raise UsageError(rule)
+    return values
 
 
 def _resolve_out(out, default_name: str) -> Path:
-    path = Path(out) if out else _out_dir() / default_name
+    path = Path(out) if out else Path(os.environ.get("GFADM_OUT_DIR", ".")) / default_name
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _parse_abscissae(text) -> list[float]:
-    if not text:
-        return list(DEFAULT_ABSCISSAE)
-    try:
-        xs = [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise UsageError(f"bad abscissae list: {exc}") from None
-    if not xs or any(not 0.0 <= x <= 1.0 for x in xs):
-        raise UsageError("abscissae must lie in [0, 1]")
-    return xs
+class _Group(click.Group):
+    def invoke(self, ctx):
+        """Run a subcommand; every failure exits 1 (input), 2 or 3 (oracle)."""
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 1  # click's own 2 is the code of numeric errors
+            raise
+        except GfadmError as exc:
+            click.echo(f"error: {exc}", err=True)
+            inputs = (UsageError, ExpressionError, UnsupportedBackendError)
+            sys.exit(3 if isinstance(exc, NoConvergenceError)
+                     else 1 if isinstance(exc, inputs) else 2)
 
 
-def _parse_n_list(text, default) -> list[int]:
-    if not text:
-        return list(default)
-    try:
-        ns = [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise UsageError(f"bad n list: {exc}") from None
-    if not ns or any(n < 1 for n in ns):
-        raise UsageError("n values must be >= 1")
-    return ns
-
-
-def _fmt_sol(v: float) -> str:
-    return f"{v:.7f}"
-
-
-def _fmt_res(v: float) -> str:
-    return f"{v:.5E}"
-
-
-def _fail(exc: GfadmError) -> int:
-    click.echo(f"error: {exc}", err=True)
-    if isinstance(exc, NoConvergenceError):
-        return 3
-    if isinstance(exc, (ProblemFileError, ExpressionError, UsageError,
-                        UnsupportedBackendError)):
-        return 1
-    return 2
-
-
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Series solver for coupled singular boundary value problems."""
 
 
-@main.command("solve")
-@click.argument("file", type=click.Path())
-@click.option("--n", "n_terms", type=int, default=None, help="number of series terms")
-@click.option("--backend", type=click.Choice(["grid", "poly"]), default=None)
-@click.option("--grid-size", type=int, default=None)
+class _Solved(NamedTuple):
+    """A problem file solved at the orders its subcommand asked for."""
+
+    problem: ProblemSpec
+    sol: SolutionSeries
+    backend: str
+    ns: list  # truncation orders, ascending; the series has the last
+    xs: list  # abscissae
+    seconds: float  # wall time of the series solve
+
+
+def _command(name: str, n_list: bool = False, n_help: str | None = None):
+    """Register subcommand ``name``; it is called with a :class:`_Solved`.
+
+    Adds FILE, ``--n`` (``--n-list`` when ``n_list``), ``--backend`` and
+    ``--grid-size`` ahead of its own options; validates ``--abscissae``.
+    """
+    order = (click.option("--n-list", default=None,
+                          help="comma-separated truncation orders") if n_list
+             else click.option("--n", "n_terms", type=int, default=None, help=n_help))
+
+    def decorate(fn):
+        @functools.wraps(fn)  # keeps fn's docstring (the help) and its options
+        def solved(file, backend, grid_size, n_terms=None, n_list=None,
+                   abscissae=None, **opts):
+            problem, run = parse_problem_file(file)
+            flags = {"n_terms": n_terms, "backend": _BACKENDS.get(backend),
+                     "grid_size": grid_size}
+            run.update((key, v) for key, v in flags.items() if v is not None)
+            ns = sorted(_parse_list(n_list, "n")) if n_list else [run["n_terms"]]
+            xs = _parse_list(abscissae, "abscissae") if abscissae else DEFAULT_ABSCISSAE
+            t0 = time.perf_counter()
+            sol = gfadm_solve(problem, ns[-1], backend=run["backend"],
+                              grid_size=run["grid_size"])
+            fn(_Solved(problem, sol, run["backend"], ns, xs,
+                       time.perf_counter() - t0), **opts)
+
+        for option in (click.option("--grid-size", type=int, default=None),
+                       click.option("--backend", type=click.Choice(list(_BACKENDS)),
+                                    default=None),
+                       order, click.argument("file", type=click.Path())):
+            solved = option(solved)
+        return main.command(name)(solved)
+
+    return decorate
+
+
+@_command("solve", n_help="number of series terms")
 @click.option("--out", type=click.Path(), default=None, help="output CSV path")
 @click.option("--abscissae", default=None, help="comma-separated x values")
-def cmd_solve(file, n_terms, backend, grid_size, out, abscissae):
+def cmd_solve(s: _Solved, out):
     """Write a CSV of (x, psi1, psi2) at the requested abscissae."""
-    try:
-        problem, run = parse_problem_file(file)
-        n = n_terms if n_terms is not None else run["n_terms"]
-        bk = _BACKENDS[backend] if backend else run["backend"]
-        gs = grid_size if grid_size is not None else run["grid_size"]
-        xs = _parse_abscissae(abscissae)
-        sol = gfadm_solve(problem, n, backend=bk, grid_size=gs)
-        path = _resolve_out(out, f"{problem.name}_solution.csv")
-        lines = ["x,psi1,psi2"]
-        for x in xs:
-            p1, p2 = evaluate_partial_sum(sol, n, x)
-            lines.append(f"{_fmt_sol(x)},{_fmt_sol(p1)},{_fmt_sol(p2)}")
-        path.write_text("\n".join(lines) + "\n")
-        click.echo(f"wrote {path}")
-        if bk == EXACT:
-            payload = {
-                "n": n,
-                "psi1": sol.psi(1, n).coeffs.tolist(),
-                "psi2": sol.psi(2, n).coeffs.tolist(),
-                "terms1": [t.coeffs.tolist() for t in sol.terms1],
-                "terms2": [t.coeffs.tolist() for t in sol.terms2],
-            }
-            jpath = path.with_suffix(".coeffs.json")
-            jpath.write_text(json.dumps(payload, indent=2) + "\n")
-            click.echo(f"wrote {jpath}")
-    except GfadmError as exc:
-        sys.exit(_fail(exc))
+    n = s.ns[-1]
+    path = _resolve_out(out, f"{s.problem.name}_solution.csv")
+    lines = ["x,psi1,psi2"]
+    for x in s.xs:
+        p1, p2 = evaluate_partial_sum(s.sol, n, x)
+        lines.append(f"{_fmt_sol(x)},{_fmt_sol(p1)},{_fmt_sol(p2)}")
+    path.write_text("\n".join(lines) + "\n")
+    click.echo(f"wrote {path}")
+    if s.backend == EXACT:
+        payload = {
+            "n": n,
+            "psi1": s.sol.psi(1, n).coeffs.tolist(),
+            "psi2": s.sol.psi(2, n).coeffs.tolist(),
+            "terms1": [t.coeffs.tolist() for t in s.sol.terms1],
+            "terms2": [t.coeffs.tolist() for t in s.sol.terms2],
+        }
+        jpath = path.with_suffix(".coeffs.json")
+        jpath.write_text(json.dumps(payload, indent=2) + "\n")
+        click.echo(f"wrote {jpath}")
 
 
-@main.command("residual")
-@click.argument("file", type=click.Path())
-@click.option("--n-list", default=None, help="comma-separated truncation orders")
-@click.option("--backend", type=click.Choice(["grid", "poly"]), default=None)
-@click.option("--grid-size", type=int, default=None)
+@_command("residual", n_list=True)
 @click.option("--method", type=click.Choice([analysis.ADOMIAN_IDENTITY,
                                              analysis.SPECTRAL]),
               default=analysis.ADOMIAN_IDENTITY)
@@ -269,102 +267,58 @@ def cmd_solve(file, n_terms, backend, grid_size, out, abscissae):
               help="report the self-adjoint-form maxima (x^alpha weighting)")
 @click.option("--out", type=click.Path(), default=None, help="output base path")
 @click.option("--abscissae", default=None)
-def cmd_residual(file, n_list, backend, grid_size, method, weighted, out, abscissae):
+def cmd_residual(s: _Solved, method, weighted, out):
     """Write per-point and per-order maximum residual CSV reports."""
-    try:
-        problem, run = parse_problem_file(file)
-        ns = sorted(_parse_n_list(n_list, [run["n_terms"]]))
-        bk = _BACKENDS[backend] if backend else run["backend"]
-        gs = grid_size if grid_size is not None else run["grid_size"]
-        xs = _parse_abscissae(abscissae)
-        sol = gfadm_solve(problem, max(ns), backend=bk, grid_size=gs)
-
-        base = _resolve_out(out, f"{problem.name}_residual")
-        point_lines = ["n,x,r1,r2"]
-        summary_lines = ["n,maxr1,maxr2"]
-        for n in ns:
-            rep = analysis.residual(problem, sol, n, xs, method=method)
-            for (x, r1), (_, r2) in zip(rep.points1, rep.points2):
-                point_lines.append(
-                    f"{n},{_fmt_sol(x)},{_fmt_res(r1)},{_fmt_res(r2)}"
-                )
-            m1, m2 = analysis.max_residual(problem, sol, n, method=method,
-                                           weighted=weighted)
-            summary_lines.append(f"{n},{_fmt_res(m1)},{_fmt_res(m2)}")
-        points_path = base.parent / (base.name + "_points.csv")
-        summary_path = base.parent / (base.name + "_summary.csv")
-        points_path.write_text("\n".join(point_lines) + "\n")
-        summary_path.write_text("\n".join(summary_lines) + "\n")
-        click.echo(f"wrote {points_path}")
-        click.echo(f"wrote {summary_path}")
-    except GfadmError as exc:
-        sys.exit(_fail(exc))
+    base = _resolve_out(out, f"{s.problem.name}_residual")
+    point_lines = ["n,x,r1,r2"]
+    summary_lines = ["n,maxr1,maxr2"]
+    for n in s.ns:
+        rep = analysis.residual(s.problem, s.sol, n, s.xs, method=method)
+        for (x, r1), (_, r2) in zip(rep.points1, rep.points2):
+            point_lines.append(f"{n},{_fmt_sol(x)},{_fmt_res(r1)},{_fmt_res(r2)}")
+        m1, m2 = analysis.max_residual(s.problem, s.sol, n, method=method,
+                                       weighted=weighted)
+        summary_lines.append(f"{n},{_fmt_res(m1)},{_fmt_res(m2)}")
+    for kind, lines in (("points", point_lines), ("summary", summary_lines)):
+        path = base.parent / f"{base.name}_{kind}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        click.echo(f"wrote {path}")
 
 
-@main.command("bound")
-@click.argument("file", type=click.Path())
-@click.option("--n-list", default=None, help="comma-separated truncation orders")
-@click.option("--backend", type=click.Choice(["grid", "poly"]), default=None)
-@click.option("--grid-size", type=int, default=None)
-def cmd_bound(file, n_list, backend, grid_size):
+@_command("bound", n_list=True)
+def cmd_bound(s: _Solved):
     """Print the kernel bound, Lipschitz constants and truncation bounds."""
-    try:
-        problem, run = parse_problem_file(file)
-        ns = sorted(_parse_n_list(n_list, [run["n_terms"]]))
-        bk = _BACKENDS[backend] if backend else run["backend"]
-        gs = grid_size if grid_size is not None else run["grid_size"]
-        sol = gfadm_solve(problem, max(ns), backend=bk, grid_size=gs)
-        est = analysis.convergence_estimate(problem, sol, ns)
-        click.echo(f"m      = {est.m:.6f}")
-        click.echo(f"l1     = {est.l1:.6f}")
-        click.echo(f"l2     = {est.l2:.6f}")
-        click.echo(f"gamma  = {est.gamma:.6f}")
-        if est.gamma >= 1.0:
-            click.echo("warning: gamma >= 1, the truncation bound does not apply",
-                       err=True)
-        else:
-            for n in ns:
-                click.echo(f"bound[n={n}] = {_fmt_res(est.bounds[n])}")
-    except GfadmError as exc:
-        sys.exit(_fail(exc))
+    est = analysis.convergence_estimate(s.problem, s.sol, s.ns)
+    for key in ("m", "l1", "l2", "gamma"):
+        click.echo(f"{key:6} = {getattr(est, key):.6f}")
+    if est.gamma >= 1.0:
+        click.echo("warning: gamma >= 1, the truncation bound does not apply",
+                   err=True)
+    else:
+        for n in s.ns:
+            click.echo(f"bound[n={n}] = {_fmt_res(est.bounds[n])}")
 
 
-@main.command("compare")
-@click.argument("file", type=click.Path())
-@click.option("--n", "n_terms", type=int, default=None)
-@click.option("--backend", type=click.Choice(["grid", "poly"]), default=None)
-@click.option("--grid-size", type=int, default=None)
+@_command("compare")
 @click.option("--fd-points", "M", type=int, default=512,
               help="oracle grid intervals")
 @click.option("--abscissae", default=None)
-def cmd_compare(file, n_terms, backend, grid_size, M, abscissae):
+def cmd_compare(s: _Solved, M):
     """Print the deviation between the series solution and the oracle."""
-    try:
-        problem, run = parse_problem_file(file)
-        n = n_terms if n_terms is not None else run["n_terms"]
-        bk = _BACKENDS[backend] if backend else run["backend"]
-        gs = grid_size if grid_size is not None else run["grid_size"]
-        xs = _parse_abscissae(abscissae)
+    t0 = time.perf_counter()
+    ora = oracle.fd_solve(s.problem, M=M)
+    t_oracle = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        sol = gfadm_solve(problem, n, backend=bk, grid_size=gs)
-        t_series = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        ora = oracle.fd_solve(problem, M=M)
-        t_oracle = time.perf_counter() - t0
+    from scipy.interpolate import interp1d
 
-        from scipy.interpolate import interp1d
-
-        dev = 0.0
-        for i in (1, 2):
-            interp = interp1d(ora.nodes, ora.values(i), kind="cubic")
-            for x in xs:
-                dev = max(dev, abs(sol.partial_sum(i, n, x) - float(interp(x))))
-        click.echo(f"max deviation = {_fmt_res(dev)}")
-        click.echo(f"series solve  = {t_series:.3f} s")
-        click.echo(f"oracle solve  = {t_oracle:.3f} s ({ora.iterations} Newton steps)")
-    except GfadmError as exc:
-        sys.exit(_fail(exc))
+    dev = 0.0
+    for i in (1, 2):
+        interp = interp1d(ora.nodes, ora.values(i), kind="cubic")
+        for x in s.xs:
+            dev = max(dev, abs(s.sol.partial_sum(i, s.ns[-1], x) - float(interp(x))))
+    click.echo(f"max deviation = {_fmt_res(dev)}")
+    click.echo(f"series solve  = {s.seconds:.3f} s")
+    click.echo(f"oracle solve  = {t_oracle:.3f} s ({ora.iterations} Newton steps)")
 
 
 if __name__ == "__main__":

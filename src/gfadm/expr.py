@@ -285,15 +285,3 @@ def to_text(e: Expression) -> str:
             else f"({to_text(e.base)})^{e.exponent}"
     raise TypeError(f"not an expression node: {e!r}")
 
-
-def contains_division(e: Expression) -> bool:
-    """True when the tree has any Div node (rational nonlinearity)."""
-    if isinstance(e, Div):
-        return True
-    if isinstance(e, (Add, Sub, Mul)):
-        return contains_division(e.left) or contains_division(e.right)
-    if isinstance(e, Neg):
-        return contains_division(e.operand)
-    if isinstance(e, PowInt):
-        return contains_division(e.base)
-    return False

@@ -111,62 +111,59 @@ def chebyshev_coefficient_matrix(n: int) -> np.ndarray:
     return out
 
 
-def _lobatto_weights(n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _barycentric(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and barycentric weights of the n-grid."""
     w = (-1.0) ** np.arange(n + 1)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+    w[[0, -1]] *= 0.5
+    x = chebyshev_lobatto(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-_diff_cache: dict[int, np.ndarray] = {}
+@functools.lru_cache(maxsize=None)
+def _diff_matrix(n: int) -> np.ndarray:
+    """Spectral differentiation matrix of the n-grid."""
+    x, w = _barycentric(n)
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    d = (w[None, :] / w[:, None]) / dx
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    d.flags.writeable = False
+    return d
 
 
 class GridFunction:
-    """Function values on a Chebyshev-Lobatto grid on [0, 1].
+    """Function values at the n + 1 Chebyshev-Lobatto nodes of [0, 1].
 
-    Evaluation between nodes uses the barycentric interpolation formula;
-    differentiation uses the spectral differentiation matrix built from the
-    same barycentric weights.
+    The grid follows from the number of values.  Evaluation between nodes
+    uses the barycentric interpolation formula; differentiation uses the
+    spectral differentiation matrix built from the same barycentric weights.
     """
 
-    __slots__ = ("nodes", "values", "weights")
+    __slots__ = ("values",)
 
-    def __init__(self, nodes: np.ndarray, values, weights=None):
-        self.nodes = np.asarray(nodes, dtype=float)
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
-        if self.nodes.shape != self.values.shape:
-            raise UsageError("nodes and values must have equal length")
-        n = self.nodes.size - 1
-        self.weights = _lobatto_weights(n) if weights is None else weights
+        if self.values.ndim != 1 or self.values.size < 2:
+            raise UsageError("a grid function needs values at two or more nodes")
 
     def __call__(self, x):
+        nodes, weights = _barycentric(self.values.size - 1)
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         xs = np.atleast_1d(x)
-        diff = xs[:, None] - self.nodes[None, :]
-        out = np.empty(xs.size)
+        diff = xs[:, None] - nodes[None, :]
         exact_i, exact_j = np.nonzero(diff == 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = self.weights / diff
+            terms = weights / diff
             out = (terms @ self.values) / terms.sum(axis=1)
         out[exact_i] = self.values[exact_j]
         return float(out[0]) if scalar else out
 
-    def diff_matrix(self) -> np.ndarray:
-        n = self.nodes.size - 1
-        d = _diff_cache.get(n)
-        if d is None:
-            x, w = self.nodes, self.weights
-            dx = x[:, None] - x[None, :]
-            np.fill_diagonal(dx, 1.0)
-            d = (w[None, :] / w[:, None]) / dx
-            np.fill_diagonal(d, 0.0)
-            np.fill_diagonal(d, -d.sum(axis=1))
-            _diff_cache[n] = d
-        return d
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.nodes, self.values + other.values, self.weights)
+        return GridFunction(self.values + other.values)
 
     def derivative(self) -> "GridFunction":
-        return GridFunction(self.nodes, self.diff_matrix() @ self.values, self.weights)
+        return GridFunction(_diff_matrix(self.values.size - 1) @ self.values)

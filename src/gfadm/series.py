@@ -123,7 +123,8 @@ class TruncatedSeries:
         self._check(other)
         a, b = self.coeffs, other.coeffs
         if object in (a.dtype, b.dtype):
-            raise UnsupportedBackendError("series division needs float coefficients")
+            # Polynomial coefficients come only from the exact backend
+            raise UnsupportedBackendError("exact backend requires polynomial nonlinearities")
         bad = np.flatnonzero(np.abs(b[0]) <= _DIV_TOL)
         if bad.size:
             raise SingularDivisionError(

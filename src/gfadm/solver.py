@@ -28,8 +28,8 @@ from itertools import accumulate
 import numpy as np
 
 from .adomian import adomian_coefficients, adomian_polynomial_rows
-from .errors import DegreeCapError, NumericError, UnsupportedBackendError, UsageError
-from .expr import Expression, contains_division, parse_expression
+from .errors import DegreeCapError, NumericError, UsageError
+from .expr import Expression, parse_expression
 from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, \
     chebyshev_lobatto
 from .kernels import DIRICHLET_DIRICHLET, LANE_EMDEN, KernelSpec, kernel_apply, \
@@ -161,8 +161,6 @@ def evaluate_partial_sum(sol: SolutionSeries, n: int, x: float):
 
 
 def _finite(data: np.ndarray, j: int, component: int) -> None:
-    # a non-finite row gives a non-finite image, so this also catches
-    # overflow in Polynomial series arithmetic, which checks only floats
     if not np.all(np.isfinite(data)):
         raise NumericError(f"term {j + 1} of component {component} is not finite")
 
@@ -177,11 +175,14 @@ def _recurse(p: ProblemSpec, n_terms: int, base, rows, image) -> SolutionSeries:
     kern = [c.kernel() for c in p.components]
     terms = ([base[0]], [base[1]])
     adomian = ([], [])
-    for j in range(n_terms):
-        new = [rows(c.rhs, *terms) for c in p.components]
-        for i in range(2):
-            adomian[i].append(new[i])
-            terms[i].append(image(kern[i], new[i], j, i + 1))
+    # overflow surfaces as NumericError from the finiteness checks on every
+    # row and term, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_terms):
+            new = [rows(c.rhs, *terms) for c in p.components]
+            for i in range(2):
+                adomian[i].append(new[i])
+                terms[i].append(image(kern[i], new[i], j, i + 1))
     return SolutionSeries(p, terms[0], terms[1], adomian[0], adomian[1])
 
 
@@ -191,7 +192,7 @@ def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
     def rows(f, terms1, terms2):
         a = adomian_coefficients(f, nodes, [t.values for t in terms1],
                                  [t.values for t in terms2])
-        return GridFunction(nodes, a[-1])
+        return GridFunction(a[-1])
 
     def image(kern, row, j, component):
         coeffs = np.abs(chebyshev_coefficient_matrix(grid_size) @ row.values)
@@ -204,16 +205,13 @@ def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
             )
         values = kernel_apply(kern, row, nodes)
         _finite(values, j, component)
-        return GridFunction(nodes, values)
+        return GridFunction(values)
 
-    base = [GridFunction(nodes, b(nodes)) for b in build_baseline(p)]
+    base = [GridFunction(b(nodes)) for b in build_baseline(p)]
     return _recurse(p, n_terms, base, rows, image)
 
 
 def _solve_exact(p: ProblemSpec, n_terms: int) -> SolutionSeries:
-    if any(contains_division(c.rhs) for c in p.components):
-        raise UnsupportedBackendError("exact backend requires polynomial nonlinearities")
-
     def rows(f, terms1, terms2):
         return adomian_polynomial_rows(f, terms1, terms2)[-1]
 

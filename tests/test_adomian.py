@@ -3,6 +3,7 @@ import pytest
 import sympy as sp
 
 from gfadm import (
+    NumericError,
     Polynomial,
     SingularDivisionError,
     UnsupportedBackendError,
@@ -106,6 +107,13 @@ class TestPolynomialRows:
         f = parse_expression("y1/(1+y2)")
         with pytest.raises(UnsupportedBackendError):
             adomian_polynomial_rows(f, [Polynomial([1.0])], [Polynomial([1.0])])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_raises(self):
+        f = parse_expression("1e200*y1^2")
+        terms = [Polynomial([1.0]), Polynomial([1e200])]
+        with pytest.raises(NumericError, match="Adomian row"):
+            adomian_polynomial_rows(f, terms, terms)
 
 
 def test_rows_on_point_array_triangular():

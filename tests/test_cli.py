@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -251,12 +250,12 @@ class TestErrors:
         ("b=0 c=1\nrhs = 0", "b=10 c=1\nrhs = 1e308", "1", "poly"),
         ("b=0 c=1\nrhs = 0", "b=10 c=1\nrhs = 1e308", "1", "grid"),
     ])
+    @pytest.mark.filterwarnings("error")  # the typed error is the only report
     def test_overflow_exit_2(self, runner, tmp_path, old, new, n, backend):
         bad = ZERO_RHS.replace(old, new, 1)
         out = tmp_path / "s.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = runner.invoke(main, ["solve", _write(tmp_path, bad), "--n", n,
-                                       "--backend", backend, "--out", str(out)])
+        res = runner.invoke(main, ["solve", _write(tmp_path, bad), "--n", n,
+                                   "--backend", backend, "--out", str(out)])
         assert res.exit_code == 2
         assert "finite" in res.output
         assert not out.exists()
@@ -266,6 +265,53 @@ class TestErrors:
         res = runner.invoke(main, ["solve", _write(tmp_path, ZERO_RHS),
                                    "--abscissae", "0.5,1.5"])
         assert res.exit_code == 1
+
+
+# the order flag of each subcommand
+ORDER = {"solve": "--n", "residual": "--n-list", "bound": "--n-list", "compare": "--n"}
+
+
+@pytest.mark.parametrize("cmd", list(ORDER))
+class TestSharedPath:
+    """Every subcommand reads, resolves and solves its problem the same way."""
+
+    def test_missing_file_exit_1(self, runner, cmd):
+        res = runner.invoke(main, [cmd, "/nonexistent.ini"])
+        assert res.exit_code == 1
+        assert "cannot read" in res.output
+
+    def test_unsupported_backend_exit_1(self, runner, cmd):
+        res = runner.invoke(main, [cmd, _problem("example2_oxygen.ini"),
+                                   "--backend", "poly"])
+        assert res.exit_code == 1
+        assert "polynomial" in res.output
+
+    def test_unresolved_grid_exit_2(self, runner, cmd, tmp_path, monkeypatch):
+        monkeypatch.setenv("GFADM_OUT_DIR", str(tmp_path))
+        res = runner.invoke(main, [cmd, _problem("example1_catalytic.ini"),
+                                   "--backend", "grid", "--grid-size", "1",
+                                   ORDER[cmd], "3"])
+        assert res.exit_code == 2
+        assert "grid size 1" in res.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_size_flag_overrides_run(self, runner, cmd, tmp_path, monkeypatch):
+        text = (PROBLEMS / "example1_catalytic.ini").read_text()
+        path = _write(tmp_path, text.replace("backend = poly", "backend = grid")
+                      .replace("grid_size = 64", "grid_size = 1"))
+        monkeypatch.setenv("GFADM_OUT_DIR", str(tmp_path / "out"))
+        assert runner.invoke(main, [cmd, path]).exit_code == 2
+        res = runner.invoke(main, [cmd, path, "--grid-size", "64"])
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("args", [["FILE", "--n", "abc"],
+                                      ["FILE", "--backend", "foo"],
+                                      []], ids=["bad-n", "bad-backend", "no-file"])
+    def test_click_usage_errors_exit_1(self, runner, cmd, args):
+        args = [_problem("example1_catalytic.ini") if a == "FILE" else a for a in args]
+        res = runner.invoke(main, [cmd, *args])
+        assert res.exit_code == 1
+        assert "Usage:" in res.output and "Error:" in res.output
 
 
 def test_import_loads_no_scipy():

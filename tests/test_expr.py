@@ -11,7 +11,7 @@ from gfadm import (
     parse_expression,
     to_text,
 )
-from gfadm.expr import Var, contains_division
+from gfadm.expr import Var
 
 
 class TestParse:
@@ -160,8 +160,3 @@ def test_parser_roundtrip(text):
         x = rng.uniform(0, 1)
         y1, y2 = rng.uniform(0.5, 2.0, size=2)
         assert abs(eval_scalar(e, x, y1, y2) - eval_scalar(e2, x, y1, y2)) <= 1e-14
-
-
-def test_contains_division():
-    assert contains_division(parse_expression("y1/(1+y2)"))
-    assert not contains_division(parse_expression("y1^2 - 0.4*y1*y2"))

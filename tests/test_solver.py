@@ -132,6 +132,14 @@ def test_exact_backend_rejects_division():
         gfadm_solve(p, 2, backend=EXACT)
 
 
+@pytest.mark.filterwarnings("error")
+def test_row_overflow_is_typed_without_warnings():
+    c1 = ComponentSpec.make("lane_emden", alpha=2.0, c=1.0, rhs="1e200*y1^2")
+    c2 = ComponentSpec.make("lane_emden", alpha=2.0, c=2.0, rhs="0")
+    with pytest.raises(NumericError, match="Adomian row"):
+        gfadm_solve(ProblemSpec(c1, c2), 3, backend=EXACT)
+
+
 def test_exact_backend_alpha1_matches_grid():
     c1 = ComponentSpec.make("lane_emden", alpha=1.0, left=NEUMANN_ZERO,
                             a=1, b=0, c=1, rhs="y1^2 - 0.5*x*y2")
