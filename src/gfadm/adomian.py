@@ -36,7 +36,10 @@ def adomian_coefficients(f: Expression, x, y1_terms, y2_terms) -> np.ndarray:
     y1 = TruncatedSeries(y1_terms)
     y2 = TruncatedSeries(y2_terms)
     try:
-        rows = eval_series(f, x, y1, y2).coeffs
+        # overflow raises NumericError from the finiteness checks below and
+        # in the series arithmetic, so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = eval_series(f, x, y1, y2).coeffs
     except SingularDivisionError as exc:
         where = float(np.ravel(x)[exc.index])
         raise SingularDivisionError(str(exc), location=where) from None

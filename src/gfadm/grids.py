@@ -154,10 +154,12 @@ class GridFunction:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         xs = np.atleast_1d(x)
-        diff = xs[:, None] - nodes[None, :]
-        exact_i, exact_j = np.nonzero(diff == 0.0)
+        # one (points, nodes) temporary, divided in place: on the residual
+        # search's 903 points each one is a fresh page-faulted allocation
+        terms = xs[:, None] - nodes[None, :]
+        exact_i, exact_j = np.nonzero(terms == 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = weights / diff
+            np.divide(weights, terms, out=terms)
             out = (terms @ self.values) / terms.sum(axis=1)
         out[exact_i] = self.values[exact_j]
         return float(out[0]) if scalar else out

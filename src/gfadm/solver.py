@@ -175,13 +175,13 @@ def _recurse(p: ProblemSpec, n_terms: int, base, rows, image) -> SolutionSeries:
     kern = [c.kernel() for c in p.components]
     terms = ([base[0]], [base[1]])
     adomian = ([], [])
-    # overflow surfaces as NumericError from the finiteness checks on every
-    # row and term, so numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_terms):
-            new = [rows(c.rhs, *terms) for c in p.components]
-            for i in range(2):
-                adomian[i].append(new[i])
+    for j in range(n_terms):
+        new = [rows(c.rhs, *terms) for c in p.components]
+        for i in range(2):
+            adomian[i].append(new[i])
+            # an image that overflows raises NumericError from the image's own
+            # finiteness check, so numpy's warnings would only repeat it
+            with np.errstate(over="ignore", invalid="ignore"):
                 terms[i].append(image(kern[i], new[i], j, i + 1))
     return SolutionSeries(p, terms[0], terms[1], adomian[0], adomian[1])
 

@@ -108,12 +108,20 @@ class TestPolynomialRows:
         with pytest.raises(UnsupportedBackendError):
             adomian_polynomial_rows(f, [Polynomial([1.0])], [Polynomial([1.0])])
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the typed error is the only report
     def test_overflow_raises(self):
         f = parse_expression("1e200*y1^2")
         terms = [Polynomial([1.0]), Polynomial([1e200])]
         with pytest.raises(NumericError, match="Adomian row"):
             adomian_polynomial_rows(f, terms, terms)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_on_points_raises():
+    f = parse_expression("1e200*y1^2")
+    with pytest.raises(NumericError, match="series arithmetic"):
+        adomian_coefficients(f, np.linspace(0, 1, 3), [np.ones(3), np.full(3, 1e200)],
+                             [np.ones(3), np.ones(3)])
 
 
 def test_rows_on_point_array_triangular():

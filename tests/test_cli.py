@@ -314,13 +314,35 @@ class TestSharedPath:
         assert "Usage:" in res.output and "Error:" in res.output
 
 
+@pytest.mark.parametrize("args", [["--bogus"], []], ids=["bad-option", "no-command"])
+def test_group_usage_errors_exit_1(runner, args):
+    # raised while the group parses its own arguments, before any subcommand
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert "Usage:" in res.output
+
+
+def test_group_help_exits_0(runner):
+    res = runner.invoke(main, ["--help"])
+    assert res.exit_code == 0
+    assert "compare" in res.output
+
+
 def test_import_loads_no_scipy():
-    # scipy is loaded only when the oracle runs (fd_solve, compare)
-    code = ("import sys, gfadm.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # neither importing the CLI nor running compare (the oracle and its
+    # interpolation) loads scipy
+    modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = "\n".join([
+        "import sys, gfadm.cli", modules,
+        "try:",
+        f"    gfadm.cli.main(['compare', {_problem('example1_catalytic.ini')!r}])",
+        "except SystemExit as exc:",
+        "    assert not exc.code, exc.code",
+        modules])
     src = str(Path(gfadm.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+                         text=True, check=True).stdout.strip().splitlines()
+    assert out[0] == out[-1] == "[]"
+    assert out[1].startswith("max deviation")

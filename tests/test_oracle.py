@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.interpolate import interp1d
 
 from gfadm import (
     ComponentSpec,
     DIRICHLET,
     NEUMANN_ZERO,
+    NoConvergenceError,
+    OracleSolution,
     ProblemSpec,
     UsageError,
     catalytic_problem,
@@ -13,7 +16,8 @@ from gfadm import (
     fd_solve,
     oxygen_problem,
 )
-from gfadm.oracle import _system
+from gfadm import oracle
+from gfadm.oracle import _solve_blocks, _system
 
 
 def _pair(c1, c2=None):
@@ -90,20 +94,103 @@ PROBLEMS = {"catalytic": catalytic_problem,
             "robin": _robin}
 
 
+def _dense(low, mid, upp):
+    """The block-tridiagonal matrix of (n, 2, 2) blocks; unknown (i, k) is 2i + k."""
+    n = len(mid)
+    a = np.zeros((n, 2, n, 2))
+    i = np.arange(n)
+    a[i, :, i, :] = mid
+    a[i[1:], :, i[:-1], :] = low[1:]
+    a[i[:-1], :, i[1:], :] = upp[:-1]
+    return a.reshape(2 * n, 2 * n)
+
+
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_jacobian_is_derivative_of_defect(name):
-    # the assembled Jacobian against central differences of the defect,
-    # one column at a time, at a point off the solution
-    x, defect, jacobian = _system(PROBLEMS[name](), 16)
-    z = np.concatenate([1.0 + 0.3 * x**2, 1.5 - 0.2 * x])
-    z += 0.01 * np.random.default_rng(0).standard_normal(z.size)
-    jac = jacobian(z).toarray()
+    # the Jacobian assembled from its blocks and the Robin rows' y_{M-2}
+    # term against central differences of the defect, one column at a
+    # time, at a point off the solution
+    M = 16
+    x, corner, defect, jacobian = _system(PROBLEMS[name](), M)
+    z = np.stack([1.0 + 0.3 * x**2, 1.5 - 0.2 * x], axis=1)
+    z += 0.01 * np.random.default_rng(0).standard_normal(z.shape)
+    jac = _dense(*jacobian(z))
+    for k in (0, 1):
+        jac[2 * M + k, 2 * (M - 2) + k] = corner[k]
     fd = np.empty_like(jac)
-    for k in range(z.size):
+    for col in range(z.size):
         e = np.zeros(z.size)
-        e[k] = 1e-6 * (1.0 + abs(z[k]))
-        fd[:, k] = (defect(z + e) - defect(z - e)) / (2.0 * e[k])
+        e[col] = 1e-6 * (1.0 + abs(z.flat[col]))
+        e = e.reshape(z.shape)
+        fd[:, col] = (defect(z + e) - defect(z - e)).ravel() / (2.0 * e.flat[col])
     assert np.allclose(jac, fd, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 512, 513])
+def test_block_solver_matches_dense(n):
+    rng = np.random.default_rng(n)
+    low, upp = rng.uniform(-1, 1, (2, n, 2, 2))
+    mid = 5.0 * np.eye(2) + rng.uniform(-1, 1, (n, 2, 2))  # block diagonally dominant
+    low[0], upp[-1] = 0.0, 0.0
+    rhs = rng.standard_normal((n, 2))
+    want = np.linalg.solve(_dense(low, mid, upp), rhs.ravel()).reshape(n, 2)
+    got = _solve_blocks(low, mid, upp, rhs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("error")  # the typed error is the only report
+def test_singular_jacobian(monkeypatch):
+    # a zero block row makes the Jacobian singular and one block singular
+    def singular(p, M):
+        x, corner, defect, jacobian = _system(p, M)
+
+        def zero_row(z):
+            low, mid, upp = jacobian(z)
+            low[5] = mid[5] = upp[5] = 0.0
+            return low, mid, upp
+
+        return x, corner, defect, zero_row
+
+    monkeypatch.setattr(oracle, "_system", singular)
+    with pytest.raises(NoConvergenceError, match="singular Jacobian"):
+        fd_solve(catalytic_problem(), M=64)
+
+
+def _on_grid(M, fn):
+    x = np.linspace(0.0, 1.0, M + 1)
+    return OracleSolution(x, fn(x), 2.0 * fn(x), 0, 0.0)
+
+
+def _spline_gap(sol, xs):
+    return max(np.max(np.abs(sol.interpolate(i, xs)
+                             - interp1d(sol.nodes, sol.values(i), kind="cubic")(xs)))
+               for i in (1, 2))
+
+
+XS = np.concatenate([np.linspace(0.0, 1.0, 101), [1.0 - 1e-15]])
+
+
+@pytest.mark.parametrize("M", [512, 513, 1024])
+def test_interpolate_matches_cubic_spline(M):
+    # on smooth data the local cubic agrees with scipy's not-a-knot spline
+    sol = _on_grid(M, lambda x: np.sin(2.0 * x) + 1.0 / (1.5 + x))
+    assert _spline_gap(sol, XS) <= 1e-10
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_interpolate_oracle_matches_cubic_spline(name):
+    assert _spline_gap(fd_solve(PROBLEMS[name](), M=512), XS) <= 1e-10
+
+
+def test_interpolate_exact_on_cubics():
+    def cubic(x):
+        return 0.7 - 1.3 * x + 2.1 * x**2 - 4.0 * x**3
+
+    sol = _on_grid(16, cubic)
+    xs = np.linspace(0.0, 1.0, 97)
+    assert np.max(np.abs(sol.interpolate(1, xs) - cubic(xs))) <= 1e-13
+    assert np.max(np.abs(sol.interpolate(2, xs) - 2.0 * cubic(xs))) <= 1e-13
+    assert sol.interpolate(1, 0.5) == pytest.approx(cubic(0.5), abs=1e-14)
 
 
 # fd_solve(M=512) at every 64th node, (y1, y2), and its Newton steps, as
