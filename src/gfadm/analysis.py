@@ -14,6 +14,10 @@ Two residual methods cross-validate each other:
   involves no differentiation and is the accurate choice near roundoff
   scales.
 
+Both evaluate all the terms or derivatives they need at a set of points
+in one :func:`~gfadm.grids.values_at` call, so grid terms share one
+barycentric matrix per point set.
+
 Near the singular point the operator value uses the regularity limit
 ``(1 + alpha) psi''(0)``; elsewhere it forms ``alpha (psi'(x) - psi'(0))/x``,
 since the kernel enforces ``psi'(0) = 0`` and whatever a differentiated
@@ -29,6 +33,7 @@ import numpy as np
 from .adomian import adomian_coefficients
 from .errors import BoundInapplicableError, EvaluationError, UsageError
 from .expr import Expression, eval_scalar
+from .grids import value_at_zero, values_at
 from .kernels import kernel_bound_m
 from .solver import ProblemSpec, SolutionSeries, build_baseline
 
@@ -52,48 +57,52 @@ class ResidualReport:
     points2: list = field(default_factory=list)
 
 
-def _operator_value(comp, d1, d2, x: np.ndarray) -> np.ndarray:
-    """L psi at the points x from first/second derivative evaluators."""
+def _operator_value(comp, d1, d2, d1_0, d2_0, x: np.ndarray) -> np.ndarray:
+    """L psi at the points x from psi' and psi'' there and at 0."""
     near0 = x <= _SINGULAR_X
-    regular = d2(x) + comp.alpha / np.where(near0, 1.0, x) * (d1(x) - d1(0.0))
-    return np.where(near0, (1.0 + comp.alpha) * float(d2(0.0)), regular)
+    regular = d2 + comp.alpha / np.where(near0, 1.0, x) * (d1 - d1_0)
+    return np.where(near0, (1.0 + comp.alpha) * d2_0, regular)
 
 
 def _spectral_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
-    fns = []
-    for i, comp in enumerate(p.components, start=1):
-        psi = sol.psi(i, n)
-        d1 = psi.derivative()
-        fns.append((comp, psi, d1, d1.derivative()))
+    psi = [sol.psi(1, n), sol.psi(2, n)]
+    derivs = [(d1, d1.derivative()) for d1 in (f.derivative() for f in psi)]
+    at0 = [[value_at_zero(d) for d in pair] for pair in derivs]
 
-    def residual_at(x: np.ndarray):
-        psi1 = fns[0][1](x)
-        psi2 = fns[1][1](x)
+    def residual_at(x: np.ndarray, components=(0, 1)):
+        psi1, psi2, *dx = values_at(psi + [d for i in components for d in derivs[i]], x)
         return tuple(
-            np.abs(_operator_value(comp, d1, d2, x)
-                   - eval_scalar(comp.rhs, x, psi1, psi2))
-            for comp, _, d1, d2 in fns
+            np.abs(_operator_value(p.components[i], dx[2 * k], dx[2 * k + 1], *at0[i], x)
+                   - eval_scalar(p.components[i].rhs, x, psi1, psi2))
+            for k, i in enumerate(components)
         )
 
     return residual_at
 
 
 def _adomian_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
-    def residual_at(x: np.ndarray):
-        t1 = [t(x) for t in sol.terms1[: n + 1]]
-        t2 = [t(x) for t in sol.terms2[: n + 1]]
+    terms = sol.terms1[: n + 1] + sol.terms2[: n + 1]
+
+    def residual_at(x: np.ndarray, components=(0, 1)):
+        vals = values_at(terms, x)
+        t1, t2 = vals[: n + 1], vals[n + 1 :]
         psi1, psi2 = sum(t1), sum(t2)
         return tuple(
-            np.abs(np.sum(adomian_coefficients(comp.rhs, x, t1[:n], t2[:n]), axis=0)
-                   - eval_scalar(comp.rhs, x, psi1, psi2))
-            for comp in p.components
+            np.abs(np.sum(adomian_coefficients(p.components[i].rhs, x, t1[:n], t2[:n]),
+                          axis=0)
+                   - eval_scalar(p.components[i].rhs, x, psi1, psi2))
+            for i in components
         )
 
     return residual_at
 
 
 def _residual_fn(p, sol, n, method):
-    """The residuals (r1, r2) as a function of an array of points."""
+    """The residuals as a function of an array of points.
+
+    The function takes the points and the indices of the components to
+    return (both by default) and returns their residuals, one array each.
+    """
     if n > sol.n_terms:
         raise UsageError(f"order {n} exceeds stored terms {sol.n_terms}")
     if method == SPECTRAL:
@@ -115,6 +124,8 @@ def residual(
     """Pointwise residual report at the requested abscissae."""
     fn = _residual_fn(p, sol, n, method)
     xs = np.asarray(xs, dtype=float).ravel()
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise UsageError("abscissae must lie in [0, 1]")
     r1, r2 = fn(xs)
     return ResidualReport(n=n, method=method,
                           points1=list(zip(xs.tolist(), r1.tolist())),
@@ -131,7 +142,9 @@ def max_residual(
     """Maximum residual over (0, 1], by dense search plus local refinement.
 
     The refinement zooms in on the bracket around the maximizer, 41 points
-    a round, until the bracket is narrower than 1e-10.
+    a round, until the bracket is narrower than 1e-10.  A round computes
+    only the component it refines, and every point set builds one
+    barycentric matrix for all the grid terms evaluated there.
     With ``weighted=True`` the residual is multiplied by ``x^alpha_i``
     (the defect of the self-adjoint form ``(x^alpha y')' = x^alpha f``),
     which some published benchmark tables report.
@@ -155,7 +168,7 @@ def max_residual(
             if hi - lo <= 1e-10:
                 break
             zs = np.linspace(lo, hi, 41)
-            vals = weigh(zs, i, fn(zs)[i])
+            vals = weigh(zs, i, fn(zs, (i,))[0])
         out.append(float(np.max(peaks)))
     return tuple(out)
 
@@ -196,7 +209,7 @@ def solution_box(sol: SolutionSeries):
     xs = np.linspace(0.0, 1.0, 101)
     ranges = []
     for i in (1, 2):
-        vals = np.array([sol.psi(i, n)(xs) for n in range(sol.n_terms + 1)])
+        vals = values_at([sol.psi(i, n) for n in range(sol.n_terms + 1)], xs)
         lo, hi = float(vals.min()), float(vals.max())
         pad = _BOX_PADDING * max(hi - lo, 1e-12)
         ranges.append((lo - pad, hi + pad))

@@ -4,7 +4,9 @@ These are the two term representations used by the solver backends: exact
 monomial-coefficient polynomials, and values on a Chebyshev-Lobatto grid
 with barycentric interpolation and spectral differentiation.  Both are
 called on points, added with ``+`` and differentiated with ``derivative()``,
-so the solver and the analysis treat them alike.
+so the solver and the analysis treat them alike.  :func:`values_at`
+evaluates many of them at one set of points, building the barycentric
+matrix of a grid once for all its functions.
 """
 
 from __future__ import annotations
@@ -134,12 +136,73 @@ def _diff_matrix(n: int) -> np.ndarray:
     return d
 
 
+def _barycentric_matrix(n: int, xs: np.ndarray):
+    """The (points, nodes) barycentric terms of the n-grid at the points xs.
+
+    Returns the terms ``w_j / (x - x_j)``, their row sums and the (point,
+    node) indices where a point is a node.  One build serves every function
+    on the n-grid evaluated at xs.
+    """
+    nodes, weights = _barycentric(n)
+    # one temporary, divided in place: on the residual search's 903 points
+    # it is a fresh page-faulted allocation, so it is built once per point set
+    terms = xs[:, None] - nodes[None, :]
+    exact_i, exact_j = np.nonzero(terms == 0.0)
+    # a point at a node gets a zero row with unit sum instead of inf / inf;
+    # the node's own value replaces its result
+    terms[exact_i] = np.inf
+    np.divide(weights, terms, out=terms)
+    den = terms.sum(axis=1)
+    den[exact_i] = 1.0
+    return terms, den, (exact_i, exact_j)
+
+
+def _interpolate(matrix, values: np.ndarray) -> np.ndarray:
+    """Grid values interpolated through a barycentric matrix of their grid."""
+    terms, den, (exact_i, exact_j) = matrix
+    # one matrix-vector product per function: a stacked matmul may round
+    # differently from the per-vector products
+    out = (terms @ values) / den
+    out[exact_i] = values[exact_j]
+    return out
+
+
+def values_at(funcs, xs) -> np.ndarray:
+    """The rows ``f(xs)`` of the functions funcs, shape ``(len(funcs), len(xs))``.
+
+    Grid functions of one grid size share one barycentric matrix; each
+    row is bitwise the function's own call at xs.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    out = np.empty((len(funcs), xs.size))
+    matrices = {}
+    for row, f in zip(out, funcs):
+        if isinstance(f, GridFunction):
+            n = f.values.size - 1
+            if n not in matrices:
+                matrices[n] = _barycentric_matrix(n, xs)
+            row[:] = _interpolate(matrices[n], f.values)
+        else:
+            row[:] = f(xs)
+    return out
+
+
+def value_at_zero(f) -> float:
+    """``f(0)`` read off without evaluation.
+
+    x = 0 is node 0 of every grid, and a polynomial's value there is its
+    constant coefficient.
+    """
+    return float(f.values[0] if isinstance(f, GridFunction) else f.coeffs[0])
+
+
 class GridFunction:
     """Function values at the n + 1 Chebyshev-Lobatto nodes of [0, 1].
 
     The grid follows from the number of values.  Evaluation between nodes
-    uses the barycentric interpolation formula; differentiation uses the
-    spectral differentiation matrix built from the same barycentric weights.
+    uses the barycentric interpolation formula, through one matrix per
+    point set (see :func:`values_at`); differentiation uses the spectral
+    differentiation matrix built from the same barycentric weights.
     """
 
     __slots__ = ("values",)
@@ -150,19 +213,10 @@ class GridFunction:
             raise UsageError("a grid function needs values at two or more nodes")
 
     def __call__(self, x):
-        nodes, weights = _barycentric(self.values.size - 1)
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x)
-        # one (points, nodes) temporary, divided in place: on the residual
-        # search's 903 points each one is a fresh page-faulted allocation
-        terms = xs[:, None] - nodes[None, :]
-        exact_i, exact_j = np.nonzero(terms == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(weights, terms, out=terms)
-            out = (terms @ self.values) / terms.sum(axis=1)
-        out[exact_i] = self.values[exact_j]
-        return float(out[0]) if scalar else out
+        matrix = _barycentric_matrix(self.values.size - 1, np.atleast_1d(x))
+        out = _interpolate(matrix, self.values)
+        return float(out[0]) if x.ndim == 0 else out
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.values + other.values)

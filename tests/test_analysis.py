@@ -27,6 +27,7 @@ from gfadm import (
     residual,
     solution_box,
 )
+from gfadm import analysis, grids
 
 ABSCISSAE = [0.1 * i for i in range(1, 10)]
 
@@ -152,6 +153,42 @@ def test_residual_order_check():
         residual(p, sol, 4, [0.5])
     with pytest.raises(UsageError):
         residual(p, sol, 3, [0.5], method="bogus")
+
+
+@pytest.mark.parametrize("xs", [[1.5, -0.2], [0.5, float("nan")]])
+def test_residual_abscissae_check(xs):
+    p = catalytic_problem()
+    sol = gfadm_solve(p, 4, backend=GRID)
+    with pytest.raises(UsageError, match=r"abscissae must lie in \[0, 1\]"):
+        residual(p, sol, 4, xs)
+
+
+@pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
+def test_max_residual_builds_one_matrix_per_point_set(method, monkeypatch):
+    p = catalytic_problem()
+    sol = gfadm_solve(p, 11, backend=GRID)
+    builds, point_sets = [], []
+    build, make_fn = grids._barycentric_matrix, analysis._residual_fn
+
+    def counted_build(n, xs):
+        builds.append(xs.copy())
+        return build(n, xs)
+
+    def counted_fn(*args):
+        fn = make_fn(*args)
+
+        def residual_at(x, *rest):
+            point_sets.append(x)
+            return fn(x, *rest)
+
+        return residual_at
+
+    monkeypatch.setattr(grids, "_barycentric_matrix", counted_build)
+    monkeypatch.setattr(analysis, "_residual_fn", counted_fn)
+    max_residual(p, sol, 11, method=method, weighted=True)
+    # the dense set plus one set per zoom round
+    assert len(point_sets) > 2 and len(builds) == len(point_sets)
+    assert all(np.array_equal(b, x) for b, x in zip(builds, point_sets))
 
 
 class TestLipschitz:

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 import gfadm.solver
-from gfadm import EXACT, GRID, SPECTRAL, catalytic_problem, kernel_apply, residual
+from gfadm import EXACT, GRID, SPECTRAL, catalytic_problem, evaluate_partial_sum, \
+    kernel_apply, residual
 
 TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
 
@@ -32,12 +33,14 @@ def test_install_and_uninstall():
             for site in sites:
                 owner, attr = tracing._resolve(*site)
                 assert hasattr(getattr(owner, attr), "__wrapped__"), site
-        # a small solve on each backend and a spectral residual pass every
-        # solver and grid target at least once
+        # a small solve on each backend, a spectral residual and a scalar
+        # partial sum (as compare evaluates) pass every solver and grid
+        # target at least once
         p = catalytic_problem()
         for backend in (GRID, EXACT):
             sol = gfadm.solver.gfadm_solve(p, 2, backend=backend, grid_size=16)
             residual(p, sol, 2, [0.5], method=SPECTRAL)
+            evaluate_partial_sum(sol, 2, 0.5)
     finally:
         tracer.uninstall()
     assert gfadm.solver.kernel_apply is kernel_apply

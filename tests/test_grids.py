@@ -3,6 +3,7 @@ import pytest
 
 from gfadm import GridFunction, Polynomial, chebyshev_lobatto
 from gfadm.errors import UsageError
+from gfadm.grids import value_at_zero, values_at
 
 
 class TestPolynomial:
@@ -57,3 +58,32 @@ class TestGrid:
     def test_needs_two_values(self):
         with pytest.raises(UsageError):
             GridFunction([1.0])
+
+    def test_scalar_call_returns_float(self):
+        g = GridFunction(np.arange(9.0))
+        assert type(g(0.3)) is float
+        assert type(g(0.0)) is float and g(0.0) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [8, 64])
+def test_values_at_matches_own_calls(n):
+    """Each row of the shared-matrix evaluation is bitwise the function's call.
+
+    Points at nodes, 0 and 1 among them, raise no floating-point warning.
+    """
+    rng = np.random.default_rng(n)
+    nodes = chebyshev_lobatto(n)
+    grid = [GridFunction(rng.standard_normal(n + 1)) for _ in range(3)]
+    polys = [Polynomial(rng.standard_normal(k)) for k in (1, 4, 9)]
+    mixed = grid + polys + [GridFunction(rng.standard_normal(n + 4))]
+    point_sets = [rng.random(37), nodes, np.array([0.0, 1.0]),
+                  np.concatenate([rng.random(5), nodes[::3]]), 0.3, 0.0, 1.0]
+    for funcs in (grid, polys, mixed):
+        for xs in point_sets:
+            rows = values_at(funcs, xs)
+            assert rows.shape == (len(funcs), np.size(xs))
+            for f, row in zip(funcs, rows):
+                assert np.array_equal(row, np.atleast_1d(f(xs)))
+    for f in mixed:
+        assert value_at_zero(f) == f(0.0)
