@@ -7,6 +7,9 @@ called on points, added with ``+`` and differentiated with ``derivative()``,
 so the solver and the analysis treat them alike.  :func:`values_at`
 evaluates many of them at one set of points, building the barycentric
 matrix of a grid once for all its functions.
+
+Polynomial arithmetic runs on plain coefficient arrays, bitwise equal to
+``numpy.polynomial.polynomial`` without its per-call conversions and checks.
 """
 
 from __future__ import annotations
@@ -14,21 +17,31 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import UsageError
 
 
 class Polynomial:
-    """Polynomial with monomial coefficients ``p0..pd`` in x (ascending)."""
+    """Polynomial with monomial coefficients ``p0..pd`` in x (ascending).
+
+    The arithmetic works on the coefficient arrays directly.  Every result
+    is bitwise the one ``numpy.polynomial.polynomial`` gives (``polyadd``,
+    ``polysub``, ``polymul``, ``polyval``, ``polyder``) after trimming,
+    signed zeros included, without its per-call conversions and checks.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        # trim exact trailing zeros; the zero polynomial keeps one coefficient
-        nz = np.nonzero(c)[0]
-        self.coeffs = c[: nz[-1] + 1] if nz.size else np.zeros(1)
+        c = np.asarray(coeffs, dtype=float)
+        if c.ndim == 0:
+            c = c.reshape(1)
+        # trim exact trailing zeros, which a product can also make by
+        # underflow; the zero polynomial keeps one coefficient, +0.0
+        if c.size == 0 or c[-1] == 0.0:
+            nz = np.flatnonzero(c)
+            c = c[: nz[-1] + 1] if nz.size else np.zeros(1)
+        self.coeffs = c
 
     @classmethod
     def zero(cls):
@@ -43,45 +56,72 @@ class Polynomial:
         return self.coeffs.size - 1
 
     def __call__(self, x):
-        return npoly.polyval(x, self.coeffs)
+        # Horner's rule in polyval's order
+        if isinstance(x, (tuple, list)):
+            x = np.asarray(x)
+        c = self.coeffs
+        out = c[-1] + x * 0
+        for ck in c[-2::-1]:
+            out = ck + out * x
+        return out
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial.zero()
-        return Polynomial(npoly.polyder(self.coeffs))
+        return Polynomial(self.coeffs[1:] * np.arange(1, self.coeffs.size))
 
     def __neg__(self):
         return Polynomial(-self.coeffs)
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coeffs_of(other):
+        """Coefficients of a Polynomial or number operand, else None."""
         if isinstance(other, Polynomial):
-            return other
+            return other.coeffs
         if np.isscalar(other):
-            return Polynomial([float(other)])
-        return NotImplemented
+            # as the trimmed constant polynomial: a zero is +0.0
+            return np.array([float(other) + 0.0])
+        return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._coeffs_of(other)
+        if b is None:
             return NotImplemented
-        return Polynomial(npoly.polyadd(self.coeffs, other.coeffs))
+        a = self.coeffs
+        if a.size < b.size:
+            a, b = b, a
+        out = a.copy()
+        out[: b.size] += b
+        return Polynomial(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._coeffs_of(other)
+        if b is None:
             return NotImplemented
-        return Polynomial(npoly.polysub(self.coeffs, other.coeffs))
+        a = self.coeffs
+        if a.size >= b.size:
+            out = a.copy()
+            out[: b.size] -= b
+        else:
+            # x - y is x + (-y) bitwise
+            out = -b
+            out[: a.size] += a
+        return Polynomial(out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, Polynomial):
+            return Polynomial(np.convolve(self.coeffs, other.coeffs))
+        if not np.isscalar(other):
             return NotImplemented
-        return Polynomial(npoly.polymul(self.coeffs, other.coeffs))
+        # convolve adds each product to +0.0, so a -0.0 product gives +0.0
+        out = self.coeffs * float(other)
+        out += 0.0
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
@@ -147,9 +187,12 @@ def _barycentric_matrix(n: int, xs: np.ndarray):
     # one temporary, divided in place: on the residual search's 903 points
     # it is a fresh page-faulted allocation, so it is built once per point set
     terms = xs[:, None] - nodes[None, :]
-    exact_i, exact_j = np.nonzero(terms == 0.0)
-    # a point at a node gets a zero row with unit sum instead of inf / inf;
-    # the node's own value replaces its result
+    # a point at a node, or nearer to it than the smallest normal float
+    # (where w_j / (x - x_j) overflows), gets a zero row with unit sum
+    # instead of inf / inf; the node's own value replaces its result.  Two
+    # comparisons, as np.abs would make a second page-faulted temporary
+    tiny = np.finfo(float).tiny
+    exact_i, exact_j = np.nonzero((terms > -tiny) & (terms < tiny))
     terms[exact_i] = np.inf
     np.divide(weights, terms, out=terms)
     den = terms.sum(axis=1)

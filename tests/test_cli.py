@@ -1,4 +1,5 @@
 import importlib.resources
+import math
 import os
 import subprocess
 import sys
@@ -91,6 +92,21 @@ class TestSolve:
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert (tmp_path / "sol.coeffs.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_point_nearer_zero_than_tiny(self, runner, tmp_path):
+        # 1e-320 - 0 is below the smallest normal float: the point is node 0
+        rows = []
+        for x in ("1e-320", "0"):
+            out = tmp_path / f"{x}.csv"
+            res = runner.invoke(main, ["solve", _problem("example1_catalytic.ini"),
+                                       "--backend", "grid", "--abscissae", f"{x},0.5",
+                                       "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            assert res.stderr == ""
+            rows.append(out.read_text().splitlines())
+        assert rows[0] == rows[1]
+        assert all(math.isfinite(float(v)) for v in rows[0][1].split(","))
 
     def test_determinism(self, runner, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy_polynomial import OPERATORS, trim
 
 from gfadm import GridFunction, Polynomial, chebyshev_lobatto
 from gfadm.errors import UsageError
@@ -24,6 +27,39 @@ class TestPolynomial:
         assert np.allclose((p * q).coeffs, [0, 2, 2])
         assert np.allclose((2.0 * p).coeffs, [2, 2])
         assert np.allclose((1.0 - p).coeffs, [0, -1])
+
+
+# signed zeros, and coefficients whose products underflow to 0
+COEFF = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-200, -3e-190]))
+COEFFS = st.lists(COEFF, min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=COEFFS, b=COEFFS, s=st.one_of(COEFF, st.integers(-3, 3)), x=st.floats(-2, 2))
+@example(a=[1.0, 1e-200], b=[2.0, 1e-200], s=0.0, x=0.5)  # top coefficient underflows
+@example(a=[0.0, -0.0], b=[-0.0], s=-0.0, x=-0.0)  # zero polynomials
+@example(a=[-0.0, 1.0, 0.0], b=[0.0, 1.0], s=-2.0, x=1.0)  # -0.0 products of a number
+def test_operators_match_numpy_polynomial(a, b, s, x):
+    """Every operator is bitwise the numpy.polynomial one, signed zeros included."""
+    p, q = Polynomial(a), Polynomial(b)
+    assert p.coeffs.tobytes() == trim(a).tobytes()
+    op = OPERATORS
+    pairs = [
+        (p + q, op["__add__"](p, q)), (p + s, op["__add__"](p, s)),
+        (s + p, op["__radd__"](p, s)),
+        (p - q, op["__sub__"](p, q)), (q - p, op["__sub__"](q, p)),
+        (p - p, op["__sub__"](p, p)), (p - s, op["__sub__"](p, s)),
+        (s - p, op["__rsub__"](p, s)),
+        (p * q, op["__mul__"](p, q)), (q * p, op["__mul__"](q, p)),
+        (p * s, op["__mul__"](p, s)), (s * p, op["__rmul__"](p, s)),
+        (-p, op["__neg__"](p)), (p.derivative(), op["derivative"](p)),
+    ]
+    for fast, slow in pairs:
+        assert fast.coeffs.tobytes() == slow.coeffs.tobytes()
+    for xs in (x, np.array([x, -x, 0.5, 0.0])):
+        fast, slow = p(xs), op["__call__"](p, xs)
+        assert type(fast) is type(slow)
+        assert np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
 
 
 class TestGrid:
@@ -58,6 +94,13 @@ class TestGrid:
     def test_needs_two_values(self):
         with pytest.raises(UsageError):
             GridFunction([1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_point_nearer_a_node_than_tiny_is_the_node(self):
+        # w_j / (x - x_j) would overflow and give inf / inf
+        g = GridFunction(np.arange(1.0, 10.0))
+        assert g(1e-320) == g(0.0) == 1.0
+        assert np.array_equal(values_at([g], [1e-320, 0.0]), [[1.0, 1.0]])
 
     def test_scalar_call_returns_float(self):
         g = GridFunction(np.arange(9.0))

@@ -1,5 +1,6 @@
-"""Every module-level import of the gfadm modules is read by its module, and
-none of them imports scipy, at module level or inside a function."""
+"""Every module-level import of the gfadm modules is read by its module; none
+of them imports scipy, at module level or inside a function; and none uses
+numpy.polynomial beyond its Chebyshev and Legendre modules."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,36 @@ def test_no_scipy(path):
         elif isinstance(node, ast.ImportFrom) and node.module:
             modules.add(node.module)
     assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+# Polynomial does its arithmetic on plain arrays, bitwise as
+# numpy.polynomial.polynomial would; that module's per-call conversions
+# would be most of an exact solve again
+NUMPY_POLYNOMIAL_ALLOWED = {"chebyshev", "legendre"}
+
+
+def _dotted(node):
+    """``a.b.c`` for an attribute chain on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+@pytest.mark.parametrize("path", sorted(Path(gfadm.__file__).parent.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_numpy_polynomial_only_chebyshev_and_legendre(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names |= {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(_dotted(node))
+    used = set()
+    for parts in (name.split(".") for name in names if name):
+        if parts[0] in ("numpy", "np") and len(parts) > 2 and parts[1] == "polynomial":
+            used.add(parts[2])
+    assert sorted(used - NUMPY_POLYNOMIAL_ALLOWED) == []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy_polynomial import OPERATORS
 
 from gfadm import (
     DIRICHLET,
@@ -188,14 +189,18 @@ def test_psi_matches_term_sums(backend, make):
             assert sol.partial_sum(i, n, 0.37) == psi(0.37)
 
 
-def test_exact_backend_flat_dirichlet_matches_grid():
-    # a two-sided Dirichlet component runs on the exact backend through the
-    # closed-form dirichlet_dirichlet monomial images
+def _flat_dirichlet_problem():
     c1 = ComponentSpec.make("flat", left=DIRICHLET, left_value=1.0, a=1, b=0,
                             c=0.5, rhs="0.5*y1*y2 - x^2")
     c2 = ComponentSpec.make("flat", left=NEUMANN_ZERO, a=1, b=0, c=1,
                             rhs="0.3*y1^2 + 0.2*x*y2")
-    p = ProblemSpec(c1, c2)
+    return ProblemSpec(c1, c2)
+
+
+def test_exact_backend_flat_dirichlet_matches_grid():
+    # a two-sided Dirichlet component runs on the exact backend through the
+    # closed-form dirichlet_dirichlet monomial images
+    p = _flat_dirichlet_problem()
     exact = gfadm_solve(p, 6, backend=EXACT)
     grid = gfadm_solve(p, 6, backend=GRID)
     assert isinstance(exact.terms1[6], Polynomial)
@@ -203,6 +208,23 @@ def test_exact_backend_flat_dirichlet_matches_grid():
     for i in (1, 2):
         for n in range(7):
             assert np.max(np.abs(exact.psi(i, n)(xs) - grid.psi(i, n)(xs))) <= 1e-10
+
+
+@pytest.mark.parametrize("problem", [catalytic_problem, catalytic_symmetric_problem,
+                                     _flat_dirichlet_problem])
+def test_exact_solve_matches_numpy_polynomial(problem, monkeypatch):
+    """The exact backend's series is bitwise the one numpy.polynomial gives."""
+    p = problem()
+    fast = gfadm_solve(p, 11, backend=EXACT)
+    for name, op in OPERATORS.items():
+        monkeypatch.setattr(Polynomial, name, op)
+    slow = gfadm_solve(p, 11, backend=EXACT)
+    for name in ("terms1", "terms2", "rows1", "rows2"):
+        for a, b in zip(getattr(fast, name), getattr(slow, name), strict=True):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    for i in (1, 2):
+        for n in range(12):
+            assert fast.psi(i, n).coeffs.tobytes() == slow.psi(i, n).coeffs.tobytes()
 
 
 def test_non_finite_parameters_rejected():
