@@ -12,7 +12,9 @@ non-negative integer exponent):
 Expressions are immutable trees; evaluation is reentrant.  The same tree
 evaluates on scalars (or numpy arrays) and, through ``eval_series``, on
 :class:`TruncatedSeries` arguments over any coefficient ring, producing the
-truncated Taylor expansion of ``f(x, y1(lam), y2(lam))``.
+truncated Taylor expansion of ``f(x, y1(lam), y2(lam))``; ``expand_series``
+also records it on :class:`RunningSeries` arguments, to be extended one
+order at a time.
 """
 
 from __future__ import annotations
@@ -245,20 +247,27 @@ def eval_scalar(e: Expression, x, y1, y2):
 
 
 def eval_series(e: Expression, x, y1: TruncatedSeries, y2: TruncatedSeries):
-    """Taylor expansion of ``f(x, y1(lam), y2(lam))`` at the common order.
+    """Taylor expansion of ``f(x, y1(lam), y2(lam))`` at the common order."""
+    if y1.order != y2.order:
+        raise EvaluationError("series arguments must share the truncation order")
+    return expand_series(e, x, y1, y2)
 
-    ``x`` and the literals of f enter as elements of the coefficient ring of
-    y1 and y2: a float, the array of points the coefficients are values at,
-    or ``Polynomial.identity()`` for polynomial coefficients.  Operands of a
+
+def expand_series(e: Expression, x, y1, y2):
+    """``f(x, y1, y2)`` on series arguments of one type, as a series of it.
+
+    The type is :class:`TruncatedSeries` or :class:`RunningSeries`.  ``x``
+    and the literals of f enter as elements of the coefficient ring of y1
+    and y2: a float, the array of points the coefficients are values at, or
+    ``Polynomial.identity()`` for polynomial coefficients.  Operands of a
     division, and a result free of y1 and y2, become constant series of
     that ring, so a vanishing divisor is caught by the series division.
     """
-    if y1.order != y2.order:
-        raise EvaluationError("series arguments must share the truncation order")
     zero = 0.0 * y1
+    series = type(y1)
 
     def as_series(v):
-        return v if isinstance(v, TruncatedSeries) else zero + v
+        return v if isinstance(v, series) else zero + v
 
     out = evaluate(e, x, y1, y2, lambda c: c, lambda a, b: as_series(a) / as_series(b))
     return as_series(out)

@@ -15,6 +15,7 @@ Polynomial arithmetic runs on plain coefficient arrays, bitwise equal to
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -200,14 +201,31 @@ def _barycentric_matrix(n: int, xs: np.ndarray):
     return terms, den, (exact_i, exact_j)
 
 
-def _interpolate(matrix, values: np.ndarray) -> np.ndarray:
-    """Grid values interpolated through a barycentric matrix of their grid."""
+def _interpolate(matrix, values: np.ndarray, out: np.ndarray) -> None:
+    """Write the interpolant of grid values at a barycentric matrix's points.
+
+    Runs under ``np.errstate(over="ignore", invalid="ignore")``: a product
+    that overflows is left non-finite, for :func:`_rescale`.
+    """
     terms, den, (exact_i, exact_j) = matrix
     # one matrix-vector product per function: a stacked matmul may round
     # differently from the per-vector products
-    out = (terms @ values) / den
+    np.divide(terms @ values, den, out=out)
     out[exact_i] = values[exact_j]
-    return out
+
+
+def _rescale(matrix, values: np.ndarray, out: np.ndarray) -> None:
+    """Redo the non-finite points of an interpolation with scaled terms.
+
+    A point just farther than tiny from a node has a term near the largest
+    float, whose product with large values overflows.  Such a point's terms
+    are divided by their largest; every other point keeps its bits.
+    """
+    terms, _, (exact_i, exact_j) = matrix
+    redo = np.flatnonzero(~np.isfinite(out))
+    scaled = terms[redo] / np.abs(terms[redo]).max(axis=1, keepdims=True)
+    out[redo] = (scaled @ values) / scaled.sum(axis=1)
+    out[exact_i] = values[exact_j]
 
 
 def values_at(funcs, xs) -> np.ndarray:
@@ -218,15 +236,24 @@ def values_at(funcs, xs) -> np.ndarray:
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.empty((len(funcs), xs.size))
-    matrices = {}
+    grid = []
     for row, f in zip(out, funcs):
         if isinstance(f, GridFunction):
-            n = f.values.size - 1
-            if n not in matrices:
-                matrices[n] = _barycentric_matrix(n, xs)
-            row[:] = _interpolate(matrices[n], f.values)
+            grid.append((row, f.values))
         else:
             row[:] = f(xs)
+    if not grid:
+        return out
+    matrices = {}
+    # one errstate and one finiteness check for all the grid functions
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, v in grid:
+            if v.size not in matrices:
+                matrices[v.size] = _barycentric_matrix(v.size - 1, xs)
+            _interpolate(matrices[v.size], v, row)
+        if not np.isfinite(out).all():
+            for row, v in grid:
+                _rescale(matrices[v.size], v, row)
     return out
 
 
@@ -257,8 +284,14 @@ class GridFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        matrix = _barycentric_matrix(self.values.size - 1, np.atleast_1d(x))
-        out = _interpolate(matrix, self.values)
+        xs = np.atleast_1d(x)
+        matrix = _barycentric_matrix(self.values.size - 1, xs)
+        out = np.empty(xs.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _interpolate(matrix, self.values, out)
+            # math.isfinite is the cheaper check at one point, the common call
+            if not (math.isfinite(out[0]) if xs.size == 1 else np.isfinite(out).all()):
+                _rescale(matrix, self.values, out)
         return float(out[0]) if x.ndim == 0 else out
 
     def __add__(self, other: "GridFunction") -> "GridFunction":

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .adomian import adomian_coefficients, adomian_polynomial_rows
+from .adomian import adomian_coefficients, adomian_expansion, adomian_polynomial_rows
 from .errors import DegreeCapError, NumericError, UsageError
 from .expr import Expression, parse_expression
 from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, \
@@ -165,18 +165,20 @@ def _finite(data: np.ndarray, j: int, component: int) -> None:
         raise NumericError(f"term {j + 1} of component {component} is not finite")
 
 
-def _recurse(p: ProblemSpec, n_terms: int, base, rows, image) -> SolutionSeries:
+def _recurse(p: ProblemSpec, n_terms: int, base, x, rows, image) -> SolutionSeries:
     """y_{i,j} = image(G_i, A_{i,j-1}) for j = 1..n_terms from the terms ``base``.
 
-    ``rows(f, terms1, terms2)`` is the last Adomian row of f over the terms
-    so far; ``image(kernel, row, j, i)`` is the next term of component i
-    from its row j.
+    ``rows(f, terms1, terms2, expansion)`` is the last Adomian row of f over
+    the terms so far, through f's running expansion at ``x``;
+    ``image(kernel, row, j, i)`` is the next term of component i from its
+    row j.
     """
     kern = [c.kernel() for c in p.components]
+    expansions = [adomian_expansion(c.rhs, x) for c in p.components]
     terms = ([base[0]], [base[1]])
     adomian = ([], [])
     for j in range(n_terms):
-        new = [rows(c.rhs, *terms) for c in p.components]
+        new = [rows(c.rhs, *terms, e) for c, e in zip(p.components, expansions)]
         for i in range(2):
             adomian[i].append(new[i])
             # an image that overflows raises NumericError from the image's own
@@ -189,9 +191,9 @@ def _recurse(p: ProblemSpec, n_terms: int, base, rows, image) -> SolutionSeries:
 def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
     nodes = chebyshev_lobatto(grid_size)
 
-    def rows(f, terms1, terms2):
+    def rows(f, terms1, terms2, expansion):
         a = adomian_coefficients(f, nodes, [t.values for t in terms1],
-                                 [t.values for t in terms2])
+                                 [t.values for t in terms2], expansion)
         return GridFunction(a[-1])
 
     def image(kern, row, j, component):
@@ -208,12 +210,12 @@ def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
         return GridFunction(values)
 
     base = [GridFunction(b(nodes)) for b in build_baseline(p)]
-    return _recurse(p, n_terms, base, rows, image)
+    return _recurse(p, n_terms, base, nodes, rows, image)
 
 
 def _solve_exact(p: ProblemSpec, n_terms: int) -> SolutionSeries:
-    def rows(f, terms1, terms2):
-        return adomian_polynomial_rows(f, terms1, terms2)[-1]
+    def rows(f, terms1, terms2, expansion):
+        return adomian_polynomial_rows(f, terms1, terms2, expansion)[-1]
 
     def image(kern, row, j, component):
         out = Polynomial.zero()
@@ -228,7 +230,7 @@ def _solve_exact(p: ProblemSpec, n_terms: int) -> SolutionSeries:
         _finite(out.coeffs, j, component)
         return out
 
-    return _recurse(p, n_terms, build_baseline(p), rows, image)
+    return _recurse(p, n_terms, build_baseline(p), Polynomial.identity(), rows, image)
 
 
 def gfadm_solve(

@@ -11,6 +11,7 @@ from gfadm import (
     adomian_polynomial_rows,
     parse_expression,
 )
+from gfadm.adomian import adomian_expansion
 
 
 class TestPointwise:
@@ -172,3 +173,95 @@ def test_array_singular_division_carries_first_location():
         adomian_coefficients(parse_expression("y1/(x - 0.25)"), xs,
                              [np.ones(9)], [np.ones(9)])
     assert exc.value.location == pytest.approx(0.25)
+
+
+RUNNING_TEXTS = [
+    "x*y1^3 - 0.4*y1*y2 + 2 - x^2",
+    "1 - 5*y1*y2/((0.0001 + y1)*(0.0001 + y2)) + y2/(2 + x)",
+    "-(x - y1)/(3 - y2) - y1 + 0*y2",
+    "(y1 - x)*(2 - y2)^3 - -y2",
+    "x", "2", "y1",
+]
+
+
+def _random_terms(rng, shape, n):
+    """Terms with exact and negative zeros among them, for signed-zero paths."""
+    terms = [1.0 + rng.uniform(0.0, 0.5, size=shape)]
+    for _ in range(n):
+        t = rng.uniform(-0.3, 0.3, size=shape)
+        terms.append(np.where(rng.random(shape) < 0.3, rng.choice([0.0, -0.0]), t))
+    return terms
+
+
+@pytest.mark.parametrize("text", RUNNING_TEXTS)
+@pytest.mark.parametrize("steps", [[1] * 9, [3, 1, 5]], ids=["by_one", "by_chunks"])
+@pytest.mark.parametrize("x", [0.3, np.linspace(0.0, 1.0, 17)], ids=["point", "points"])
+def test_running_expansion_matches_one_shot(text, steps, x):
+    """Rows of a running expansion, extended in any steps, are the one-shot rows bitwise."""
+    f = parse_expression(text)
+    rng = np.random.default_rng(len(text))
+    y1_terms = _random_terms(rng, np.shape(x), 8)
+    y2_terms = _random_terms(rng, np.shape(x), 8)
+    expansion = adomian_expansion(f, x)
+    n = 0
+    for step in steps:
+        n += step
+        rows = adomian_coefficients(f, x, y1_terms[:n], y2_terms[:n], expansion)
+        fresh = adomian_coefficients(f, x, y1_terms[:n], y2_terms[:n])
+        assert rows.shape == fresh.shape and rows.tobytes() == fresh.tobytes()
+    assert expansion.order == 8
+
+
+@pytest.mark.parametrize("text", [RUNNING_TEXTS[0], RUNNING_TEXTS[3], "x", "y1"])
+def test_running_polynomial_rows_match_one_shot(text):
+    f = parse_expression(text)
+    rng = np.random.default_rng(len(text))
+    y1_terms = [Polynomial(c) for c in _random_terms(rng, 4, 6)]
+    y2_terms = [Polynomial(c) for c in _random_terms(rng, 3, 6)]
+    expansion = adomian_expansion(f, Polynomial.identity())
+    for n in range(1, 8):
+        rows = adomian_polynomial_rows(f, y1_terms[:n], y2_terms[:n], expansion)
+        fresh = adomian_polynomial_rows(f, y1_terms[:n], y2_terms[:n])
+        assert [r.coeffs.tobytes() for r in rows] == [r.coeffs.tobytes() for r in fresh]
+
+
+@pytest.mark.filterwarnings("error")
+def test_running_expansion_keeps_its_order_after_an_error():
+    f = parse_expression("1e200*y1^2 + y2/(1 + x)")
+    xs = np.linspace(0.0, 1.0, 3)
+    ones = [np.ones(3)] * 2
+    expansion = adomian_expansion(f, xs)
+    adomian_coefficients(f, xs, ones[:1], ones[:1], expansion)
+    with pytest.raises(NumericError, match="series arithmetic"):
+        adomian_coefficients(f, xs, [np.ones(3), np.full(3, 1e200)], ones, expansion)
+    assert expansion.order == 0
+    y1_terms = [np.ones(3), np.full(3, 0.5)]
+    rows = adomian_coefficients(f, xs, y1_terms, ones, expansion)
+    assert rows.tobytes() == adomian_coefficients(f, xs, y1_terms, ones).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_running_polynomial_rows_keep_their_order_after_an_error():
+    f = parse_expression("1e200*y1^2")
+    one = [Polynomial([1.0])]
+    expansion = adomian_expansion(f, Polynomial.identity())
+    adomian_polynomial_rows(f, one, one, expansion)
+    with pytest.raises(NumericError, match="Adomian row"):
+        adomian_polynomial_rows(f, one + [Polynomial([1e200])], one * 2, expansion)
+    assert expansion.order == 0
+    y1_terms = one + [Polynomial([0.0, 0.5])]
+    rows = adomian_polynomial_rows(f, y1_terms, one * 2, expansion)
+    fresh = adomian_polynomial_rows(f, y1_terms, one * 2)
+    assert [r.coeffs.tobytes() for r in rows] == [r.coeffs.tobytes() for r in fresh]
+
+
+def test_running_expansion_errors_as_one_shot():
+    xs = np.linspace(0.0, 1.0, 9)
+    f = parse_expression("y2/(y1 - 2*x)")
+    with pytest.raises(SingularDivisionError) as exc:
+        adomian_coefficients(f, xs, [np.ones(9)], [np.ones(9)], adomian_expansion(f, xs))
+    assert exc.value.location == 0.5
+    f = parse_expression("y1/(1 + y2)")
+    with pytest.raises(UnsupportedBackendError):
+        adomian_polynomial_rows(f, [Polynomial([1.0])], [Polynomial([1.0])],
+                                adomian_expansion(f, Polynomial.identity()))

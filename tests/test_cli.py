@@ -9,6 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 import gfadm
+import gfadm.solver
+from gfadm.adomian import adomian_coefficients, adomian_polynomial_rows
 from gfadm.cli import main
 
 PROBLEMS = importlib.resources.files("gfadm") / "problems"
@@ -217,6 +219,30 @@ class TestErrors:
         bad = ZERO_RHS.replace("rhs = 0", "rhs = 1/(y1 - 1)", 1)
         res = runner.invoke(main, ["solve", _write(tmp_path, bad)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("rhs, backend, code", [
+        ("1/(y1 - 1)", "grid", 2),
+        ("y2/(y1 - 2*x)", "grid", 2),
+        ("1e200*y1^2", "grid", 2),
+        ("1e200*y1^2", "poly", 2),
+        ("y1/(y1 + 1)", "poly", 1),
+    ])
+    def test_row_errors_exit_as_one_shot(self, runner, tmp_path, monkeypatch,
+                                         rhs, backend, code):
+        """The running expansion fails with the exit code of fresh expansions."""
+        bad = _write(tmp_path, ZERO_RHS.replace("rhs = 0", f"rhs = {rhs}", 1))
+        results = []
+        for _ in range(2):
+            res = runner.invoke(main, ["solve", bad, "--backend", backend,
+                                       "--out", str(tmp_path / "s.csv")])
+            results.append((res.exit_code, res.output))
+            monkeypatch.setattr(gfadm.solver, "adomian_coefficients",
+                                lambda f, x, t1, t2, e: adomian_coefficients(f, x, t1, t2))
+            monkeypatch.setattr(gfadm.solver, "adomian_polynomial_rows",
+                                lambda f, t1, t2, e: adomian_polynomial_rows(f, t1, t2))
+        assert results[0] == results[1]
+        assert results[0][0] == code
+        assert not (tmp_path / "s.csv").exists()
 
     def test_unsupported_backend_exit_1(self, runner, tmp_path):
         # the exact backend cannot expand the rational oxygen rates

@@ -6,7 +6,7 @@ from numpy_polynomial import OPERATORS, trim
 
 from gfadm import GridFunction, Polynomial, chebyshev_lobatto
 from gfadm.errors import UsageError
-from gfadm.grids import value_at_zero, values_at
+from gfadm.grids import _barycentric_matrix, value_at_zero, values_at
 
 
 class TestPolynomial:
@@ -102,10 +102,39 @@ class TestGrid:
         assert g(1e-320) == g(0.0) == 1.0
         assert np.array_equal(values_at([g], [1e-320, 0.0]), [[1.0, 1.0]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_point_just_past_tiny_from_a_node_does_not_overflow(self):
+        # w_0 / 3e-308 is near the largest float; times 100 it would overflow
+        g = GridFunction(np.full(9, 100.0))
+        assert g(3e-308) == 100.0
+        assert np.array_equal(values_at([g], [3e-308, 1.0 - 1e-16]), [[100.0, 100.0]])
+        big = GridFunction(np.linspace(-1e300, 1e300, 9))
+        assert big(3e-308) == -1e300
+
     def test_scalar_call_returns_float(self):
         g = GridFunction(np.arange(9.0))
         assert type(g(0.3)) is float
         assert type(g(0.0)) is float and g(0.0) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+def test_finite_products_keep_the_barycentric_formula(scale):
+    """Off the nodes, every finite interpolation is ``(terms @ v) / den`` bitwise.
+
+    Only a point whose product overflows is computed otherwise.
+    """
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([rng.random(50), [3e-308, 1e-300]])
+    v = scale * rng.standard_normal(65)
+    terms, den, _ = _barycentric_matrix(64, xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = (terms @ v) / den
+    finite = np.isfinite(plain)
+    g = GridFunction(v)
+    for got in (g(xs), values_at([g], xs)[0]):
+        assert np.array_equal(got[finite], plain[finite])
+        assert np.all(np.isfinite(got))
+    assert finite.sum() == (52 if scale == 1.0 else 50)
 
 
 @pytest.mark.filterwarnings("error")

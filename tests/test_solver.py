@@ -11,6 +11,7 @@ from gfadm import (
     DegreeCapError,
     NumericError,
     ProblemSpec,
+    SingularDivisionError,
     UnsupportedBackendError,
     UsageError,
     build_baseline,
@@ -21,7 +22,8 @@ from gfadm import (
     gfadm_solve,
     oxygen_problem,
 )
-from gfadm.adomian import adomian_coefficients
+import gfadm.solver
+from gfadm.adomian import adomian_coefficients, adomian_polynomial_rows
 from gfadm.grids import GridFunction, Polynomial
 
 
@@ -284,3 +286,119 @@ def test_robin_right_condition():
     sol = gfadm_solve(ProblemSpec(c1, c2), 1, backend=GRID)
     for x in (0.0, 0.5, 1.0):
         assert sol.partial_sum(1, 1, x) == pytest.approx(4 - x**2, abs=1e-9)
+
+
+def _robin_alpha1_problem():
+    c1 = ComponentSpec.make("lane_emden", alpha=1.0, left=NEUMANN_ZERO,
+                            a=1, b=0.5, c=1, rhs="y1^2 - 0.5*x*y2")
+    c2 = ComponentSpec.make("lane_emden", alpha=1.0, left=NEUMANN_ZERO,
+                            a=1, b=0.5, c=2, rhs="0.3*y1*y2")
+    return ProblemSpec(c1, c2)
+
+
+def _one_shot_rows(monkeypatch):
+    """Have the solver expand every row afresh, without its running expansion."""
+    monkeypatch.setattr(gfadm.solver, "adomian_coefficients",
+                        lambda f, x, t1, t2, expansion: adomian_coefficients(f, x, t1, t2))
+    monkeypatch.setattr(gfadm.solver, "adomian_polynomial_rows",
+                        lambda f, t1, t2, expansion: adomian_polynomial_rows(f, t1, t2))
+
+
+def _solve_bytes(p, n, backend):
+    """Every term and row of a solve as bytes, or the error it raises."""
+    try:
+        sol = gfadm_solve(p, n, backend=backend)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(t.values if backend == GRID else t.coeffs).tobytes()
+            for name in ("terms1", "terms2", "rows1", "rows2")
+            for t in getattr(sol, name)]
+
+
+RUNNING_PROBLEMS = BUNDLED + [_robin_alpha1_problem, _flat_dirichlet_problem]
+
+
+@pytest.mark.parametrize("n", [11, 20])
+@pytest.mark.parametrize("backend, make", [(GRID, m) for m in RUNNING_PROBLEMS]
+                         + [(EXACT, m) for m in EXACT_BUNDLED]
+                         + [(EXACT, _robin_alpha1_problem),
+                            (EXACT, _flat_dirichlet_problem)])
+def test_running_rows_match_one_shot(backend, make, n, monkeypatch):
+    """Rows from the running expansion are bitwise the one-shot rows."""
+    p = make()
+    running = _solve_bytes(p, n, backend)
+    _one_shot_rows(monkeypatch)
+    assert running == _solve_bytes(p, n, backend)
+    assert isinstance(running, list) or running[0] is DegreeCapError
+
+
+def _pole_problem():
+    # the divisor y1 - 2x vanishes at x = 0.5, a node of every even grid
+    c1 = ComponentSpec.make("lane_emden", alpha=2.0, c=1.0, rhs="y2/(y1 - 2*x)")
+    c2 = ComponentSpec.make("lane_emden", alpha=2.0, c=2.0, rhs="y1*y2")
+    return ProblemSpec(c1, c2)
+
+
+def _overflow_problem(rhs="1e200*y1^2"):
+    c1 = ComponentSpec.make("lane_emden", alpha=2.0, c=1.0, rhs=rhs)
+    c2 = ComponentSpec.make("lane_emden", alpha=2.0, c=2.0, rhs="0")
+    return ProblemSpec(c1, c2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make, backend, error", [
+    (_pole_problem, GRID, SingularDivisionError),
+    (_overflow_problem, GRID, NumericError),
+    (_overflow_problem, EXACT, NumericError),
+    # overflows in x alone, where the running expansion is built
+    (lambda: _overflow_problem("1e300*x*1e300*y1"), GRID, NumericError),
+    (lambda: _overflow_problem("1e300*x*1e300*y1"), EXACT, NumericError),
+    (lambda: oxygen_problem(2.0), EXACT, UnsupportedBackendError),
+])
+def test_running_rows_fail_as_one_shot(make, backend, error, monkeypatch):
+    p = make()
+    outcomes = []
+    for _ in range(2):
+        with pytest.raises(error) as exc:
+            gfadm_solve(p, 4, backend=backend)
+        outcomes.append((str(exc.value), getattr(exc.value, "location", None)))
+        _one_shot_rows(monkeypatch)
+    assert outcomes[0] == outcomes[1]
+    if error is SingularDivisionError:
+        assert outcomes[0][1] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("backend, name", [(GRID, "adomian_coefficients"),
+                                           (EXACT, "adomian_polynomial_rows")])
+@pytest.mark.parametrize("n", [1, 7])
+def test_one_row_call_per_step_and_component(backend, name, n, monkeypatch):
+    calls = []
+    original = getattr(gfadm.solver, name)
+
+    def counted(*args):
+        calls.append(len(args[-2]))
+        return original(*args)
+
+    monkeypatch.setattr(gfadm.solver, name, counted)
+    gfadm_solve(catalytic_problem(), n, backend=backend)
+    assert calls == [j + 1 for j in range(n) for _ in range(2)]
+
+
+def test_exact_row_work_is_quadratic(monkeypatch):
+    """A row of order j costs j + 1 products per series product, not O(j^2).
+
+    Catalytic has two series products per component (y1*y1 and y1*y2), so
+    n = 20 takes 4 * (1 + 2 + ... + 20) = 840 Polynomial products; expanding
+    every row afresh at each step took 6160.
+    """
+    products = []
+    original = Polynomial.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Polynomial):
+            products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    gfadm_solve(catalytic_problem(), 20, backend=EXACT)
+    assert len(products) == 840
