@@ -177,6 +177,9 @@ def _diff_matrix(n: int) -> np.ndarray:
     return d
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _barycentric_matrix(n: int, xs: np.ndarray):
     """The (points, nodes) barycentric terms of the n-grid at the points xs.
 
@@ -192,8 +195,7 @@ def _barycentric_matrix(n: int, xs: np.ndarray):
     # (where w_j / (x - x_j) overflows), gets a zero row with unit sum
     # instead of inf / inf; the node's own value replaces its result.  Two
     # comparisons, as np.abs would make a second page-faulted temporary
-    tiny = np.finfo(float).tiny
-    exact_i, exact_j = np.nonzero((terms > -tiny) & (terms < tiny))
+    exact_i, exact_j = np.nonzero((terms > -_TINY) & (terms < _TINY))
     terms[exact_i] = np.inf
     np.divide(weights, terms, out=terms)
     den = terms.sum(axis=1)
@@ -226,6 +228,27 @@ def _rescale(matrix, values: np.ndarray, out: np.ndarray) -> None:
     scaled = terms[redo] / np.abs(terms[redo]).max(axis=1, keepdims=True)
     out[redo] = (scaled @ values) / scaled.sum(axis=1)
     out[exact_i] = values[exact_j]
+
+
+def _value_at(values: np.ndarray, x: float) -> float:
+    """The interpolant of grid values at one point, without a matrix.
+
+    Bitwise the one-point row of :func:`_barycentric_matrix` and
+    :func:`_interpolate`, node hits and :func:`_rescale` included: the
+    terms ``w_j / (x - x_j)``, their sum and one dot product.
+    """
+    nodes, weights = _barycentric(values.size - 1)
+    terms = x - nodes
+    j = np.abs(terms).argmin()  # no two nodes are within tiny of one point
+    if -_TINY < terms[j] < _TINY:
+        return float(values[j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(weights, terms, out=terms)
+        out = (terms @ values) / terms.sum()
+        if not math.isfinite(out):
+            terms /= np.abs(terms).max()
+            out = (terms @ values) / terms.sum()
+    return float(out)
 
 
 def values_at(funcs, xs) -> np.ndarray:
@@ -271,7 +294,8 @@ class GridFunction:
 
     The grid follows from the number of values.  Evaluation between nodes
     uses the barycentric interpolation formula, through one matrix per
-    point set (see :func:`values_at`); differentiation uses the spectral
+    point set (see :func:`values_at`) or, at a single point, one row of
+    terms (:func:`_value_at`); differentiation uses the spectral
     differentiation matrix built from the same barycentric weights.
     """
 
@@ -284,15 +308,15 @@ class GridFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        xs = np.atleast_1d(x)
-        matrix = _barycentric_matrix(self.values.size - 1, xs)
-        out = np.empty(xs.size)
+        if x.ndim == 0:
+            return _value_at(self.values, float(x))
+        matrix = _barycentric_matrix(self.values.size - 1, x)
+        out = np.empty(x.size)
         with np.errstate(over="ignore", invalid="ignore"):
             _interpolate(matrix, self.values, out)
-            # math.isfinite is the cheaper check at one point, the common call
-            if not (math.isfinite(out[0]) if xs.size == 1 else np.isfinite(out).all()):
+            if not np.isfinite(out).all():
                 _rescale(matrix, self.values, out)
-        return float(out[0]) if x.ndim == 0 else out
+        return out
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.values + other.values)

@@ -9,9 +9,14 @@ node.  Each component has the regularity row ``(1 + alpha) y''(0) = f``
 ``alpha/x`` term inside, and a one-sided Robin row at x = 1.  Row i of the
 defect is ``L_i y_{i-1} + D_i y_i + U_i y_{i+1} - b_i - mask_i f_i(y_i)``,
 plus ``corner y_{M-2}`` in the Robin row; ``L`` and ``U`` are diagonal.
-The Jacobian has the same blocks with ``D_i - mask_i df_i/dy_j``.  One row
-operation with row M-1 moves the corner term into the band, and block
-cyclic reduction solves the block-tridiagonal system.
+The Jacobian has the same blocks with ``D_i - mask_i df_i/dy_j``; its four
+central-difference perturbations are columns of one evaluation of each
+component's f.  One row operation with row M-1 moves the corner term into
+the band, and block cyclic reduction solves the block-tridiagonal system:
+each level takes one product for the odd nodes, two for the even nodes'
+update and one to recover the odd nodes, and a dense solve finishes once
+32 or fewer blocks remain.  A Newton step whose 20 halvings all fail to lower the
+defect norm ends the solve with :class:`NoConvergenceError`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from .solver import NEUMANN_ZERO, ProblemSpec, build_baseline
 
 NEWTON_TOL = 1e-10
 MAX_ITERS = 50
+# per unknown j, the multiple of eps_j added in each perturbed column
+_PERTURB = np.array([[1.0, -1.0, 0.0, -0.0], [0.0, -0.0, 1.0, -1.0]])
 
 
 @dataclass
@@ -72,9 +79,29 @@ def _system(p: ProblemSpec, M: int):
         di[M, k] += c.a
         b[M, k], mask[M, k] = c.c, 0.0
 
-    def f(z):
-        return np.stack([eval_scalar(c.rhs, x, z[:, 0], z[:, 1])
-                         for c in p.components], axis=1)
+    # stencil blocks: diagonal, the same at every Newton step
+    blocks = [v[:, :, None] * np.eye(2) for v in (lo, di, up)]
+    last = [None, None]  # the unknowns f was last evaluated at, and its values
+
+    def values(z):
+        """eps and f at z and at z + e_0, z - e_0, z + e_1, z - e_1 (e_j = eps_j
+        at unknown j), as ``(2, 5, M+1)``: component, column, node.
+
+        One evaluation per component.  The defect and the Jacobian at the
+        same array z share it (an iterate is never changed in place), so the
+        accepted trial of a Newton step serves the next Jacobian.
+        """
+        if last[0] is not z:
+            eps = 1e-7 * (1.0 + np.abs(z.T))
+            zs = np.empty((2, 5, n))
+            zs[:, 0] = z.T
+            # the signed zeros make each column the sum of its own perturbation
+            zs[:, 1:] = z.T[:, None] + eps[:, None] * _PERTURB[:, :, None]
+            fs = np.empty_like(zs)
+            for f, c in zip(fs, p.components):  # broadcast: f may not read y1, y2
+                f[:] = eval_scalar(c.rhs, x, zs[0], zs[1])
+            last[:] = z, (eps, fs)
+        return last[1]
 
     def defect(z):
         az = np.zeros_like(z)
@@ -82,29 +109,33 @@ def _system(p: ProblemSpec, M: int):
         az[M] += corner * z[M - 2]
         az += di * z
         az[:-1] += up[:-1] * z[1:]
-        return az - b - mask * f(z)
+        return az - b - mask * values(z)[1][:, 0].T
 
     def jacobian(z):
-        eps = 1e-7 * (1.0 + np.abs(z))
-        low, mid, upp = (v[:, :, None] * np.eye(2) for v in (lo, di, up))
-        for j in (0, 1):  # column j of each block: df_1/dy_j and df_2/dy_j
-            e = np.zeros_like(z)
-            e[:, j] = eps[:, j]
-            mid[:, :, j] -= mask * (f(z + e) - f(z - e)) / (2.0 * eps[:, j, None])
-        return low, mid, upp
+        eps, fs = values(z)
+        # entry (k, j) of block i: mask_ik df_k/dy_j, from the columns of unknown j
+        df = mask.T[:, None] * (fs[:, 1::2] - fs[:, 2::2]) / (2.0 * eps[None])
+        low, mid, upp = blocks
+        return low.copy(), mid - df.transpose(2, 0, 1), upp.copy()
 
     return x, corner, defect, jacobian
 
 
-def _inv2(a: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of 2x2 matrices (non-finite where one is singular)."""
-    inv = np.stack([a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]], axis=1)
-    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    return inv.reshape(a.shape) / det[:, None, None]
+DENSE_BLOCKS = 32  # block cyclic reduction hands systems this small to one dense solve
 
 
-def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (a @ v[..., None])[..., 0]
+def _solve_dense(low, mid, upp, rhs):
+    """:func:`_solve_blocks` through one dense matrix; NaN if it is singular."""
+    n = len(mid)
+    a = np.zeros((n, 2, n, 2))
+    i = np.arange(n)
+    a[i, :, i, :] = mid
+    a[i[1:], :, i[:-1], :] = low[1:]
+    a[i[:-1], :, i[1:], :] = upp[:-1]
+    try:
+        return np.linalg.solve(a.reshape(2 * n, 2 * n), rhs.ravel()).reshape(n, 2)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        return np.full_like(rhs, np.nan)
 
 
 def _solve_blocks(low, mid, upp, rhs):
@@ -112,26 +143,43 @@ def _solve_blocks(low, mid, upp, rhs):
 
     Block cyclic reduction (Buzbee, Golub & Nielson 1970): eliminate the odd
     nodes in one batched step, solve for the even ones recursively, then
-    recover the odd ones.
+    recover the odd ones.  Non-finite where a block to invert is singular.
     """
-    if len(mid) == 1:
-        return _mv(_inv2(mid), rhs)
-    inv = _inv2(mid[1::2])  # odd nodes: x_o = g - a x_{o-1} - c x_{o+1}
-    a, c, g = inv @ low[1::2], inv @ upp[1::2], _mv(inv, rhs[1::2])
-    low_e, upp_e, mid_e, rhs_e = low[::2], upp[::2], mid[::2].copy(), rhs[::2].copy()
-    ne, no = len(mid_e), len(g)  # even node k reads odd k - 1 (k >= 1) and odd k (k < no)
-    mid_e[1:] -= low_e[1:] @ c[: ne - 1]
-    mid_e[:no] -= upp_e[:no] @ a
-    rhs_e[1:] -= _mv(low_e[1:], g[: ne - 1])
-    rhs_e[:no] -= _mv(upp_e[:no], g)
-    low_r, upp_r = np.zeros_like(mid_e), np.zeros_like(mid_e)
-    low_r[1:] = -low_e[1:] @ a[: ne - 1]
-    upp_r[:no] = -upp_e[:no] @ c
-    xe = _solve_blocks(low_r, mid_e, upp_r, rhs_e)
-    xo = g - _mv(a, xe[:no])
-    xo[: ne - 1] -= _mv(c[: ne - 1], xe[1:])
-    x = np.empty_like(rhs)
-    x[::2], x[1::2] = xe, xo
+    return _reduce(mid, np.concatenate((low, upp, rhs[:, :, None]), axis=2))
+
+
+_ADJ, _ADJ_SIGN = [3, 1, 2, 0], np.array([1.0, -1.0, -1.0, 1.0])  # adjugate of a flat 2x2
+
+
+def _reduce(mid, s):
+    """:func:`_solve_blocks` with ``s = [low | upp | rhs]``, ``(n, 2, 5)``."""
+    n = len(mid)
+    if n <= DENSE_BLOCKS:
+        return _solve_dense(s[:, :, 0:2], mid, s[:, :, 2:4], s[:, :, 4])
+    ne, no = n - n // 2, n // 2
+    # odd nodes: x_o = g - a x_{o-1} - c x_{o+1}, [a | c | g] = mid^-1 [low | upp | rhs]
+    m = mid[1::2].reshape(no, 4)
+    det = m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]
+    acg = (m[:, _ADJ] * _ADJ_SIGN / det[:, None]).reshape(no, 2, 2) @ s[1::2]
+    # even node k reads odd k - 1 through its low and odd k through its upp
+    lo = s[2::2, :, 0:2] @ acg[: ne - 1]
+    up = s[: 2 * no : 2, :, 2:4] @ acg
+    mid_e = mid[::2].copy()
+    mid_e[1:] -= lo[:, :, 2:4]
+    mid_e[:no] -= up[:, :, 0:2]
+    # the rest is the even nodes' new [low | upp | rhs]: -low a, -upp c, rhs - low g - upp g
+    lo[:, :, 2:4] = up[:, :, 0:2] = 0.0
+    s_e = np.zeros((ne, 2, 5))
+    s_e[:, :, 4] = s[::2, :, 4]
+    s_e[1:] -= lo
+    s_e[:no] -= up
+    xe = _reduce(mid_e, s_e)
+    # each odd node's even neighbours (x_{o-1}, x_{o+1}); a zero past the end
+    pad = xe if ne > no else np.concatenate((xe, np.zeros((1, 2))))
+    nbrs = np.concatenate((pad[:-1], pad[1:]), axis=1)
+    x = np.empty((n, 2))
+    x[::2] = xe
+    x[1::2] = acg[:, :, 4] - (acg[:, :, :4] @ nbrs[:, :, None])[:, :, 0]
     return x
 
 
@@ -169,4 +217,8 @@ def fd_solve(p: ProblemSpec, M: int = 256) -> OracleSolution:
             r_trial = defect(trial)
             if (trial_norm := float(np.max(np.abs(r_trial)))) < norm:
                 break
+        else:
+            raise NoConvergenceError(
+                f"Newton step {it + 1}: no damping of the step down to 2^-19 lowers "
+                f"the defect norm {norm:g}", norm)
         z, r, norm = trial, r_trial, trial_norm

@@ -138,6 +138,29 @@ def test_finite_products_keep_the_barycentric_formula(scale):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_one_point_call_matches_matrix_row(n):
+    """A call at one point is bitwise the one-point row of the matrix path.
+
+    Off the nodes, at them, nearer to them than tiny, just farther, and
+    where the products overflow and the terms are rescaled.
+    """
+    rng = np.random.default_rng(n)
+    nodes = chebyshev_lobatto(n)
+    tiny = np.finfo(float).tiny
+    xs = np.concatenate([rng.random(200), nodes, nodes + tiny / 2, nodes - tiny / 2,
+                         nodes + 2 * tiny, [3e-308, 1e-300, 1e-320, -0.0]])
+    for scale in (1.0, 100.0, 1e300):
+        g = GridFunction(scale * rng.standard_normal(n + 1))
+        for x in xs:
+            one = g(float(x))
+            assert type(one) is float
+            assert (np.float64(one).tobytes() == g(np.array([x])).tobytes()
+                    == values_at([g], [x]).tobytes())
+    assert GridFunction(np.full(9, 100.0))(3e-308) == 100.0
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [8, 64])
 def test_values_at_matches_own_calls(n):
     """Each row of the shared-matrix evaluation is bitwise the function's call.

@@ -1,6 +1,7 @@
 """Every module-level import of the gfadm modules is read by its module; none
-of them imports scipy, at module level or inside a function; and none uses
-numpy.polynomial beyond its Chebyshev and Legendre modules."""
+of them imports scipy, at module level or inside a function; none uses
+numpy.polynomial beyond its Chebyshev and Legendre modules; and the oracle
+imports none of the series solver's machinery."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,33 @@ def test_numpy_polynomial_only_chebyshev_and_legendre(path):
         if parts[0] in ("numpy", "np") and len(parts) > 2 and parts[1] == "polynomial":
             used.add(parts[2])
     assert sorted(used - NUMPY_POLYNOMIAL_ALLOWED) == []
+
+
+# the finite-difference oracle checks the series solver, so it shares only
+# the expression evaluator and the baseline with it (through solver)
+ORACLE_FORBIDDEN = {"kernels", "grids", "series", "adomian"}
+
+
+def _gfadm_modules(tree):
+    """The gfadm modules a module imports, by name, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "gfadm" + "." * bool(node.module) if node.level else ""
+            module = base + (node.module or "")
+            names.add(module)
+            names |= {f"{module}.{a.name}" for a in node.names}
+    return {n.split(".")[1] for n in names if n.startswith("gfadm.")}
+
+
+def test_oracle_imports_no_series_machinery():
+    tree = ast.parse((Path(gfadm.__file__).parent / "oracle.py").read_text())
+    assert "solver" in _gfadm_modules(tree)
+    assert sorted(_gfadm_modules(tree) & ORACLE_FORBIDDEN) == []
+    # the check sees each spelling of an import of a forbidden module
+    for line in ("from .grids import GridFunction", "from . import kernels",
+                 "import gfadm.series", "from gfadm import adomian",
+                 "def f():\n    from .series import TruncatedSeries"):
+        assert _gfadm_modules(ast.parse(line)) & ORACLE_FORBIDDEN, line

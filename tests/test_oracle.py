@@ -17,6 +17,7 @@ from gfadm import (
     oxygen_problem,
 )
 from gfadm import oracle
+from gfadm.expr import eval_scalar
 from gfadm.oracle import _solve_blocks, _system
 
 
@@ -126,7 +127,96 @@ def test_jacobian_is_derivative_of_defect(name):
     assert np.allclose(jac, fd, rtol=1e-6, atol=1e-6)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 512, 513])
+def _with_rhs(*rhs):
+    """Lane-Emden and flat Dirichlet components with the right-hand sides rhs."""
+    c1 = ComponentSpec.make("lane_emden", alpha=2.0, left=NEUMANN_ZERO,
+                            a=1, b=0.5, c=1.0, rhs=rhs[0])
+    c2 = ComponentSpec.make("flat", left=DIRICHLET, left_value=0.5,
+                            a=1, b=0, c=1.0, rhs=rhs[1])
+    return ProblemSpec(c1, c2)
+
+
+# the five PROBLEMS and right-hand sides free of y1 and y2
+JACOBIAN_CASES = {**PROBLEMS,
+                  "constants": lambda: _with_rhs("-6", "2"),
+                  "x_only": lambda: _with_rhs("x", "3*x - 1"),
+                  "mixed": lambda: _with_rhs("x*y2", "2")}
+
+
+def _per_column_blocks(p, M, z, monkeypatch):
+    """The Jacobian blocks with one evaluation of f per perturbed column."""
+    x, _, _, jacobian = _system(p, M)
+    with monkeypatch.context() as m:  # f = 0 leaves the stencil's blocks
+        m.setattr(oracle, "eval_scalar",
+                  lambda e, x, y1, y2: np.zeros(np.broadcast(x, y1, y2).shape))
+        low, mid, upp = jacobian(z)
+    mask = np.ones_like(z)
+    mask[M] = 0.0
+    for k, c in enumerate(p.components):
+        if c.left_kind != NEUMANN_ZERO:
+            mask[0, k] = 0.0
+
+    def f(z):
+        return np.stack([np.broadcast_to(eval_scalar(c.rhs, x, z[:, 0], z[:, 1]), x.shape)
+                         for c in p.components], axis=1)
+
+    eps = 1e-7 * (1.0 + np.abs(z))
+    for j in (0, 1):
+        e = np.zeros_like(z)
+        e[:, j] = eps[:, j]
+        mid[:, :, j] -= mask * (f(z + e) - f(z - e)) / (2.0 * eps[:, j, None])
+    return low, mid, upp
+
+
+@pytest.mark.parametrize("name", JACOBIAN_CASES)
+def test_stacked_jacobian_is_per_column_bitwise(name, monkeypatch):
+    # the four perturbations evaluated as columns of one call per component
+    # give the blocks of one evaluation per perturbed column, bit for bit
+    M = 64
+    p = JACOBIAN_CASES[name]()
+    x, _, _, jacobian = _system(p, M)
+    z = np.stack([1.0 + 0.3 * x**2, 1.5 - 0.2 * x], axis=1)
+    z += 0.01 * np.random.default_rng(1).standard_normal(z.shape)
+    z[3] = -0.0  # signed zeros stay as the per-column sums leave them
+    for got, want in zip(jacobian(z), _per_column_blocks(p, M, z, monkeypatch)):
+        assert got.tobytes() == want.tobytes()
+
+
+def _counting(monkeypatch):
+    """Count eval_scalar calls and defect evaluations in later fd_solve calls."""
+    counts = {"eval": 0, "defect": 0}
+    system = oracle._system
+
+    def eval_counted(*args):
+        counts["eval"] += 1
+        return eval_scalar(*args)
+
+    def counted(p, M):
+        x, corner, defect, jacobian = system(p, M)
+
+        def defect_counted(z):
+            counts["defect"] += 1
+            return defect(z)
+
+        return x, corner, defect_counted, jacobian
+
+    monkeypatch.setattr(oracle, "eval_scalar", eval_counted)
+    monkeypatch.setattr(oracle, "_system", counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_one_evaluation_per_component_per_newton_step(name, monkeypatch):
+    # each defect evaluation makes one call per component, and the Jacobian
+    # reuses the call of the defect at the same unknowns: the first guess's
+    # and one trial per Newton step, as no step here needs halving
+    counts = _counting(monkeypatch)
+    sol = fd_solve(PROBLEMS[name](), M=64)
+    assert counts["defect"] == sol.iterations + 1
+    assert counts["eval"] == 2 * counts["defect"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 64, 65, 512, 513, 1025])
 def test_block_solver_matches_dense(n):
     rng = np.random.default_rng(n)
     low, upp = rng.uniform(-1, 1, (2, n, 2, 2))
@@ -138,22 +228,66 @@ def test_block_solver_matches_dense(n):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.filterwarnings("error")  # the typed error is the only report
-def test_singular_jacobian(monkeypatch):
-    # a zero block row makes the Jacobian singular and one block singular
+def _zero_block(index):
+    """fd_solve's system with every block of row ``index`` zeroed."""
     def singular(p, M):
         x, corner, defect, jacobian = _system(p, M)
 
         def zero_row(z):
             low, mid, upp = jacobian(z)
-            low[5] = mid[5] = upp[5] = 0.0
+            low[index] = mid[index] = upp[index] = 0.0
             return low, mid, upp
 
         return x, corner, defect, zero_row
 
-    monkeypatch.setattr(oracle, "_system", singular)
+    return singular
+
+
+@pytest.mark.filterwarnings("error")  # the typed error is the only report
+def test_singular_jacobian(monkeypatch):
+    # a zero block row makes the Jacobian singular and one block singular
+    monkeypatch.setattr(oracle, "_system", _zero_block(5))
     with pytest.raises(NoConvergenceError, match="singular Jacobian"):
         fd_solve(catalytic_problem(), M=64)
+
+
+@pytest.mark.filterwarnings("error")
+def test_singular_jacobian_in_dense_base(monkeypatch):
+    # of 65 block rows, row 32 stays even through two levels of reduction
+    # (65 -> 33 -> 17 rows) and is never inverted: only the dense solve of
+    # the last 17 rows meets its zero pivot
+    rng = np.random.default_rng(7)
+    low, upp = rng.uniform(-1, 1, (2, 65, 2, 2))
+    mid = 5.0 * np.eye(2) + rng.uniform(-1, 1, (65, 2, 2))
+    low[32] = mid[32] = upp[32] = 0.0
+    solve_dense = oracle._solve_dense
+    reached = []
+
+    def spy(low, mid, upp, rhs):
+        reached.append(len(mid))
+        return solve_dense(low, mid, upp, rhs)
+
+    monkeypatch.setattr(oracle, "_solve_dense", spy)
+    assert not np.isfinite(_solve_blocks(low, mid, upp, rng.standard_normal((65, 2)))).any()
+    assert reached == [17]
+    monkeypatch.setattr(oracle, "_system", _zero_block(32))
+    with pytest.raises(NoConvergenceError, match="singular Jacobian"):
+        fd_solve(catalytic_problem(), M=64)
+
+
+@pytest.mark.filterwarnings("error")
+def test_failed_line_search_stops_newton(monkeypatch):
+    # y'' = -5 - 5 y^2 with y(0) = y(1) = 0 has no solution near the first
+    # guess: a step whose 20 halvings all raise the defect ends the solve
+    c = ComponentSpec.make("flat", left=DIRICHLET, left_value=0.0,
+                           a=1, b=0, c=0, rhs="-5 - 5*y1^2")
+    counts = _counting(monkeypatch)
+    with pytest.raises(NoConvergenceError, match=r"Newton step \d+: .* defect norm") as err:
+        fd_solve(_pair(c), M=256)
+    step = int(str(err.value).split()[2].rstrip(":"))
+    assert f"{err.value.last_residual:g}" in str(err.value)
+    # it stops at the failed step: the first guess, then at most 20 trials a step
+    assert step < oracle.MAX_ITERS and counts["defect"] <= 20 * step + 1
 
 
 def _on_grid(M, fn):
@@ -232,6 +366,13 @@ REFERENCE = {
          0.3704558175601303, 0.37948757581042736, 0.4047730326426753,
          0.44540448256927717, 0.5], 3),
 }
+
+
+@pytest.mark.parametrize("name", REFERENCE)
+def test_newton_steps_at_1024(name):
+    # the step counts at M = 1024 that the REFERENCE solves' code took
+    steps = {"catalytic": 3, "symmetric": 3, "oxygen": 2, "co2_pge": 2, "robin": 3}
+    assert fd_solve(PROBLEMS[name](), M=1024).iterations == steps[name]
 
 
 @pytest.mark.parametrize("name", REFERENCE)
