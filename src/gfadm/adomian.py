@@ -6,19 +6,21 @@ The rows A_0..A_n of a nonlinearity f are the Taylor coefficients of
 arithmetic is definitionally exact at the truncation order and needs no
 per-nonlinearity derivation.
 
-One expansion serves every coefficient ring of :class:`TruncatedSeries`:
-one point x (float rows), an array of points (the rows at all of them in
-one call, as the grid backend and the residual search use), or
-``x = Polynomial.identity()`` with polynomial terms (rows as exact
-polynomials in x, for the exact backend; polynomial f only).
+An expansion of f (:func:`adomian_expansion`) is f recorded on a
+:class:`~gfadm.series.SeriesTape` whose variables are y1 and y2.  It
+serves every coefficient ring of the tape: one point x (float rows), an
+array of points (the rows at all of them in one call, as the grid backend
+and the residual search use), or ``x = Polynomial.identity()`` with
+polynomial terms (rows as exact polynomials in x, for the exact backend;
+polynomial f only).
 
-A solve needs row j at step j, from the terms 0..j.  Expanding afresh at
-each step would redo rows 0..j-1 every time, O(n^3) row work in all.  The
-solver instead keeps a running expansion of each nonlinearity
-(:func:`adomian_expansion`, built once per point set) and passes it to
-every call; a call then computes only the rows of the terms the expansion
-has not seen, each coefficient once, so a solve's row work is O(n^2).  The
-rows are bitwise those of the one-shot expansion.
+Every call extends an expansion to the terms it is given.  Without one, a
+call records a fresh expansion and extends it once, by all the rows, each
+intermediate block freed after its last use.  A solve needs row j at step
+j, from the terms 0..j; the solver keeps one expansion of each
+nonlinearity and passes it to every call, which then computes only the
+row of the new term, each coefficient once, so a solve's row work is
+O(n^2) instead of O(n^3).  The rows are bitwise the same either way.
 """
 
 from __future__ import annotations
@@ -26,22 +28,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, SingularDivisionError, UnsupportedBackendError
-from .expr import Expression, eval_series, expand_series
+from .expr import Expression, eval_series
 from .grids import Polynomial
-from .series import RunningSeries, SeriesTape, TruncatedSeries
+from .series import RunningSeries, SeriesTape
 
 
 def adomian_expansion(f: Expression, x) -> RunningSeries:
-    """The running expansion of f at x, for the ``expansion`` argument below.
+    """The expansion of f at x, for the ``expansion`` argument below.
 
-    ``x`` is what the calls it serves pass: the array of points, or
-    ``Polynomial.identity()`` for :func:`adomian_polynomial_rows`.
+    ``x`` is what the calls it serves pass: a point, the array of points,
+    or ``Polynomial.identity()`` for :func:`adomian_polynomial_rows`.
     """
     y1, y2 = SeriesTape(2).variables
     # the parts of f in x alone are computed here; one that overflows makes
     # a non-finite coefficient, which raises NumericError in the first call
     with np.errstate(over="ignore", invalid="ignore"):
-        return expand_series(f, x, y1, y2)
+        return eval_series(f, x, y1, y2)
 
 
 def adomian_coefficients(f: Expression, x, y1_terms, y2_terms,
@@ -52,31 +54,32 @@ def adomian_coefficients(f: Expression, x, y1_terms, y2_terms,
     an array of values at them, and the rows have shape ``(n+1,)`` or
     ``(n+1, len(x))``.  With an ``expansion`` of f at x, only the rows of
     the terms it has not seen are computed; the terms it has seen must be
-    the ones it saw.  A vanishing denominator raises
-    :class:`SingularDivisionError` at the first point where it vanishes.
+    the ones it saw.  Empty term lists raise :class:`OrderMismatchError`.
+    A vanishing denominator raises :class:`SingularDivisionError` at the
+    first point where it vanishes.
     """
     if len(y1_terms) != len(y2_terms):
         raise UnsupportedBackendError("term lists must have equal length")
-    seen = 0 if expansion is None else expansion.order + 1
+    fresh = expansion is None
     try:
         # overflow raises NumericError from the finiteness checks below and
         # in the series arithmetic, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            if expansion is None:
-                rows = eval_series(f, x, TruncatedSeries(y1_terms),
-                                   TruncatedSeries(y2_terms)).coeffs
-            else:
-                expansion.tape.extend(y1_terms, y2_terms)
-                rows = np.array(expansion.coeffs)
+            if fresh:  # as adomian_expansion, inside this errstate
+                expansion = eval_series(f, x, *SeriesTape(2).variables)
+            seen = expansion.order + 1
+            tape = expansion.tape
+            (tape.extend_once if fresh else tape.extend)(y1_terms, y2_terms)
     except SingularDivisionError as exc:
         where = float(np.ravel(x)[exc.index])
         raise SingularDivisionError(str(exc), location=where) from None
+    # a kept expansion's buffer is not handed out
+    rows = expansion.coeffs if fresh else expansion.coeffs.copy()
     # series arithmetic checks float coefficients as it goes; checking
     # Polynomial ones on every operation would slow the exact backend
     if rows.dtype == object and not all(np.all(np.isfinite(r.coeffs))
                                         for r in rows[seen:]):
-        if expansion is not None:
-            expansion.tape.cut(seen - 1)
+        expansion.tape.cut(seen - 1)
         raise NumericError("non-finite coefficient in an Adomian row")
     return rows
 

@@ -10,11 +10,11 @@ non-negative integer exponent):
     atom   := NUMBER | 'x' | 'y1' | 'y2' | '(' expr ')'
 
 Expressions are immutable trees; evaluation is reentrant.  The same tree
-evaluates on scalars (or numpy arrays) and, through ``eval_series``, on
-:class:`TruncatedSeries` arguments over any coefficient ring, producing the
-truncated Taylor expansion of ``f(x, y1(lam), y2(lam))``; ``expand_series``
-also records it on :class:`RunningSeries` arguments, to be extended one
-order at a time.
+evaluates on scalars (or numpy arrays) through ``eval_scalar`` and, through
+``eval_series``, on the :class:`~gfadm.series.RunningSeries` variables of a
+:class:`~gfadm.series.SeriesTape`: that records the truncated Taylor
+expansion of ``f(x, y1(lam), y2(lam))`` over any coefficient ring, to be
+computed when the tape is extended.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ExpressionError
-from .series import TruncatedSeries
+from .errors import EvaluationError, ExpressionError, OrderMismatchError
+from .series import RunningSeries
 
 
 @dataclass(frozen=True)
@@ -226,48 +226,50 @@ def evaluate(e: Expression, x, y1, y2, lift, div=operator.truediv):
             return out
         raise TypeError(f"not an expression node: {e!r}")
 
-    return ev(e)
+    try:
+        return ev(e)
+    finally:
+        del ev  # ev refers to itself; freed now, not at the next collection
 
 
 def eval_scalar(e: Expression, x, y1, y2):
-    """Evaluate on floats (or numpy arrays, elementwise)."""
-    scalar = np.isscalar(x) and np.isscalar(y1) and np.isscalar(y2)
+    """Evaluate on floats (or numpy arrays, elementwise).
 
-    def lift(c):
-        return c if scalar else np.full(np.broadcast(x, y1, y2).shape, c)
-
+    With array arguments the result has their broadcast shape, also when
+    it does not depend on all of them.
+    """
     try:
         with np.errstate(divide="raise", invalid="raise"):
-            val = evaluate(e, x, y1, y2, lift)
+            val = evaluate(e, x, y1, y2, float)
     except (ZeroDivisionError, FloatingPointError) as exc:
         raise EvaluationError(f"division by zero while evaluating: {exc}") from exc
     if not np.all(np.isfinite(val)):
         raise EvaluationError("non-finite value while evaluating expression")
-    return float(val) if scalar else np.asarray(val, dtype=float)
+    if np.isscalar(x) and np.isscalar(y1) and np.isscalar(y2):
+        return float(val)
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y1), np.shape(y2))
+    return np.asarray(val, dtype=float) if np.shape(val) == shape else np.full(shape, val)
 
 
-def eval_series(e: Expression, x, y1: TruncatedSeries, y2: TruncatedSeries):
-    """Taylor expansion of ``f(x, y1(lam), y2(lam))`` at the common order."""
-    if y1.order != y2.order:
-        raise EvaluationError("series arguments must share the truncation order")
-    return expand_series(e, x, y1, y2)
+def eval_series(e: Expression, x, y1: RunningSeries, y2: RunningSeries) -> RunningSeries:
+    """Record ``f(x, y1, y2)`` on the tape of the series y1 and y2.
 
-
-def expand_series(e: Expression, x, y1, y2):
-    """``f(x, y1, y2)`` on series arguments of one type, as a series of it.
-
-    The type is :class:`TruncatedSeries` or :class:`RunningSeries`.  ``x``
-    and the literals of f enter as elements of the coefficient ring of y1
-    and y2: a float, the array of points the coefficients are values at, or
-    ``Polynomial.identity()`` for polynomial coefficients.  Operands of a
-    division, and a result free of y1 and y2, become constant series of
-    that ring, so a vanishing divisor is caught by the series division.
+    ``x`` and the literals of f enter as elements of the coefficient ring
+    of y1 and y2: a float, the array of points the coefficients are values
+    at, or ``Polynomial.identity()`` for polynomial coefficients.  Operands
+    of a division, and a result free of y1 and y2, become constant series
+    of that ring, so a vanishing divisor is caught by the series division.
     """
-    zero = 0.0 * y1
-    series = type(y1)
+    if y1.tape is not y2.tape:
+        raise OrderMismatchError("series arguments must share one tape")
+    zero = []  # the zero series, recorded when first needed
 
     def as_series(v):
-        return v if isinstance(v, series) else zero + v
+        if isinstance(v, RunningSeries):
+            return v
+        if not zero:
+            zero.append(0.0 * y1)
+        return zero[0] + v
 
     out = evaluate(e, x, y1, y2, lambda c: c, lambda a, b: as_series(a) / as_series(b))
     return as_series(out)

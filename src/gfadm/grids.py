@@ -310,13 +310,7 @@ class GridFunction:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             return _value_at(self.values, float(x))
-        matrix = _barycentric_matrix(self.values.size - 1, x)
-        out = np.empty(x.size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _interpolate(matrix, self.values, out)
-            if not np.isfinite(out).all():
-                _rescale(matrix, self.values, out)
-        return out
+        return values_at([self], x)[0]
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.values + other.values)

@@ -4,6 +4,7 @@ import sympy as sp
 
 from gfadm import (
     NumericError,
+    OrderMismatchError,
     Polynomial,
     SingularDivisionError,
     UnsupportedBackendError,
@@ -35,6 +36,23 @@ class TestPointwise:
     def test_length_mismatch(self):
         with pytest.raises(UnsupportedBackendError):
             adomian_coefficients(parse_expression("y1"), 0.0, [1, 2], [1])
+
+    def test_empty_terms(self):
+        f = parse_expression("y1*y2 + x")
+        with pytest.raises(OrderMismatchError):
+            adomian_coefficients(f, 0.3, [], [])
+        with pytest.raises(OrderMismatchError):
+            adomian_coefficients(f, 0.3, [], [], adomian_expansion(f, 0.3))
+        with pytest.raises(OrderMismatchError):
+            adomian_polynomial_rows(f, [], [])
+        expansion = adomian_expansion(f, Polynomial.identity())
+        with pytest.raises(OrderMismatchError):
+            adomian_polynomial_rows(f, [], [], expansion)
+        # an expansion that has seen terms still wants some
+        adomian_polynomial_rows(f, [Polynomial([1.0])], [Polynomial([2.0])], expansion)
+        with pytest.raises(OrderMismatchError):
+            adomian_polynomial_rows(f, [], [], expansion)
+        assert expansion.order == 0
 
     def test_singular_division_carries_location(self):
         with pytest.raises(SingularDivisionError) as exc:

@@ -47,6 +47,6 @@ def test_install_and_uninstall():
     calls = np.bincount(np.frombuffer(tracer.name_ix, dtype=np.int32),
                         minlength=len(tracer.names))
     for name in ("kernels.apply", "kernels.monomial_image", "adomian.coefficients",
-                 "adomian.poly_rows", "grids.interp", "grids.derivative",
-                 "solver.solve"):
+                 "adomian.poly_rows", "expr.eval_series", "grids.interp",
+                 "grids.derivative", "solver.solve"):
         assert calls[tracer.names.index(name)] > 0, name

@@ -5,13 +5,26 @@ import sympy as sp
 from gfadm import (
     EvaluationError,
     ExpressionError,
-    TruncatedSeries,
+    OrderMismatchError,
+    catalytic_problem,
+    catalytic_symmetric_problem,
+    co2_pge_problem,
     eval_scalar,
     eval_series,
+    oxygen_problem,
     parse_expression,
     to_text,
 )
-from gfadm.expr import Var
+from gfadm.expr import Var, evaluate
+from gfadm.series import SeriesTape
+
+
+def series(e, x, y1, y2):
+    """Coefficients of e on one fresh tape extended by the terms y1 and y2."""
+    tape = SeriesTape(2)
+    out = eval_series(e, x, *tape.variables)
+    tape.extend(y1, y2)
+    return out.coeffs
 
 
 class TestParse:
@@ -79,39 +92,84 @@ class TestEvalScalar:
         out = eval_scalar(e, x, np.array([2.0, 3.0]), np.array([1.0, 2.0]))
         assert np.allclose(out, [1.0, 7.0])
 
+    @pytest.mark.parametrize("text", ["1/y1", "1/(y2 - y2)", "(y1 - y1)/(y1 - y1)",
+                                      "1/(1 - 1)", "0/0 + y1"])
+    def test_division_by_zero_on_arrays(self, text):
+        # a zero divisor among array values, or in the constants alone
+        y = np.array([1.0, 0.0, 2.0])
+        with pytest.raises(EvaluationError):
+            eval_scalar(parse_expression(text), np.zeros(3), y, y)
+        with pytest.raises(EvaluationError):
+            eval_scalar(parse_expression(text), 0.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize("text", ["2.5", "x", "x^2 - 1", "y1"])
+    def test_result_has_the_argument_shape(self, text):
+        x = np.linspace(0.0, 1.0, 4)
+        y = np.ones((3, 4))
+        out = eval_scalar(parse_expression(text), x, y, 2 * y)
+        assert out.shape == (3, 4) and out.dtype == float
+        at_point = eval_scalar(parse_expression(text), x[2], 1.0, 2.0)
+        assert isinstance(at_point, float) and out[1, 2] == at_point
+
+
+def _eval_scalar_full_constants(e, x, y1, y2):
+    """eval_scalar with every constant lifted to a full array, as it once was."""
+    with np.errstate(divide="raise", invalid="raise"):
+        val = evaluate(e, x, y1, y2,
+                       lambda c: np.full(np.broadcast(x, y1, y2).shape, c))
+    return np.asarray(val, dtype=float)
+
+
+@pytest.mark.parametrize("problem", [catalytic_problem(), catalytic_symmetric_problem(),
+                                     oxygen_problem(1.0), oxygen_problem(2.0),
+                                     oxygen_problem(3.0), co2_pge_problem()],
+                         ids=lambda p: p.name)
+def test_plain_constants_are_bitwise_full_ones(problem):
+    """Plain float constants give the array of full-array constants, bitwise.
+
+    The arguments have the shapes the oracle passes: nodes (513,) and the
+    unknowns with their perturbations (5, 513), signed zeros among them.
+    """
+    rng = np.random.default_rng(17)
+    x = np.linspace(0.0, 1.0, 513)
+    y1, y2 = rng.uniform(-0.5, 1.5, size=(2, 5, 513))
+    y1[0, :7], y2[1, :7] = 0.0, -0.0
+    for c in problem.components:
+        got = eval_scalar(c.rhs, x, y1, y2)
+        want = _eval_scalar_full_constants(c.rhs, x, y1, y2)
+        assert got.shape == want.shape == (5, 513)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestEvalSeries:
     def test_square(self):
-        e = parse_expression("y1^2")
-        y1 = TruncatedSeries([1, 0.3, 0])
-        y2 = TruncatedSeries([0, 0, 0])
-        out = eval_series(e, 0.0, y1, y2)
-        assert np.allclose(out.coeffs, [1, 0.6, 0.09], atol=1e-14)
+        out = series(parse_expression("y1^2"), 0.0, [1, 0.3, 0], [0, 0, 0])
+        assert np.allclose(out, [1, 0.6, 0.09], atol=1e-14)
 
     def test_bilinear(self):
         a, b = 0.7, -1.2
-        e = parse_expression("y1*y2")
-        out = eval_series(e, 0.0, TruncatedSeries([1, a, 0]), TruncatedSeries([2, b, 0]))
-        assert np.allclose(out.coeffs, [2, 2 * a + b, a * b], atol=1e-13)
+        out = series(parse_expression("y1*y2"), 0.0, [1, a, 0], [2, b, 0])
+        assert np.allclose(out, [2, 2 * a + b, a * b], atol=1e-13)
 
     def test_rational_taylor(self):
         # f = y1/(1+y1) with y1 = 1 + t*lam: expansion (1+t lam)/(2+t lam)
         t = 0.83
-        e = parse_expression("y1/(1+y1)")
-        y1 = TruncatedSeries([1, t, 0, 0])
-        out = eval_series(e, 0.0, y1, TruncatedSeries.constant(0.0, 3))
+        out = series(parse_expression("y1/(1+y1)"), 0.0, [1, t, 0, 0], [0, 0, 0, 0])
         expected = [0.5, t / 4, -t**2 / 8, t**3 / 16]
-        assert np.allclose(out.coeffs, expected, atol=1e-13)
+        assert np.allclose(out, expected, atol=1e-13)
 
     def test_rational_taylor_sympy_oracle(self):
         lam = sp.symbols("lam")
         t = sp.Rational(83, 100)
         f = (1 + t * lam) / (2 + t * lam)
         want = [float(f.series(lam, 0, 4).removeO().coeff(lam, k)) for k in range(4)]
-        e = parse_expression("y1/(1+y1)")
-        out = eval_series(e, 0.0, TruncatedSeries([1, 0.83, 0, 0]),
-                          TruncatedSeries.constant(0.0, 3))
-        assert np.allclose(out.coeffs, want, atol=1e-13)
+        out = series(parse_expression("y1/(1+y1)"), 0.0, [1, 0.83, 0, 0], [0, 0, 0, 0])
+        assert np.allclose(out, want, atol=1e-13)
+
+    def test_arguments_share_one_tape(self):
+        y1, y2 = SeriesTape(1).variables[0], SeriesTape(1).variables[0]
+        with pytest.raises(OrderMismatchError):
+            eval_series(parse_expression("y1"), 0.0, y1, y2)
 
 
 RANDOM_EXPRS = [
@@ -130,9 +188,8 @@ def test_coefficient0_matches_scalar(text):
     for _ in range(20):
         x = rng.uniform(0, 1)
         y10, y20 = rng.uniform(0.5, 2.0, size=2)
-        series = eval_series(e, x, TruncatedSeries([y10, 0.1, 0]),
-                             TruncatedSeries([y20, -0.2, 0]))
-        assert abs(series[0] - eval_scalar(e, x, y10, y20)) <= 1e-14
+        out = series(e, x, [y10, 0.1, 0], [y20, -0.2, 0])
+        assert abs(out[0] - eval_scalar(e, x, y10, y20)) <= 1e-14
 
 
 @pytest.mark.parametrize("text", RANDOM_EXPRS)
@@ -144,11 +201,10 @@ def test_coefficient1_matches_central_difference(text):
         x = rng.uniform(0, 1)
         y10, y20 = rng.uniform(0.5, 2.0, size=2)
         y11, y21 = rng.uniform(-1, 1, size=2)
-        series = eval_series(e, x, TruncatedSeries([y10, y11, 0]),
-                             TruncatedSeries([y20, y21, 0]))
+        out = series(e, x, [y10, y11, 0], [y20, y21, 0])
         plus = eval_scalar(e, x, y10 + h * y11, y20 + h * y21)
         minus = eval_scalar(e, x, y10 - h * y11, y20 - h * y21)
-        assert abs(series[1] - (plus - minus) / (2 * h)) <= 1e-7
+        assert abs(out[1] - (plus - minus) / (2 * h)) <= 1e-7
 
 
 @pytest.mark.parametrize("text", RANDOM_EXPRS + ["-y1^2", "-(y1 + y2)^3"])
