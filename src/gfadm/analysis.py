@@ -32,7 +32,7 @@ import numpy as np
 
 from .adomian import adomian_coefficients
 from .errors import BoundInapplicableError, EvaluationError, UsageError
-from .expr import Expression, eval_scalar
+from .expr import STEP, Expression, eval_scalar
 from .grids import value_at_zero, values_at
 from .kernels import kernel_bound_m
 from .solver import ProblemSpec, SolutionSeries, build_baseline
@@ -180,8 +180,8 @@ def lipschitz_estimate(
 ) -> tuple[float, float]:
     """(l1, l2): max sampled |df_i/dy_j| over the box, inflated by 10%.
 
-    ``box`` is ((x_lo, x_hi), (y1_lo, y1_hi), (y2_lo, y2_hi)); derivatives
-    use central differences with step 1e-6 times the coordinate range.
+    ``box`` is ((x_lo, x_hi), (y1_lo, y1_hi), (y2_lo, y2_hi)); the partials
+    are exact to rounding, the complex step ``Im f(y + i STEP e_j) / STEP``.
     """
     (x0, x1), (a0, a1), (b0, b1) = box
     if x1 < x0 or a1 < a0 or b1 < b0:
@@ -189,19 +189,11 @@ def lipschitz_estimate(
     xs = np.linspace(x0, x1, _LIPSCHITZ_SAMPLES)
     ys1 = np.linspace(a0, a1, _LIPSCHITZ_SAMPLES)
     ys2 = np.linspace(b0, b1, _LIPSCHITZ_SAMPLES)
-    h1 = 1e-6 * max(a1 - a0, 1.0)
-    h2 = 1e-6 * max(b1 - b0, 1.0)
     gx, gy1, gy2 = np.meshgrid(xs, ys1, ys2, indexing="ij")
-    l1 = 0.0
-    l2 = 0.0
-    for f in (f1, f2):
-        d1 = (eval_scalar(f, gx, gy1 + h1, gy2) - eval_scalar(f, gx, gy1 - h1, gy2)) \
-            / (2.0 * h1)
-        d2 = (eval_scalar(f, gx, gy1, gy2 + h2) - eval_scalar(f, gx, gy1, gy2 - h2)) \
-            / (2.0 * h2)
-        l1 = max(l1, float(np.max(np.abs(d1))))
-        l2 = max(l2, float(np.max(np.abs(d2))))
-    return 1.1 * l1, 1.1 * l2
+    fs = (f1, f2)
+    l1 = max(np.max(np.abs(eval_scalar(f, gx, gy1 + 1j * STEP, gy2).imag)) for f in fs)
+    l2 = max(np.max(np.abs(eval_scalar(f, gx, gy1, gy2 + 1j * STEP).imag)) for f in fs)
+    return 1.1 * float(l1) / STEP, 1.1 * float(l2) / STEP
 
 
 def solution_box(sol: SolutionSeries):

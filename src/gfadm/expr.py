@@ -232,11 +232,16 @@ def evaluate(e: Expression, x, y1, y2, lift, div=operator.truediv):
         del ev  # ev refers to itself; freed now, not at the next collection
 
 
+STEP = 2.0**-64  # the complex step's size; a power of two, so dividing by it is exact
+
+
 def eval_scalar(e: Expression, x, y1, y2):
-    """Evaluate on floats (or numpy arrays, elementwise).
+    """Evaluate on real or complex numbers (or numpy arrays, elementwise).
 
     With array arguments the result has their broadcast shape, also when
-    it does not depend on all of them.
+    it does not depend on all of them.  Every f is rational, so at y_j +
+    i STEP its imaginary part over STEP is df/dy_j to rounding, with no
+    difference to cancel (the complex step, Squire & Trapp 1998).
     """
     try:
         with np.errstate(divide="raise", invalid="raise"):
@@ -246,9 +251,10 @@ def eval_scalar(e: Expression, x, y1, y2):
     if not np.all(np.isfinite(val)):
         raise EvaluationError("non-finite value while evaluating expression")
     if np.isscalar(x) and np.isscalar(y1) and np.isscalar(y2):
-        return float(val)
+        return complex(val) if np.iscomplexobj(val) else float(val)
     shape = np.broadcast_shapes(np.shape(x), np.shape(y1), np.shape(y2))
-    return np.asarray(val, dtype=float) if np.shape(val) == shape else np.full(shape, val)
+    return np.asarray(val, dtype=np.result_type(val, float)) if np.shape(val) == shape \
+        else np.full(shape, val)
 
 
 def eval_series(e: Expression, x, y1: RunningSeries, y2: RunningSeries) -> RunningSeries:

@@ -59,8 +59,9 @@ class SeriesTape:
         """Extend to the order of ``terms``, one term list per variable.
 
         Only the terms past the current order are read; the first block
-        may be kept as a view of them.  If a coefficient raises, every
-        series is cut back to the order it had.
+        may be kept as a view of them.  Fewer terms than the tape has seen
+        raise.  If a coefficient raises, every series is cut back to the
+        order it had.
         """
         self._extend(terms, self.series, keep=True)
 
@@ -78,9 +79,9 @@ class SeriesTape:
 
     def _extend(self, terms, series: list, keep: bool) -> None:
         lo, hi = self.order + 1, len(terms[0])
-        if hi == 0:
-            raise OrderMismatchError("series needs a non-empty coefficient list")
-        if hi <= lo:
+        if hi < max(lo, 1):
+            raise OrderMismatchError(f"{hi} terms given, at least {max(lo, 1)} needed")
+        if hi == lo:
             return
         try:
             for v, t in zip(self.variables, terms):

@@ -57,7 +57,6 @@ class ComponentSpec:
     b: float
     c: float
     rhs: Expression
-    rhs_text: str = ""
 
     def __post_init__(self):
         if self.operator not in ("lane_emden", "flat"):
@@ -84,9 +83,8 @@ class ComponentSpec:
     def make(cls, operator, alpha=0.0, left=NEUMANN_ZERO, left_value=0.0,
              a=1.0, b=0.0, c=0.0, rhs=""):
         tree = parse_expression(rhs) if isinstance(rhs, str) else rhs
-        text = rhs if isinstance(rhs, str) else ""
         return cls(operator, float(alpha), left, float(left_value),
-                   float(a), float(b), float(c), tree, text)
+                   float(a), float(b), float(c), tree)
 
     def kernel(self) -> KernelSpec:
         if self.left_kind == NEUMANN_ZERO:

@@ -283,3 +283,23 @@ def test_running_expansion_errors_as_one_shot():
     with pytest.raises(UnsupportedBackendError):
         adomian_polynomial_rows(f, [Polynomial([1.0])], [Polynomial([1.0])],
                                 adomian_expansion(f, Polynomial.identity()))
+
+
+def test_kept_expansion_refuses_fewer_terms_than_it_has_seen():
+    # fewer terms would hand back the rows of the terms seen before; as many
+    # terms as seen extend nothing
+    f = parse_expression("y1*y2")
+    terms = [1.0, 0.5, 0.25]
+    expansion = adomian_expansion(f, 0.5)
+    rows = adomian_coefficients(f, 0.5, terms, terms, expansion)
+    again = adomian_coefficients(f, 0.5, terms, terms, expansion)
+    assert again.tobytes() == rows.tobytes()
+    with pytest.raises(OrderMismatchError):
+        adomian_coefficients(f, 0.5, terms[:1], terms[:1], expansion)
+    assert expansion.order == 2
+    polys = [Polynomial([t]) for t in terms]
+    expansion = adomian_expansion(f, Polynomial.identity())
+    adomian_polynomial_rows(f, polys, polys, expansion)
+    with pytest.raises(OrderMismatchError):
+        adomian_polynomial_rows(f, polys[:1], polys[:1], expansion)
+    assert expansion.order == 2

@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.optimize import minimize_scalar
 
 from gfadm import (
@@ -26,8 +28,11 @@ from gfadm import (
     parse_expression,
     residual,
     solution_box,
+    to_text,
 )
 from gfadm import analysis, grids
+from gfadm.errors import EvaluationError
+from gfadm.expr import STEP
 
 ABSCISSAE = [0.1 * i for i in range(1, 10)]
 
@@ -196,16 +201,23 @@ class TestLipschitz:
         l1, l2 = lipschitz_estimate(parse_expression("2*y1"),
                                     parse_expression("2*y1"),
                                     ((0, 1), (0, 1), (0, 1)))
-        # the estimate carries a deliberate 10% safety inflation
-        assert l1 == pytest.approx(2.2, rel=0.02)
-        assert l2 == pytest.approx(0.0, abs=1e-6)
+        # the estimate carries a deliberate 10% safety inflation of the
+        # exact partial, which no difference quotient blurs
+        assert l1 == pytest.approx(1.1 * 2, rel=1e-15)
+        assert l2 == 0.0
 
     def test_other_variable(self):
         l1, l2 = lipschitz_estimate(parse_expression("y2"),
                                     parse_expression("y2"),
                                     ((0, 1), (0, 1), (0, 1)))
-        assert l1 == pytest.approx(0.0, abs=1e-6)
-        assert l2 == pytest.approx(1.1, rel=0.02)
+        assert l1 == 0.0
+        assert l2 == pytest.approx(1.1, rel=1e-15)
+
+    def test_pole_on_a_sample_raises(self):
+        # y1 = 0 is the first sample of y1; the partial in y2 meets 1/0 there
+        f = parse_expression("1/y1^2")
+        with pytest.raises(EvaluationError):
+            lipschitz_estimate(f, f, ((0, 1), (0, 2), (0, 1)))
 
     def test_quadratic_box(self):
         f = parse_expression("-0.5*y1^2 - 0.5*y1*y2")
@@ -217,6 +229,42 @@ class TestLipschitz:
         with pytest.raises(UsageError):
             lipschitz_estimate(parse_expression("y1"), parse_expression("y1"),
                                ((0, 1), (2, 1), (0, 1)))
+
+
+BUNDLED = {"catalytic": catalytic_problem,
+           "symmetric": catalytic_symmetric_problem,
+           "oxygen1": lambda: oxygen_problem(1.0),
+           "oxygen2": lambda: oxygen_problem(2.0),
+           "oxygen3": lambda: oxygen_problem(3.0),
+           "co2_pge": co2_pge_problem}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_complex_step_partials_match_sympy(name):
+    # Im f(y + i STEP e_j) / STEP against sympy's df/dy_j, evaluated in 40
+    # digits, at seeded points of the padded solution box.  The partial
+    # carries the rounding of the values f is built from: oxygen's
+    # 5 y1 y2 / ((1e-4 + y1)(1e-4 + y2)) has partials near 1e-4 made of
+    # terms near 5, so there the error is relative to max |f| (seen: 1.3e-15
+    # absolute, 4.9e-12 relative to the partial; central differences were
+    # off by 4e-7 relative)
+    p = BUNDLED[name]()
+    _, (a0, a1), (b0, b1) = solution_box(gfadm_solve(p, 5))
+    x, y1, y2 = np.random.default_rng(len(name)).uniform(
+        (0.0, a0, b0), (1.0, a1, b1), size=(20, 3)).T
+    symbols = sp.symbols("x y1 y2")
+    for c in p.components:
+        f = sp.sympify(to_text(c.rhs), dict(zip(("x", "y1", "y2"), symbols)))
+        value = eval_scalar(c.rhs, x, y1, y2)
+        steps = (eval_scalar(c.rhs, x, y1 + 1j * STEP, y2),
+                 eval_scalar(c.rhs, x, y1, y2 + 1j * STEP))
+        for s, stepped in zip(symbols[1:], steps):
+            partial = sp.lambdify(symbols, sp.diff(f, s), "mpmath")
+            with mpmath.workdps(40):
+                want = [float(partial(*map(mpmath.mpf, pt))) for pt in zip(x, y1, y2)]
+            assert np.allclose(stepped.imag / STEP, want, rtol=1e-13,
+                               atol=1e-14 * np.max(np.abs(value)))
+            assert np.allclose(stepped.real, value, rtol=1e-15, atol=0)
 
 
 class TestErrorBound:

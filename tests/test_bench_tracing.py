@@ -35,12 +35,15 @@ def test_install_and_uninstall():
                 assert hasattr(getattr(owner, attr), "__wrapped__"), site
         # a small solve on each backend, a spectral residual and a scalar
         # partial sum (as compare evaluates) pass every solver and grid
-        # target at least once
+        # target at least once; a bound and an oracle solve (as bound and
+        # compare make them) pass the analysis and oracle targets
         p = catalytic_problem()
         for backend in (GRID, EXACT):
             sol = gfadm.solver.gfadm_solve(p, 2, backend=backend, grid_size=16)
             residual(p, sol, 2, [0.5], method=SPECTRAL)
             evaluate_partial_sum(sol, 2, 0.5)
+        gfadm.convergence_estimate(p, sol, [2])
+        gfadm.fd_solve(p, M=16)
     finally:
         tracer.uninstall()
     assert gfadm.solver.kernel_apply is kernel_apply
@@ -48,5 +51,6 @@ def test_install_and_uninstall():
                         minlength=len(tracer.names))
     for name in ("kernels.apply", "kernels.monomial_image", "adomian.coefficients",
                  "adomian.poly_rows", "expr.eval_series", "grids.interp",
-                 "grids.derivative", "solver.solve"):
+                 "grids.derivative", "solver.solve", "expr.eval_scalar",
+                 "analysis.lipschitz", "oracle.fd_solve"):
         assert calls[tracer.names.index(name)] > 0, name

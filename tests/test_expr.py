@@ -15,7 +15,7 @@ from gfadm import (
     parse_expression,
     to_text,
 )
-from gfadm.expr import Var, evaluate
+from gfadm.expr import STEP, Var, evaluate
 from gfadm.series import SeriesTape
 
 
@@ -110,6 +110,18 @@ class TestEvalScalar:
         assert out.shape == (3, 4) and out.dtype == float
         at_point = eval_scalar(parse_expression(text), x[2], 1.0, 2.0)
         assert isinstance(at_point, float) and out[1, 2] == at_point
+
+    @pytest.mark.parametrize("text", ["2.5", "x", "x^2 - 1", "y1"])
+    def test_complex_step_keeps_the_argument_shape(self, text):
+        # the result is complex, on arrays and on scalars, when f reads the
+        # stepped argument
+        kind = complex if text == "y1" else float
+        x = np.linspace(0.0, 1.0, 4)
+        y = np.ones((3, 4)) + 1j * STEP
+        out = eval_scalar(parse_expression(text), x, y, 2.0)
+        assert out.shape == (3, 4) and out.dtype == kind
+        at_point = eval_scalar(parse_expression(text), x[2], y[1, 2], 2.0)
+        assert isinstance(at_point, kind) and out[1, 2] == at_point
 
 
 def _eval_scalar_full_constants(e, x, y1, y2):
