@@ -16,7 +16,11 @@ Two residual methods cross-validate each other:
 
 Both evaluate all the terms or derivatives they need at a set of points
 in one :func:`~gfadm.grids.values_at` call, so grid terms share one
-barycentric matrix per point set.
+barycentric matrix per point set and polynomial terms one stacked Horner
+pass.  The residual search's dense stage by the Adomian identity does not
+depend on the order, since row A_j reads only the terms 0..j: the values
+of every stored term at its 903 points and each f's rows there are kept
+on the solution from the first search, and each order sums its share.
 
 Near the singular point the operator value uses the regularity limit
 ``(1 + alpha) psi''(0)``; elsewhere it forms ``alpha (psi'(x) - psi'(0))/x``,
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adomian import adomian_coefficients
-from .errors import BoundInapplicableError, EvaluationError, UsageError
+from .errors import BoundInapplicableError, EvaluationError, NumericError, UsageError
 from .expr import STEP, Expression, eval_scalar
 from .grids import value_at_zero, values_at
 from .kernels import kernel_bound_m
@@ -41,6 +45,9 @@ SPECTRAL = "spectral"
 ADOMIAN_IDENTITY = "adomian_identity"
 
 _SINGULAR_X = 1e-10
+# the dense stage of the residual search: 0, 901 points inside and 1
+_DENSE = np.concatenate(([0.0], np.linspace(0.001, 0.999, 901), [1.0]))
+_DENSE.flags.writeable = False
 # sample points per coordinate of the Lipschitz box
 _LIPSCHITZ_SAMPLES = 11
 # padding of the solution box, relative to the range of the partial sums
@@ -80,21 +87,57 @@ def _spectral_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
     return residual_at
 
 
+def _identity_residuals(p: ProblemSpec, x, t1, t2, components, rows):
+    """|sum_{j<n} A_j - f(x, psi_1n, psi_2n)| at x for the given components.
+
+    ``t1`` and ``t2`` are the values of the terms 0..n at x, and ``rows(f)``
+    gives f's rows A_0..A_{n-1} there.
+    """
+    psi1, psi2 = sum(t1), sum(t2)
+    return tuple(
+        np.abs(np.sum(rows(p.components[i].rhs), axis=0)
+               - eval_scalar(p.components[i].rhs, x, psi1, psi2))
+        for i in components
+    )
+
+
 def _adomian_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
     terms = sol.terms1[: n + 1] + sol.terms2[: n + 1]
 
     def residual_at(x: np.ndarray, components=(0, 1)):
         vals = values_at(terms, x)
         t1, t2 = vals[: n + 1], vals[n + 1 :]
-        psi1, psi2 = sum(t1), sum(t2)
-        return tuple(
-            np.abs(np.sum(adomian_coefficients(p.components[i].rhs, x, t1[:n], t2[:n]),
-                          axis=0)
-                   - eval_scalar(p.components[i].rhs, x, psi1, psi2))
-            for i in components
-        )
+        return _identity_residuals(p, x, t1, t2, components,
+                                   lambda f: adomian_coefficients(f, x, t1[:n], t2[:n]))
 
     return residual_at
+
+
+def _dense_adomian_residuals(p: ProblemSpec, sol: SolutionSeries, n: int):
+    """Both residuals of order n at the dense points, from the solution's dense data.
+
+    The data are the values of every stored term at the dense points and,
+    for each right-hand side f, its rows A_0..A_{N-1} there from one
+    expansion; they are kept on the solution from the first use.  Row j
+    reads only the terms 0..j, so order n takes the terms 0..n and the
+    rows 0..n-1, bitwise what an expansion of its own would give.
+    """
+    top = sol.n_terms
+    if sol._dense is None:
+        vals = values_at(sol.terms1 + sol.terms2, _DENSE)
+        sol._dense = (vals[: top + 1], vals[top + 1 :], {})
+    t1, t2, kept = sol._dense
+
+    def rows(f):
+        if f not in kept:
+            try:
+                kept[f] = adomian_coefficients(f, _DENSE, t1[:top], t2[:top])
+            except NumericError:
+                # a row past order n-1 may overflow where the rows n needs do not
+                return adomian_coefficients(f, _DENSE, t1[:n], t2[:n])
+        return kept[f][:n]
+
+    return _identity_residuals(p, _DENSE, t1[: n + 1], t2[: n + 1], (0, 1), rows)
 
 
 def _residual_fn(p, sol, n, method):
@@ -141,10 +184,14 @@ def max_residual(
 ) -> tuple[float, float]:
     """Maximum residual over (0, 1], by dense search plus local refinement.
 
-    The refinement zooms in on the bracket around the maximizer, 41 points
+    The dense stage takes 0, 901 points in [0.001, 0.999] and 1; the
+    refinement zooms in on the bracket around the maximizer, 41 points
     a round, until the bracket is narrower than 1e-10.  A round computes
     only the component it refines, and every point set builds one
-    barycentric matrix for all the grid terms evaluated there.
+    barycentric matrix for all the grid terms evaluated there.  By the
+    Adomian identity, the dense stage reads the data kept on the solution
+    (see :func:`_dense_adomian_residuals`), so the orders of a residual
+    table share one expansion of each f at the dense points.
     With ``weighted=True`` the residual is multiplied by ``x^alpha_i``
     (the defect of the self-adjoint form ``(x^alpha y')' = x^alpha f``),
     which some published benchmark tables report.
@@ -155,8 +202,9 @@ def max_residual(
     def weigh(x, i, vals):
         return vals * x ** alphas[i] if weighted else vals
 
-    xs = np.concatenate(([0.0], np.linspace(0.001, 0.999, 901), [1.0]))
-    dense = fn(xs)
+    xs = _DENSE
+    dense = (_dense_adomian_residuals(p, sol, n) if method == ADOMIAN_IDENTITY
+             else fn(xs))
     out = []
     for i in range(2):
         zs, vals = xs, weigh(xs, i, dense[i])

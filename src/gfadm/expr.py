@@ -14,7 +14,9 @@ evaluates on scalars (or numpy arrays) through ``eval_scalar`` and, through
 ``eval_series``, on the :class:`~gfadm.series.RunningSeries` variables of a
 :class:`~gfadm.series.SeriesTape`: that records the truncated Taylor
 expansion of ``f(x, y1(lam), y2(lam))`` over any coefficient ring, to be
-computed when the tape is extended.
+computed when the tape is extended.  The parser gives equal subtrees one
+node, and evaluation computes a node once by identity, so a repeated
+subexpression is recorded and computed once.
 """
 
 from __future__ import annotations
@@ -108,6 +110,11 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nodes = {}  # every node made so far, by value
+
+    def node(self, made):
+        """The node equal to ``made`` made first, so equal subtrees are one."""
+        return self.nodes.setdefault(made, made)
 
     def peek(self):
         return self.tokens[self.i]
@@ -136,7 +143,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
+                node = self.node(Add(node, rhs) if val == "+" else Sub(node, rhs))
             else:
                 return node
 
@@ -147,7 +154,7 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.unary()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
+                node = self.node(Mul(node, rhs) if val == "*" else Div(node, rhs))
             else:
                 return node
 
@@ -155,7 +162,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return Neg(self.unary())
+            return self.node(Neg(self.unary()))
         return self.power()
 
     def power(self):
@@ -170,16 +177,16 @@ class _Parser:
                 raise ExpressionError(
                     f"exponent must be a non-negative integer, got {val!r}", pos
                 )
-            return PowInt(base, int(val))
+            return self.node(PowInt(base, int(val)))
         return base
 
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            return Const(float(val))
+            return self.node(Const(float(val)))
         if kind == "ident":
             if val in ("x", "y1", "y2"):
-                return Var(val)
+                return self.node(Var(val))
             raise ExpressionError(f"unknown identifier {val!r}", pos)
         if kind == "op" and val == "(":
             node = self.expr()
@@ -198,33 +205,40 @@ def evaluate(e: Expression, x, y1, y2, lift, div=operator.truediv):
 
     ``lift`` embeds a float constant into the ring and ``div`` divides two
     values; ``x``, ``y1``, ``y2`` must already support ``+ - *`` with each
-    other and with lifted constants.
+    other and with lifted constants.  A node met again is not evaluated
+    again: its value is reused, by the node's identity.
     """
     env = {"x": x, "y1": y1, "y2": y2}
+    done = {}
 
     def ev(e):
         if isinstance(e, Const):
             return lift(e.value)
         if isinstance(e, Var):
             return env[e.name]
+        key = id(e)
+        if key in done:
+            return done[key]
         if isinstance(e, Add):
-            return ev(e.left) + ev(e.right)
-        if isinstance(e, Sub):
-            return ev(e.left) - ev(e.right)
-        if isinstance(e, Mul):
-            return ev(e.left) * ev(e.right)
-        if isinstance(e, Div):
-            return div(ev(e.left), ev(e.right))
-        if isinstance(e, Neg):
-            return -ev(e.operand)
-        if isinstance(e, PowInt):
+            out = ev(e.left) + ev(e.right)
+        elif isinstance(e, Sub):
+            out = ev(e.left) - ev(e.right)
+        elif isinstance(e, Mul):
+            out = ev(e.left) * ev(e.right)
+        elif isinstance(e, Div):
+            out = div(ev(e.left), ev(e.right))
+        elif isinstance(e, Neg):
+            out = -ev(e.operand)
+        elif isinstance(e, PowInt):
             if e.exponent == 0:
                 return lift(1.0)
             base = out = ev(e.base)
             for _ in range(e.exponent - 1):
                 out = out * base
-            return out
-        raise TypeError(f"not an expression node: {e!r}")
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        done[key] = out
+        return out
 
     try:
         return ev(e)

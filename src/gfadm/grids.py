@@ -5,8 +5,9 @@ monomial-coefficient polynomials, and values on a Chebyshev-Lobatto grid
 with barycentric interpolation and spectral differentiation.  Both are
 called on points, added with ``+`` and differentiated with ``derivative()``,
 so the solver and the analysis treat them alike.  :func:`values_at`
-evaluates many of them at one set of points, building the barycentric
-matrix of a grid once for all its functions.
+evaluates many of them at one set of points: all the polynomials by one
+stacked Horner pass, and the grid functions through one barycentric matrix
+per grid size, every row bitwise the function's own call.
 
 Polynomial arithmetic runs on plain coefficient arrays, bitwise equal to
 ``numpy.polynomial.polynomial`` without its per-call conversions and checks.
@@ -251,22 +252,43 @@ def _value_at(values: np.ndarray, x: float) -> float:
     return float(out)
 
 
+def _horner(coeffs: list, xs: np.ndarray) -> np.ndarray:
+    """The values at xs of the polynomials with these coefficients, one row each.
+
+    One stacked Horner pass, in place, over the coefficients zero-padded to
+    the top degree.  Each row is bitwise the polynomial's own call: the pad
+    keeps the row +0.0 until the leading coefficient c_d, and c_d + 0 x is
+    c_d, as the call's ``c[-1] + x*0`` is.
+    """
+    table = np.zeros((max(c.size for c in coeffs), len(coeffs)))
+    for j, c in enumerate(coeffs):
+        table[: c.size, j] = c
+    out = np.multiply(xs, 0, out=np.empty((len(coeffs), xs.size)))
+    out += table[-1][:, None]
+    for ck in table[-2::-1]:
+        out *= xs
+        out += ck[:, None]
+    return out
+
+
 def values_at(funcs, xs) -> np.ndarray:
     """The rows ``f(xs)`` of the functions funcs, shape ``(len(funcs), len(xs))``.
 
-    Grid functions of one grid size share one barycentric matrix; each
-    row is bitwise the function's own call at xs.
+    The funcs are Polynomials and GridFunctions.  The polynomials are
+    evaluated together by one stacked Horner pass; grid functions of one
+    grid size share one barycentric matrix, with one matrix-vector product
+    each (a stacked product may round a row differently).  Each row is
+    bitwise the function's own call at xs.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    is_grid = [isinstance(f, GridFunction) for f in funcs]
+    polys = [f.coeffs for f, g in zip(funcs, is_grid) if not g]
+    if polys and len(polys) == len(funcs):
+        return _horner(polys, xs)
     out = np.empty((len(funcs), xs.size))
-    grid = []
-    for row, f in zip(out, funcs):
-        if isinstance(f, GridFunction):
-            grid.append((row, f.values))
-        else:
-            row[:] = f(xs)
-    if not grid:
-        return out
+    if polys:
+        out[np.logical_not(is_grid)] = _horner(polys, xs)
+    grid = [(row, f.values) for row, f, g in zip(out, funcs, is_grid) if g]
     matrices = {}
     # one errstate and one finiteness check for all the grid functions
     with np.errstate(over="ignore", invalid="ignore"):

@@ -14,6 +14,13 @@ tape extended as new terms come, a block of one order per step.  Each
 operation has one rule for a block of orders, so coefficient k is bitwise
 the same however the orders were split into blocks.
 
+A series refers to its tape and, through its rule, to its operands; the
+tape refers to its series only weakly, and lets go of its inputs when
+first extended.  So nothing refers back: a series is computed while it is
+held from outside or read by one that is, and an expansion is freed as
+soon as its holder lets go of it, without waiting for the cyclic
+collector.
+
 Series combine only when they are on the same tape.  Anything that is
 not a series (a number, an array of point values, a Polynomial) acts as
 an element of the coefficient ring: it scales a series, or shifts its
@@ -21,6 +28,8 @@ coefficient 0, without being expanded into a constant series.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -45,15 +54,21 @@ class SeriesTape:
     costs k + 1 terms at order k however the tape is extended, O(n^2) up
     to order n, where expanding afresh at each order 0..n costs O(n^3).
     Record every operation before the first :meth:`extend`.
+
+    ``series`` holds weak references, in the order recorded, and
+    ``variables`` holds the inputs only until the first extension: from
+    then on a series nobody holds or reads is not computed.
     """
 
     def __init__(self, count: int):
         self.series = []
+        self.known = 0
         self.variables = [RunningSeries(self, None) for _ in range(count)]
+        self._inputs = [weakref.ref(v) for v in self.variables]
 
     @property
     def order(self) -> int:
-        return self.variables[0].order
+        return self.known - 1
 
     def extend(self, *terms) -> None:
         """Extend to the order of ``terms``, one term list per variable.
@@ -75,38 +90,48 @@ class SeriesTape:
         """
         series, self.series = self.series, []
         self._extend(terms, series, keep=False)
-        self.variables = []  # nor does the tape keep its inputs
 
     def _extend(self, terms, series: list, keep: bool) -> None:
-        lo, hi = self.order + 1, len(terms[0])
+        lo, hi = self.known, len(terms[0])
         if hi < max(lo, 1):
             raise OrderMismatchError(f"{hi} terms given, at least {max(lo, 1)} needed")
         if hi == lo:
             return
+        self.variables = []  # an input is kept by its readers and holders
         try:
-            for v, t in zip(self.variables, terms):
+            for ref, t in zip(self._inputs, terms):
+                v = ref()
+                if v is None:
+                    continue
                 if lo:
                     v._store(lo, hi, t[_at(lo, hi)])
                 else:
                     block = np.asarray(t[:hi])
                     v._store(0, hi, block if block.dtype == object
                              else block.astype(float, copy=False))
-            for i, s in enumerate(series):
+            for ref in series:
+                s = ref()
+                if s is None:
+                    continue
                 block = s.rule(lo, hi)
                 if getattr(block, "dtype", object) != object \
                         and not np.isfinite(block).all():
                     raise NumericError("non-finite coefficient in series arithmetic")
                 s._store(lo, hi, block)
                 if not keep:
-                    series[i] = s.rule = None
+                    s.rule = None
+            self.known = hi
         except BaseException:
             self.cut(lo - 1)
             raise
 
     def cut(self, order: int) -> None:
         """Drop every coefficient past ``order``."""
-        for s in self.variables + self.series:
-            s.known = min(s.known, order + 1)
+        self.known = min(self.known, order + 1)
+        for ref in self._inputs + self.series:
+            s = ref()
+            if s is not None:
+                s.known = min(s.known, order + 1)
 
 
 class RunningSeries:
@@ -121,13 +146,13 @@ class RunningSeries:
     The coefficients live in a buffer that grows by doubling.
     """
 
-    __slots__ = ("tape", "rule", "buf", "known")
+    __slots__ = ("tape", "rule", "buf", "known", "__weakref__")
     __array_ufunc__ = None  # numpy arrays on the left defer to our operators
 
     def __init__(self, tape: SeriesTape, rule):
         self.tape, self.rule, self.buf, self.known = tape, rule, None, 0
         if rule is not None:
-            tape.series.append(self)
+            tape.series.append(weakref.ref(self))
 
     @property
     def order(self) -> int:
@@ -237,7 +262,7 @@ class RunningSeries:
         def quotient(lo, hi):
             a, bb = self.buf, b.buf
             if lo:
-                q = out._room(hi)
+                q = me()._room(hi)
             else:
                 if object in (a.dtype, bb.dtype):
                     # Polynomial coefficients come only from the exact backend
@@ -252,6 +277,7 @@ class RunningSeries:
             return q[_at(lo, hi)]
 
         out = self._record(quotient)
+        me = weakref.ref(out)  # the rule fills its own series without keeping it
         return out
 
 

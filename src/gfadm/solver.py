@@ -133,6 +133,8 @@ class SolutionSeries:
     rows1: list = field(default_factory=list)  # A_{1,j}, j = 0..n-1
     rows2: list = field(default_factory=list)
     _sums: tuple = field(init=False, repr=False)
+    # the residual search's dense data, kept from its first use (analysis.py)
+    _dense: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._sums = (list(accumulate(self.terms1)), list(accumulate(self.terms2)))

@@ -13,6 +13,7 @@ from gfadm import (
     ComponentSpec,
     NEUMANN_ZERO,
     ProblemSpec,
+    SolutionSeries,
     UsageError,
     catalytic_problem,
     catalytic_symmetric_problem,
@@ -33,6 +34,7 @@ from gfadm import (
 from gfadm import analysis, grids
 from gfadm.errors import EvaluationError
 from gfadm.expr import STEP
+import reference_residual as reference
 
 ABSCISSAE = [0.1 * i for i in range(1, 10)]
 
@@ -170,6 +172,12 @@ def test_residual_abscissae_check(xs):
 
 @pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
 def test_max_residual_builds_one_matrix_per_point_set(method, monkeypatch):
+    """One barycentric matrix per point set, and none for the dense set again.
+
+    The Adomian identity's dense stage reads the solution's dense data, whose
+    matrix is built on the first call only; the spectral dense stage, and
+    every zoom round, goes through the residual function and builds its own.
+    """
     p = catalytic_problem()
     sol = gfadm_solve(p, 11, backend=GRID)
     builds, point_sets = [], []
@@ -190,10 +198,90 @@ def test_max_residual_builds_one_matrix_per_point_set(method, monkeypatch):
 
     monkeypatch.setattr(grids, "_barycentric_matrix", counted_build)
     monkeypatch.setattr(analysis, "_residual_fn", counted_fn)
-    max_residual(p, sol, 11, method=method, weighted=True)
-    # the dense set plus one set per zoom round
-    assert len(point_sets) > 2 and len(builds) == len(point_sets)
-    assert all(np.array_equal(b, x) for b, x in zip(builds, point_sets))
+    for call, n in enumerate((11, 7)):
+        builds.clear()
+        point_sets.clear()
+        max_residual(p, sol, n, method=method, weighted=True)
+        dense = [analysis._DENSE] if method == ADOMIAN_IDENTITY and call == 0 else []
+        # the dense set plus one set per zoom round
+        assert len(dense + point_sets) > 2 and len(builds) == len(dense + point_sets)
+        assert all(np.array_equal(b, x) for b, x in zip(builds, dense + point_sets))
+        assert sum(b.size == analysis._DENSE.size for b in builds) == (
+            1 if method == SPECTRAL or call == 0 else 0)
+
+
+@pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
+@pytest.mark.parametrize("make, backend", [
+    (catalytic_problem, EXACT),
+    (catalytic_symmetric_problem, EXACT),
+    (catalytic_problem, GRID),
+    (lambda: oxygen_problem(2.0), GRID),
+])
+def test_residuals_are_bitwise_the_slow_path(make, backend, method):
+    """Residuals and maxima are bitwise the per-order, per-polynomial ones.
+
+    Orders asked ascending, descending and repeated, each on one solution,
+    weighted and unweighted; the dense data a solution keeps from its first
+    order must not move any later order.
+    """
+    p = make()
+    slow = {}
+    for orders in (range(1, 8), range(7, 0, -1), (4, 4, 2, 4)):
+        sol = gfadm_solve(p, 7, backend=backend)
+        for n in orders:
+            if n not in slow:
+                slow[n] = [reference.max_residual(p, sol, n, method, weighted)
+                           for weighted in (False, True)]
+                slow[n].append(np.array(
+                    reference._residual_fn(p, sol, n, method)(np.array(ABSCISSAE))))
+            fast = [max_residual(p, sol, n, method=method, weighted=weighted)
+                    for weighted in (False, True)]
+            rep = residual(p, sol, n, ABSCISSAE, method=method)
+            fast.append(np.array([[r for _, r in rep.points1], [r for _, r in rep.points2]]))
+            for got, want in zip(fast, slow[n]):
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (n, got, want)
+
+
+def test_dense_rows_past_the_order_may_overflow():
+    """A dense row past order n - 1 that overflows leaves order n as it was.
+
+    With terms 1, 0, 1e200, 0, 0, 0, row A_4 of y1^2 holds 1e200^2; order 1
+    reads only A_0.
+    """
+    c = ComponentSpec.make("lane_emden", alpha=2.0, left=NEUMANN_ZERO, a=1, b=0, c=1,
+                           rhs="y1^2")
+    p = ProblemSpec(c, c)
+    terms = [grids.Polynomial([v]) for v in (1.0, 0.0, 1e200, 0.0, 0.0, 0.0)]
+    sol = SolutionSeries(p, terms, list(terms))
+    for weighted in (False, True):
+        got = max_residual(p, sol, 1, weighted=weighted)
+        assert got == reference.max_residual(p, sol, 1, weighted=weighted) == (0.0, 0.0)
+
+
+def test_residual_table_expands_the_dense_rows_once(monkeypatch):
+    """Orders 2..11 of one exact solution: one dense expansion per component.
+
+    Every other Adomian call is a zoom round's, and no polynomial is
+    evaluated by its own call.
+    """
+    p = catalytic_problem()
+    sol = gfadm_solve(p, 11, backend=EXACT)
+    sizes = []
+    coefficients = analysis.adomian_coefficients
+
+    def counted(f, x, *rest):
+        sizes.append(np.size(x))
+        return coefficients(f, x, *rest)
+
+    def own_call(self, x):
+        raise AssertionError("a polynomial evaluated by its own call")
+
+    monkeypatch.setattr(analysis, "adomian_coefficients", counted)
+    monkeypatch.setattr(grids.Polynomial, "__call__", own_call)
+    for n in range(2, 12):
+        max_residual(p, sol, n, weighted=True)
+    assert sizes.count(analysis._DENSE.size) == 2
+    assert set(sizes) == {analysis._DENSE.size, 41}
 
 
 class TestLipschitz:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -15,6 +17,7 @@ from gfadm import (
     parse_expression,
     to_text,
 )
+from gfadm.adomian import adomian_coefficients, adomian_expansion
 from gfadm.expr import STEP, Var, evaluate
 from gfadm.series import SeriesTape
 
@@ -228,3 +231,36 @@ def test_parser_roundtrip(text):
         x = rng.uniform(0, 1)
         y1, y2 = rng.uniform(0.5, 2.0, size=2)
         assert abs(eval_scalar(e, x, y1, y2) - eval_scalar(e2, x, y1, y2)) <= 1e-14
+
+
+def _unshared(e):
+    """A copy of the tree e in which no two nodes are one object."""
+    return type(e)(**{f.name: _unshared(v) if dataclasses.is_dataclass(v) else v
+                      for f in dataclasses.fields(e)
+                      for v in [getattr(e, f.name)]})
+
+
+def test_repeated_subexpression_is_recorded_once():
+    """Oxygen's second f holds its denominator twice; it is parsed and recorded once.
+
+    Its rows and values are bitwise those of the same tree without sharing.
+    """
+    f = oxygen_problem(2.0).component2.rhs
+    g = _unshared(f)
+    assert g == f and g is not f
+    assert f.left.right is f.right.right and g.left.right is not g.right.right
+    xs = np.linspace(0.0, 1.0, 7)
+    y1 = [1.0 + 0.1 * xs, -0.2 * xs**2, 0.05 * xs, 0.01 + 0 * xs]
+    y2 = [2.0 - 0.3 * xs, 0.1 * xs, -0.02 * xs**3, 0.003 * xs]
+    counts, rows, values = [], [], []
+    for e in (f, g):
+        expansion = adomian_expansion(e, xs)
+        counts.append(len(expansion.tape.series))
+        rows.append([adomian_coefficients(e, xs, y1[:k], y2[:k], expansion).tobytes()
+                     for k in (1, 2, 4)])
+        rows[-1].append(adomian_coefficients(e, xs, y1, y2).tobytes())
+        values.append([eval_scalar(e, xs, y1[0], y2[0]).tobytes(),
+                       eval_scalar(e, xs, y1[0] + 1j * STEP, y2[0]).tobytes(),
+                       np.float64(eval_scalar(e, 0.3, 1.2, 0.8)).tobytes()])
+    assert counts == [10, 13]
+    assert rows[0] == rows[1] and values[0] == values[1]

@@ -163,22 +163,39 @@ def test_one_point_call_matches_matrix_row(n):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [8, 64])
 def test_values_at_matches_own_calls(n):
-    """Each row of the shared-matrix evaluation is bitwise the function's call.
+    """Each row of values_at is bitwise the function's own call.
 
     Points at nodes, 0 and 1 among them, raise no floating-point warning.
     """
     rng = np.random.default_rng(n)
     nodes = chebyshev_lobatto(n)
     grid = [GridFunction(rng.standard_normal(n + 1)) for _ in range(3)]
-    polys = [Polynomial(rng.standard_normal(k)) for k in (1, 4, 9)]
+    # mixed degrees, the zero polynomial, signed zeros and degree >= 40
+    polys = [Polynomial(rng.standard_normal(k)) for k in (1, 4, 9, 45)] + [
+        Polynomial.zero(), Polynomial([-0.0, 1.0, -0.0, 2.0]), Polynomial([-3.0])]
     mixed = grid + polys + [GridFunction(rng.standard_normal(n + 4))]
-    point_sets = [rng.random(37), nodes, np.array([0.0, 1.0]),
-                  np.concatenate([rng.random(5), nodes[::3]]), 0.3, 0.0, 1.0]
-    for funcs in (grid, polys, mixed):
+    dense = np.concatenate(([0.0], np.linspace(0.001, 0.999, 901), [1.0]))
+    point_sets = [rng.random(37), nodes, np.array([0.0, 1.0]), dense,
+                  np.concatenate([rng.random(5), nodes[::3]]), 0.3, 0.0, 1.0,
+                  np.array([-0.0, -0.5, 1.7])]
+    for funcs in (grid, polys, mixed, polys[4:5], polys[3:4] + grid[:1]):
         for xs in point_sets:
             rows = values_at(funcs, xs)
             assert rows.shape == (len(funcs), np.size(xs))
             for f, row in zip(funcs, rows):
-                assert np.array_equal(row, np.atleast_1d(f(xs)))
+                assert row.tobytes() == np.atleast_1d(f(xs)).astype(float).tobytes()
     for f in mixed:
         assert value_at_zero(f) == f(0.0)
+
+
+def test_values_at_does_not_call_polynomials(monkeypatch):
+    """Polynomials are evaluated by the stacked pass, not one call each."""
+    polys = [Polynomial([1.0, 2.0]), Polynomial([0.5] * 41)]
+    want = [p(np.linspace(0, 1, 9)) for p in polys]
+
+    def own_call(self, x):
+        raise AssertionError("a polynomial evaluated by its own call")
+
+    monkeypatch.setattr(Polynomial, "__call__", own_call)
+    for funcs in (polys, polys + [GridFunction(np.ones(9))]):
+        assert np.array_equal(values_at(funcs, np.linspace(0, 1, 9))[:2], want)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy_polynomial import OPERATORS
@@ -402,3 +405,30 @@ def test_exact_row_work_is_quadratic(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counted)
     gfadm_solve(catalytic_problem(), 20, backend=EXACT)
     assert len(products) == 840
+
+
+@pytest.mark.parametrize("make, backend", [
+    (catalytic_problem, EXACT),
+    (lambda: oxygen_problem(2.0), GRID),  # quotients
+])
+def test_solve_frees_its_expansions_without_the_cyclic_collector(make, backend,
+                                                                monkeypatch):
+    """Each kept expansion, its tape and every series on it die with the solve."""
+    refs = []
+    expansion = gfadm.solver.adomian_expansion
+
+    def kept(f, x):
+        e = expansion(f, x)
+        refs.extend([weakref.ref(e), weakref.ref(e.tape), *e.tape.series,
+                     *map(weakref.ref, e.tape.variables)])
+        return e
+
+    monkeypatch.setattr(gfadm.solver, "adomian_expansion", kept)
+    p = make()
+    gc.disable()
+    try:
+        sol = gfadm_solve(p, 6, backend=backend)
+        assert len(refs) > 10 and all(r() is None for r in refs)
+    finally:
+        gc.enable()
+    assert sol.n_terms == 6
