@@ -15,12 +15,12 @@ polynomial terms (rows as exact polynomials in x, for the exact backend;
 polynomial f only).
 
 Every call extends an expansion to the terms it is given.  Without one, a
-call records a fresh expansion and extends it once, by all the rows, each
-intermediate block freed after its last use.  A solve needs row j at step
-j, from the terms 0..j; the solver keeps one expansion of each
-nonlinearity and passes it to every call, which then computes only the
-row of the new term, each coefficient once, so a solve's row work is
-O(n^2) instead of O(n^3).  The rows are bitwise the same either way.
+call records a fresh expansion and extends it once, by all the rows.  A
+solve needs row j at step j, from the terms 0..j; the solver keeps one
+expansion of each nonlinearity and passes it to every call, which then
+computes only the row of the new term, each coefficient once, so a
+solve's row work is O(n^2) instead of O(n^3).  The rows are bitwise the
+same either way.
 """
 
 from __future__ import annotations
@@ -61,15 +61,14 @@ def adomian_coefficients(f: Expression, x, y1_terms, y2_terms,
     if len(y1_terms) != len(y2_terms):
         raise UnsupportedBackendError("term lists must have equal length")
     fresh = expansion is None
+    if fresh:
+        expansion = adomian_expansion(f, x)
+    seen = expansion.order + 1
     try:
         # overflow raises NumericError from the finiteness checks below and
         # in the series arithmetic, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            if fresh:  # as adomian_expansion, inside this errstate
-                expansion = eval_series(f, x, *SeriesTape(2).variables)
-            seen = expansion.order + 1
-            tape = expansion.tape
-            (tape.extend_once if fresh else tape.extend)(y1_terms, y2_terms)
+            expansion.tape.extend(y1_terms, y2_terms)
     except SingularDivisionError as exc:
         where = float(np.ravel(x)[exc.index])
         raise SingularDivisionError(str(exc), location=where) from None
@@ -79,7 +78,7 @@ def adomian_coefficients(f: Expression, x, y1_terms, y2_terms,
     # Polynomial ones on every operation would slow the exact backend
     if rows.dtype == object and not all(np.all(np.isfinite(r.coeffs))
                                         for r in rows[seen:]):
-        expansion.tape.cut(seen - 1)
+        expansion.tape.known = seen  # drop the rows just computed
         raise NumericError("non-finite coefficient in an Adomian row")
     return rows
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .adomian import adomian_coefficients
 from .errors import BoundInapplicableError, EvaluationError, NumericError, UsageError
-from .expr import STEP, Expression, eval_scalar
+from .expr import STEP, Expression, eval_scalar, evaluate
 from .grids import value_at_zero, values_at
 from .kernels import kernel_bound_m
 from .solver import ProblemSpec, SolutionSeries, build_baseline
@@ -230,6 +230,8 @@ def lipschitz_estimate(
 
     ``box`` is ((x_lo, x_hi), (y1_lo, y1_hi), (y2_lo, y2_hi)); the partials
     are exact to rounding, the complex step ``Im f(y + i STEP e_j) / STEP``.
+    A divisor of f that takes both signs, or 0, at the samples raises
+    :class:`EvaluationError`: the box is connected, so f has a pole in it.
     """
     (x0, x1), (a0, a1), (b0, b1) = box
     if x1 < x0 or a1 < a0 or b1 < b0:
@@ -238,9 +240,18 @@ def lipschitz_estimate(
     ys1 = np.linspace(a0, a1, _LIPSCHITZ_SAMPLES)
     ys2 = np.linspace(b0, b1, _LIPSCHITZ_SAMPLES)
     gx, gy1, gy2 = np.meshgrid(xs, ys1, ys2, indexing="ij")
-    fs = (f1, f2)
-    l1 = max(np.max(np.abs(eval_scalar(f, gx, gy1 + 1j * STEP, gy2).imag)) for f in fs)
-    l2 = max(np.max(np.abs(eval_scalar(f, gx, gy1, gy2 + 1j * STEP).imag)) for f in fs)
+
+    def divide(a, b):
+        if not (np.all(np.real(b) > 0) or np.all(np.real(b) < 0)):
+            raise EvaluationError("a divisor vanishes or changes sign in the box")
+        return a / b
+
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        vals = [[evaluate(f, gx, y1, y2, float, divide) for f in (f1, f2)]
+                for y1, y2 in ((gy1 + 1j * STEP, gy2), (gy1, gy2 + 1j * STEP))]
+    if not all(np.all(np.isfinite(v)) for row in vals for v in row):
+        raise EvaluationError("non-finite value while evaluating expression")
+    l1, l2 = (max(np.max(np.abs(np.imag(v))) for v in row) for row in vals)
     return 1.1 * float(l1) / STEP, 1.1 * float(l2) / STEP
 
 

@@ -273,6 +273,37 @@ def test_running_polynomial_rows_keep_their_order_after_an_error():
     assert [r.coeffs.tobytes() for r in rows] == [r.coeffs.tobytes() for r in fresh]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ring", ["points", "polynomial"])
+def test_failed_block_leaves_a_kept_expansion_as_it_was(ring):
+    # an overflowing term in a block of several orders, on the first
+    # extension and on a later one: the order stays, and good terms then
+    # give the one-shot's rows, bitwise
+    if ring == "points":
+        f, x = parse_expression("1e200*y1^2 + y2/(1 + x)"), np.linspace(0.0, 1.0, 3)
+        make, error = (lambda v: np.full(3, v)), "series arithmetic"
+    else:
+        f, x = parse_expression("1e200*y1^2 - x*y2"), Polynomial.identity()
+        make, error = (lambda v: Polynomial([v, 0.5 * v])), "Adomian row"
+    good = [make(0.5**k) for k in range(5)]
+    bad = good[:3] + [make(1e200)] + good[4:]
+    twos = [make(2.0)] * 5
+    expansion = adomian_expansion(f, x)
+    for seen in (0, 2):
+        if seen:
+            adomian_coefficients(f, x, good[:seen], twos[:seen], expansion)
+        with pytest.raises(NumericError, match=error):
+            adomian_coefficients(f, x, bad, twos, expansion)
+        assert expansion.order == seen - 1
+    rows = adomian_coefficients(f, x, good, twos, expansion)
+    fresh = adomian_coefficients(f, x, good, twos)
+    assert [_bytes(r) for r in rows] == [_bytes(r) for r in fresh]
+
+
+def _bytes(r):
+    return r.coeffs.tobytes() if isinstance(r, Polynomial) else r.tobytes()
+
+
 def test_running_expansion_errors_as_one_shot():
     xs = np.linspace(0.0, 1.0, 9)
     f = parse_expression("y2/(y1 - 2*x)")

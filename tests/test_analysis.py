@@ -307,6 +307,23 @@ class TestLipschitz:
         with pytest.raises(EvaluationError):
             lipschitz_estimate(f, f, ((0, 1), (0, 2), (0, 1)))
 
+    def test_pole_between_samples_raises(self):
+        # the samples of y1 are 0, 0.1, ..., 1: the pole at 0.55 falls
+        # between two of them, where |df/dy1| is 440 at the nearest
+        for text in ("1/(y1 - 0.55)", "y2/(x - 0.55)", "y1/(1/(y2 - 0.55))"):
+            f = parse_expression(text)
+            with pytest.raises(EvaluationError, match="changes sign"):
+                lipschitz_estimate(f, parse_expression("y1"), ((0, 1), (0, 1), (0, 1)))
+
+    def test_divisor_of_one_sign(self):
+        # divisors of either sign: |df/dy1| = 1/(2 - y1)^2 is largest at
+        # y1 = 1, and |dg/dy2| = 0.5/(y2 + 1)^2 at y2 = 0
+        l1, l2 = lipschitz_estimate(parse_expression("1/(y1 - 2)"),
+                                    parse_expression("0.5/(y2 + 1)"),
+                                    ((0, 1), (0, 1), (0, 1)))
+        assert l1 == pytest.approx(1.1, rel=1e-15)
+        assert l2 == pytest.approx(1.1 * 0.5, rel=1e-15)
+
     def test_quadratic_box(self):
         f = parse_expression("-0.5*y1^2 - 0.5*y1*y2")
         l1, _ = lipschitz_estimate(f, f, ((0, 1), (0.8, 2.0), (0.8, 2.0)))
@@ -414,6 +431,19 @@ def test_convergence_estimate_structure():
     if est.gamma < 1:
         assert sorted(est.bounds) == [2, 4, 6]
         assert est.bounds[6] < est.bounds[4] < est.bounds[2]
+
+
+def test_convergence_estimate_reports_a_pole_between_samples():
+    # catalytic's solution box, and a right-hand side with a pole at 37% of
+    # its y1 range, between the samples at 30% and 40%
+    sol = gfadm_solve(catalytic_problem(), 5, backend=GRID)
+    _, (a0, a1), _ = solution_box(sol)
+    c1, c2 = sol.problem.components
+    at = a0 + 0.37 * (a1 - a0)
+    pole = ComponentSpec.make("lane_emden", alpha=2.0, left=NEUMANN_ZERO, a=1.0,
+                              b=0.0, c=2.0, rhs=f"0.5*y1^2 + y1*y2 + 1e-6/(y1 - {at!r})")
+    with pytest.raises(EvaluationError, match="pole inside Lipschitz box"):
+        convergence_estimate(ProblemSpec(c1, pole), sol, [2, 4])
 
 
 def test_bound_validity_desk_scale():

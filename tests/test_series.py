@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -195,28 +193,6 @@ class TestRingElements:
             expand(lambda s: s / s, [Polynomial([1.0]), x])
 
 
-def test_extend_once_lets_go_of_each_block():
-    """A one-shot extension holds a block only until its last reader has run."""
-    terms = np.full((11, 2000), 0.5)  # blocks of 176 kB
-
-    def peak(extend_once):
-        tape = SeriesTape(2)
-        a, b = tape.variables
-        out = a
-        for _ in range(20):
-            out = out * b
-        tracemalloc.start()
-        (tape.extend_once if extend_once else tape.extend)(terms, terms)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        return peak, out.coeffs
-
-    kept, rows = peak(False)
-    once, rows_once = peak(True)
-    assert rows_once.tobytes() == rows.tobytes()
-    assert kept > 20 * terms.nbytes and once < 4 * terms.nbytes
-
-
 def test_empty_terms_raise():
     tape = SeriesTape(2)
     with pytest.raises(OrderMismatchError):
@@ -244,15 +220,15 @@ OPERATIONS = {
 def _blocks(tape_terms, splits, ring_element, ops):
     """Coefficient bytes of every operation after extending in the given blocks.
 
-    ``splits`` None extends once and for all, as a one-shot expansion does.
+    ``splits`` None extends a fresh tape once by all the terms, as a
+    one-shot expansion does.
     """
     tape = SeriesTape(2)
     a, b = tape.variables
     series = {name: OPERATIONS[name](a, b, ring_element) for name in ops}
-    n = 0
     if splits is None:
-        tape.extend_once(*tape_terms)
-        assert tape.series == []
+        tape.extend(*tape_terms)
+    n = 0
     for step in splits or []:
         n += step
         tape.extend(*(t[:n] for t in tape_terms))

@@ -28,6 +28,7 @@ from gfadm import (
 import gfadm.solver
 from gfadm.adomian import adomian_coefficients, adomian_polynomial_rows
 from gfadm.grids import GridFunction, Polynomial
+from gfadm.series import SeriesTape
 
 
 class TestComponentSpec:
@@ -413,16 +414,22 @@ def test_exact_row_work_is_quadratic(monkeypatch):
 ])
 def test_solve_frees_its_expansions_without_the_cyclic_collector(make, backend,
                                                                 monkeypatch):
-    """Each kept expansion, its tape and every series on it die with the solve."""
+    """Each kept expansion, its tape and every coefficient array die with the solve."""
     refs = []
     expansion = gfadm.solver.adomian_expansion
+    extend = SeriesTape.extend
 
     def kept(f, x):
         e = expansion(f, x)
-        refs.extend([weakref.ref(e), weakref.ref(e.tape), *e.tape.series,
+        refs.extend([weakref.ref(e), weakref.ref(e.tape),
                      *map(weakref.ref, e.tape.variables)])
         return e
 
+    def extended(tape, *terms):
+        extend(tape, *terms)
+        refs.extend(map(weakref.ref, tape.bufs))
+
+    monkeypatch.setattr(SeriesTape, "extend", extended)
     monkeypatch.setattr(gfadm.solver, "adomian_expansion", kept)
     p = make()
     gc.disable()
