@@ -17,9 +17,14 @@ classical kernel for ``y''`` with zero values at both ends,
 
 ``kernel_apply`` computes the weighted integral of the kernel against a
 function, which is one step of the solution recursion.  The image of a grid
-function's interpolant is a polynomial, computed exactly up to rounding on
-Chebyshev coefficients (Greengard 1991; Olver & Townsend 2013).  Any other
-callable is integrated by composite quadrature, the independent reference.
+function's interpolant is a polynomial of degree n + 2, computed exactly up
+to rounding on Chebyshev coefficients (Greengard 1991; Olver & Townsend
+2013).  At the grid's own nodes, where the solver wants it, the image is one
+product with a cached (n+1) x (n+1) node matrix, the Chebyshev
+Vandermonde matrix of the nodes times the coefficient map; at any other
+points the coefficients are summed by Clenshaw, which keeps the polynomial
+exact between nodes.  Any other callable is integrated by composite
+quadrature, the independent reference.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import UsageError
-from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix
+from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, \
+    chebyshev_lobatto
 
 LANE_EMDEN = "lane_emden"
 DIRICHLET_DIRICHLET = "dirichlet_dirichlet"
@@ -141,20 +147,35 @@ def _image_coeffs(k: KernelSpec, n: int) -> np.ndarray:
     return y
 
 
+@functools.lru_cache(maxsize=64)
+def _node_image(k: KernelSpec, n: int) -> np.ndarray:
+    """Map from values on the n-grid to the image's values at the same nodes."""
+    t = 2.0 * chebyshev_lobatto(n) - 1.0
+    out = chebyshev.chebvander(t, n + 2) @ _image_coeffs(k, n)
+    out.flags.writeable = False
+    return out
+
+
 def kernel_apply(k: KernelSpec, g, x):
     """Weighted integral ``int_0^1 G(x, s) s^alpha g(s) ds`` at a point or array.
 
     For a :class:`GridFunction` the image of its interpolant is evaluated
-    from its exact Chebyshev coefficients.  Any other callable accepting a
-    numpy array of abscissae is integrated by composite quadrature split at
-    the kink s = x.
+    from its exact Chebyshev coefficients.  At the function's own nodes (any
+    array equal to them) that is one product with the cached node matrix;
+    at other points Clenshaw's sum over the coefficients, exact between
+    nodes.  Any other callable accepting a numpy array of abscissae is
+    integrated by composite quadrature split at the kink s = x.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all((0.0 <= xs) & (xs <= 1.0)):
         raise UsageError("kernel_apply wants x in [0, 1]")
     if isinstance(g, GridFunction):
-        coeffs = _image_coeffs(k, g.values.size - 1) @ g.values
-        out = chebyshev.chebval(2.0 * xs - 1.0, coeffs)
+        n = g.values.size - 1
+        if xs.shape == (n + 1,) and np.array_equal(xs, chebyshev_lobatto(n)):
+            out = _node_image(k, n) @ g.values
+        else:
+            coeffs = _image_coeffs(k, n) @ g.values
+            out = chebyshev.chebval(2.0 * xs - 1.0, coeffs)
     else:
         out = np.reshape([_quad(k, g, t) for t in xs.ravel()], xs.shape)
     return float(out) if xs.ndim == 0 else out

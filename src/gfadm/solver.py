@@ -11,8 +11,9 @@ No undetermined constants appear anywhere; the partial sums
 
 Two backends: ``grid`` stores each term as values on a Chebyshev-Lobatto
 grid (works for any nonlinearity) and takes each kernel application as the
-exact image of the row's interpolant, evaluated at the nodes; every row
-must be resolved by the grid, its last two Chebyshev coefficients below
+exact image of the row's interpolant, evaluated at the nodes by one product
+with the kernel's cached node matrix (see ``kernels.kernel_apply``); every
+row must be resolved by the grid, its last two Chebyshev coefficients below
 ``RESOLVED`` times its largest, or the solve raises ``NumericError``.
 ``exact_polynomial`` keeps every term as an exact polynomial via
 closed-form monomial images (polynomial nonlinearities only).  Both run

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_image import image_at
 
 from gfadm import (
     DIRICHLET_DIRICHLET,
@@ -11,7 +12,7 @@ from gfadm import (
     kernel_monomial_image,
 )
 from gfadm.grids import GridFunction, Polynomial, chebyshev_lobatto
-from gfadm.kernels import _kernel_values
+from gfadm.kernels import _kernel_values, _node_image
 
 LE0 = KernelSpec(LANE_EMDEN, alpha=0.0)
 LE1 = KernelSpec(LANE_EMDEN, alpha=1.0)
@@ -94,14 +95,14 @@ class TestKernelApply:
 IMAGE_KERNELS = [KernelSpec(LANE_EMDEN, alpha=a, robin_shift=r)
                  for a in (0.0, 0.5, 1.0, 2.0, 3.0) for r in (0.0, 0.5)] + [DD]
 DENSE_X = np.concatenate(([0.0, 1e-9, 1e-4], np.linspace(0.01, 1.0, 34)))
+SMOOTH = [lambda s: np.exp(np.sin(3 * s)), lambda s: 1.0 / (1.2 + s)]
 
 
 class TestGridImage:
     """The exact image of a grid function against the quadrature reference."""
 
     @pytest.mark.parametrize("k", IMAGE_KERNELS)
-    @pytest.mark.parametrize("fn", [lambda s: np.exp(np.sin(3 * s)),
-                                    lambda s: 1.0 / (1.2 + s)])
+    @pytest.mark.parametrize("fn", SMOOTH)
     def test_matches_quadrature(self, k, fn):
         nodes = chebyshev_lobatto(64)
         g = GridFunction(fn(nodes))
@@ -114,13 +115,42 @@ class TestGridImage:
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_monomials(self, k, n):
         nodes = chebyshev_lobatto(n)
-        for m in range(min(n, 6) + 1):
-            fast = kernel_apply(k, GridFunction(nodes**m), DENSE_X)
-            if k.family == LANE_EMDEN:
-                exact = kernel_monomial_image(k, m)(DENSE_X)
-            else:
-                exact = (DENSE_X ** (m + 2) - DENSE_X) / ((m + 1) * (m + 2))
-            assert np.max(np.abs(fast - exact)) <= 1e-14
+        # between nodes by Clenshaw, and at the nodes by the node matrix
+        for xs in (DENSE_X, nodes):
+            for m in range(min(n, 6) + 1):
+                fast = kernel_apply(k, GridFunction(nodes**m), xs)
+                if k.family == LANE_EMDEN:
+                    exact = kernel_monomial_image(k, m)(xs)
+                else:
+                    exact = (xs ** (m + 2) - xs) / ((m + 1) * (m + 2))
+                assert np.max(np.abs(fast - exact)) <= 1e-14
+
+    @pytest.mark.parametrize("k", IMAGE_KERNELS)
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 128])
+    @pytest.mark.parametrize("fn", SMOOTH)
+    def test_node_matrix_matches_clenshaw(self, k, n, fn):
+        nodes = chebyshev_lobatto(n)
+        g = GridFunction(fn(nodes))
+        slow = image_at(k, g, nodes)
+        calls = _node_image.cache_info()
+        fast = kernel_apply(k, g, nodes)
+        # relative to the image's size on [0, 1]: at n = 1 the nodes are the
+        # ends, where a dirichlet_dirichlet image is zero up to rounding
+        scale = np.max(np.abs(image_at(k, g, DENSE_X)))
+        assert np.max(np.abs(fast - slow)) <= 1e-14 * scale
+        # a copy of the nodes takes the node matrix too
+        again = kernel_apply(k, g, nodes.copy())
+        info = _node_image.cache_info()
+        assert info.hits + info.misses == calls.hits + calls.misses + 2
+        assert again.tobytes() == fast.tobytes()
+        assert fast.tobytes() == (_node_image(k, n) @ g.values).tobytes()
+        # other points of the same shape keep Clenshaw
+        for xs in (nodes[::-1], 0.5 * nodes):
+            info = _node_image.cache_info()
+            assert kernel_apply(k, g, xs).tobytes() == image_at(k, g, xs).tobytes()
+            assert _node_image.cache_info() == info
+        # every caller shares the cached matrix
+        assert not _node_image(k, n).flags.writeable
 
     def test_scalar_and_array_points(self):
         nodes = chebyshev_lobatto(8)

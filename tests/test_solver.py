@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 from numpy_polynomial import OPERATORS
+from reference_image import image_at
 
 from gfadm import (
     DIRICHLET,
@@ -28,6 +29,7 @@ from gfadm import (
 import gfadm.solver
 from gfadm.adomian import adomian_coefficients, adomian_polynomial_rows
 from gfadm.grids import GridFunction, Polynomial
+from gfadm.kernels import _node_image
 from gfadm.series import SeriesTape
 
 
@@ -193,6 +195,28 @@ def test_psi_matches_term_sums(backend, make):
             old = sum(t(xs) for t in terms[: n + 1])
             assert np.max(np.abs(psi(xs) - old)) <= 1e-12
             assert sol.partial_sum(i, n, 0.37) == psi(0.37)
+
+
+@pytest.mark.parametrize("make", BUNDLED)
+def test_grid_solve_matches_clenshaw_images(make, monkeypatch):
+    """Images through the node matrix agree with Clenshaw's to rounding."""
+    p = make()
+    fast = gfadm_solve(p, 11)
+    monkeypatch.setattr(gfadm.solver, "kernel_apply", image_at)
+    slow = gfadm_solve(p, 11)
+    for name in ("terms1", "terms2"):
+        for a, b in zip(getattr(fast, name), getattr(slow, name), strict=True):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-14
+
+
+@pytest.mark.parametrize("make", BUNDLED)
+def test_one_node_matrix_per_kernel_and_grid_size(make):
+    p = make()
+    _node_image.cache_clear()
+    gfadm_solve(p, 11, grid_size=32)
+    info = _node_image.cache_info()
+    assert info.misses == len({c.kernel() for c in p.components})
+    assert info.hits + info.misses == 22
 
 
 def _flat_dirichlet_problem():
