@@ -12,15 +12,13 @@ Two residual methods cross-validate each other:
 * ``adomian_identity`` uses |sum_{j<n} A_j(x) - f(x, psi_1n, psi_2n)|,
   algebraically equal because every term satisfies L y_j = A_{j-1}; it
   involves no differentiation and is the accurate choice near roundoff
-  scales.
+  scales.  The residual search reads the row sums S_n = sum_{j<n} A_j
+  stored on the solution; the pointwise report expands the rows afresh at
+  its abscissae, so it checks the search independently.
 
-Both evaluate all the terms or derivatives they need at a set of points
-in one :func:`~gfadm.grids.values_at` call, so grid terms share one
-barycentric matrix per point set and polynomial terms one stacked Horner
-pass.  The residual search's dense stage by the Adomian identity does not
-depend on the order, since row A_j reads only the terms 0..j: the values
-of every stored term at its 903 points and each f's rows there are kept
-on the solution from the first search, and each order sums its share.
+Both evaluate all the functions they need at a set of points in one
+:func:`~gfadm.grids.values_at` call, so grid functions share one
+barycentric matrix per point set and polynomials one stacked Horner pass.
 
 Near the singular point the operator value uses the regularity limit
 ``(1 + alpha) psi''(0)``; elsewhere it forms ``alpha (psi'(x) - psi'(0))/x``,
@@ -35,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adomian import adomian_coefficients
-from .errors import BoundInapplicableError, EvaluationError, NumericError, UsageError
+from .errors import BoundInapplicableError, EvaluationError, UsageError
 from .expr import STEP, Expression, eval_scalar, evaluate
 from .grids import value_at_zero, values_at
 from .kernels import kernel_bound_m
@@ -71,80 +69,65 @@ def _operator_value(comp, d1, d2, d1_0, d2_0, x: np.ndarray) -> np.ndarray:
     return np.where(near0, (1.0 + comp.alpha) * d2_0, regular)
 
 
-def _spectral_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
-    psi = [sol.psi(1, n), sol.psi(2, n)]
-    derivs = [(d1, d1.derivative()) for d1 in (f.derivative() for f in psi)]
-    at0 = [[value_at_zero(d) for d in pair] for pair in derivs]
+def _residual_from_operator(p: ProblemSpec, psi, parts, operator):
+    """|L psi_i - f_i(x, psi_1n, psi_2n)| as a function of the points.
 
+    L psi_i at x is ``operator(i, x, values)`` from the values there of
+    the functions ``parts[i]``; psi and the parts the call needs are
+    evaluated in one :func:`~gfadm.grids.values_at` call.
+    """
     def residual_at(x: np.ndarray, components=(0, 1)):
-        psi1, psi2, *dx = values_at(psi + [d for i in components for d in derivs[i]], x)
+        psi1, psi2, *vals = values_at(psi + [g for i in components for g in parts[i]], x)
+        k = len(parts[0])
         return tuple(
-            np.abs(_operator_value(p.components[i], dx[2 * k], dx[2 * k + 1], *at0[i], x)
+            np.abs(operator(i, x, vals[k * m : k * m + k])
                    - eval_scalar(p.components[i].rhs, x, psi1, psi2))
-            for k, i in enumerate(components)
+            for m, i in enumerate(components)
         )
 
     return residual_at
 
 
-def _identity_residuals(p: ProblemSpec, x, t1, t2, components, rows):
-    """|sum_{j<n} A_j - f(x, psi_1n, psi_2n)| at x for the given components.
-
-    ``t1`` and ``t2`` are the values of the terms 0..n at x, and ``rows(f)``
-    gives f's rows A_0..A_{n-1} there.
-    """
-    psi1, psi2 = sum(t1), sum(t2)
-    return tuple(
-        np.abs(np.sum(rows(p.components[i].rhs), axis=0)
-               - eval_scalar(p.components[i].rhs, x, psi1, psi2))
-        for i in components
-    )
+def _spectral_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
+    psi = [sol.psi(1, n), sol.psi(2, n)]
+    derivs = [(d1, d1.derivative()) for d1 in (f.derivative() for f in psi)]
+    at0 = [[value_at_zero(d) for d in pair] for pair in derivs]
+    return _residual_from_operator(p, psi, derivs, lambda i, x, d: _operator_value(
+        p.components[i], *d, *at0[i], x))
 
 
-def _adomian_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
+def _stored_row_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
+    """The identity from the stored rows: L psi_{i,n} is S_{i,n}, their sum."""
+    psi = [sol.psi(1, n), sol.psi(2, n)]
+    sums = [(sol.row_sum(1, n),), (sol.row_sum(2, n),)]
+    return _residual_from_operator(p, psi, sums, lambda i, x, s: s[0])
+
+
+def _expanded_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
+    """The identity from rows A_0..A_{n-1} expanded afresh at the points."""
     terms = sol.terms1[: n + 1] + sol.terms2[: n + 1]
 
     def residual_at(x: np.ndarray, components=(0, 1)):
         vals = values_at(terms, x)
         t1, t2 = vals[: n + 1], vals[n + 1 :]
-        return _identity_residuals(p, x, t1, t2, components,
-                                   lambda f: adomian_coefficients(f, x, t1[:n], t2[:n]))
+        psi1, psi2 = sum(t1), sum(t2)
+        return tuple(
+            np.abs(np.sum(adomian_coefficients(p.components[i].rhs, x, t1[:n], t2[:n]),
+                          axis=0)
+                   - eval_scalar(p.components[i].rhs, x, psi1, psi2))
+            for i in components
+        )
 
     return residual_at
 
 
-def _dense_adomian_residuals(p: ProblemSpec, sol: SolutionSeries, n: int):
-    """Both residuals of order n at the dense points, from the solution's dense data.
-
-    The data are the values of every stored term at the dense points and,
-    for each right-hand side f, its rows A_0..A_{N-1} there from one
-    expansion; they are kept on the solution from the first use.  Row j
-    reads only the terms 0..j, so order n takes the terms 0..n and the
-    rows 0..n-1, bitwise what an expansion of its own would give.
-    """
-    top = sol.n_terms
-    if sol._dense is None:
-        vals = values_at(sol.terms1 + sol.terms2, _DENSE)
-        sol._dense = (vals[: top + 1], vals[top + 1 :], {})
-    t1, t2, kept = sol._dense
-
-    def rows(f):
-        if f not in kept:
-            try:
-                kept[f] = adomian_coefficients(f, _DENSE, t1[:top], t2[:top])
-            except NumericError:
-                # a row past order n-1 may overflow where the rows n needs do not
-                return adomian_coefficients(f, _DENSE, t1[:n], t2[:n])
-        return kept[f][:n]
-
-    return _identity_residuals(p, _DENSE, t1[: n + 1], t2[: n + 1], (0, 1), rows)
-
-
-def _residual_fn(p, sol, n, method):
+def _residual_fn(p, sol, n, method, expand=False):
     """The residuals as a function of an array of points.
 
     The function takes the points and the indices of the components to
     return (both by default) and returns their residuals, one array each.
+    By the Adomian identity, the rows come from the solution, or with
+    ``expand`` from a fresh expansion at the points.
     """
     if n > sol.n_terms:
         raise UsageError(f"order {n} exceeds stored terms {sol.n_terms}")
@@ -153,7 +136,7 @@ def _residual_fn(p, sol, n, method):
     if method == ADOMIAN_IDENTITY:
         if n < 1:
             raise UsageError("adomian_identity needs n >= 1")
-        return _adomian_residual_fns(p, sol, n)
+        return (_expanded_residual_fns if expand else _stored_row_residual_fns)(p, sol, n)
     raise UsageError(f"unknown residual method {method!r}")
 
 
@@ -164,8 +147,13 @@ def residual(
     xs,
     method: str = ADOMIAN_IDENTITY,
 ) -> ResidualReport:
-    """Pointwise residual report at the requested abscissae."""
-    fn = _residual_fn(p, sol, n, method)
+    """Pointwise residual report at the requested abscissae.
+
+    By the Adomian identity the rows are expanded afresh at the abscissae,
+    not read from the solution as :func:`max_residual` reads them, so the
+    report checks the search independently.
+    """
+    fn = _residual_fn(p, sol, n, method, expand=True)
     xs = np.asarray(xs, dtype=float).ravel()
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise UsageError("abscissae must lie in [0, 1]")
@@ -187,11 +175,10 @@ def max_residual(
     The dense stage takes 0, 901 points in [0.001, 0.999] and 1; the
     refinement zooms in on the bracket around the maximizer, 41 points
     a round, until the bracket is narrower than 1e-10.  A round computes
-    only the component it refines, and every point set builds one
-    barycentric matrix for all the grid terms evaluated there.  By the
-    Adomian identity, the dense stage reads the data kept on the solution
-    (see :func:`_dense_adomian_residuals`), so the orders of a residual
-    table share one expansion of each f at the dense points.
+    only the component it refines, and every point set evaluates what it
+    needs in one :func:`~gfadm.grids.values_at` call.  By the Adomian
+    identity that is psi_1n, psi_2n and the row sums S_{i,n} stored on
+    the solution, since L psi_{i,n} = S_{i,n}: the search expands no f.
     With ``weighted=True`` the residual is multiplied by ``x^alpha_i``
     (the defect of the self-adjoint form ``(x^alpha y')' = x^alpha f``),
     which some published benchmark tables report.
@@ -202,12 +189,10 @@ def max_residual(
     def weigh(x, i, vals):
         return vals * x ** alphas[i] if weighted else vals
 
-    xs = _DENSE
-    dense = (_dense_adomian_residuals(p, sol, n) if method == ADOMIAN_IDENTITY
-             else fn(xs))
+    dense = fn(_DENSE)
     out = []
     for i in range(2):
-        zs, vals = xs, weigh(xs, i, dense[i])
+        zs, vals = _DENSE, weigh(_DENSE, i, dense[i])
         peaks = []
         while True:
             j = int(np.argmax(vals))

@@ -125,20 +125,25 @@ class SolutionSeries:
     """Computed term functions y_{i,0..n} plus the Adomian rows behind them.
 
     Terms and rows are Polynomials (exact backend) or GridFunctions (grid
-    backend); the partial sums are formed once, in the same type.
+    backend); the partial sums psi_{i,n} and the row sums
+    S_{i,n} = sum_{j<n} A_{i,j}, which are L psi_{i,n}, are formed once, in
+    the same type.
     """
 
     problem: ProblemSpec
     terms1: list
     terms2: list
-    rows1: list = field(default_factory=list)  # A_{1,j}, j = 0..n-1
-    rows2: list = field(default_factory=list)
+    rows1: list  # A_{1,j}, j = 0..n-1
+    rows2: list
     _sums: tuple = field(init=False, repr=False)
-    # the residual search's dense data, kept from its first use (analysis.py)
-    _dense: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _row_sums: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not len(self.rows1) == len(self.rows2) == self.n_terms:
+            raise UsageError(f"a solution of order {self.n_terms} needs"
+                             f" {self.n_terms} Adomian rows per component")
         self._sums = (list(accumulate(self.terms1)), list(accumulate(self.terms2)))
+        self._row_sums = (list(accumulate(self.rows1)), list(accumulate(self.rows2)))
 
     @property
     def n_terms(self) -> int:
@@ -149,6 +154,12 @@ class SolutionSeries:
         if not 0 <= n <= self.n_terms:
             raise UsageError(f"partial-sum order {n} outside stored range")
         return self._sums[component - 1][n]
+
+    def row_sum(self, component: int, n: int):
+        """S_{component,n} = L psi_{component,n}, in the type of the rows."""
+        if not 1 <= n <= self.n_terms:
+            raise UsageError(f"row-sum order {n} outside stored range")
+        return self._row_sums[component - 1][n - 1]
 
     def partial_sum(self, component: int, n: int, x):
         return self.psi(component, n)(x)

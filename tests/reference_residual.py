@@ -1,12 +1,13 @@
-"""The residual search as it was before its fast paths, for bitwise checks.
+"""The residual search as it was before its fast paths, for the checks.
 
 ``gfadm.grids.values_at`` evaluates its polynomials by one stacked Horner
-pass, and ``gfadm.analysis.max_residual`` takes its dense stage from data
-kept on the solution.  These are the slow paths they replace: every
-polynomial evaluated by its own call, and every order's dense stage
-computed afresh (terms, Adomian rows and all), through the same
-``_residual_fn`` logic.  The tests require the fast paths to match them
-bitwise.
+pass, and ``gfadm.analysis.max_residual`` reads the Adomian identity's
+rows from the row sums stored on the solution.  These are the slow paths
+they replace: every polynomial evaluated by its own call, and every point
+set of every order expanding the rows A_0..A_{n-1} afresh from the term
+values there, through the same ``_residual_fn`` logic.  The tests require
+the pointwise reports and the spectral maxima to match them bitwise, and
+the identity's maxima to 1e-13.
 """
 
 import numpy as np

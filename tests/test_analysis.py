@@ -31,12 +31,19 @@ from gfadm import (
     solution_box,
     to_text,
 )
-from gfadm import analysis, grids
+from gfadm import analysis, grids, series
 from gfadm.errors import EvaluationError
 from gfadm.expr import STEP
 import reference_residual as reference
 
 ABSCISSAE = [0.1 * i for i in range(1, 10)]
+BUNDLED = {"catalytic": catalytic_problem,
+           "symmetric": catalytic_symmetric_problem,
+           "oxygen1": lambda: oxygen_problem(1.0),
+           "oxygen2": lambda: oxygen_problem(2.0),
+           "oxygen3": lambda: oxygen_problem(3.0),
+           "co2_pge": co2_pge_problem}
+
 
 
 def _pointwise_residual(p, sol, n, x):
@@ -172,11 +179,9 @@ def test_residual_abscissae_check(xs):
 
 @pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
 def test_max_residual_builds_one_matrix_per_point_set(method, monkeypatch):
-    """One barycentric matrix per point set, and none for the dense set again.
+    """One barycentric matrix per point set, the dense set and every zoom round.
 
-    The Adomian identity's dense stage reads the solution's dense data, whose
-    matrix is built on the first call only; the spectral dense stage, and
-    every zoom round, goes through the residual function and builds its own.
+    The search keeps nothing on the solution, so every call builds its own.
     """
     p = catalytic_problem()
     sol = gfadm_solve(p, 11, backend=GRID)
@@ -187,8 +192,8 @@ def test_max_residual_builds_one_matrix_per_point_set(method, monkeypatch):
         builds.append(xs.copy())
         return build(n, xs)
 
-    def counted_fn(*args):
-        fn = make_fn(*args)
+    def counted_fn(*args, **kwargs):
+        fn = make_fn(*args, **kwargs)
 
         def residual_at(x, *rest):
             point_sets.append(x)
@@ -198,90 +203,151 @@ def test_max_residual_builds_one_matrix_per_point_set(method, monkeypatch):
 
     monkeypatch.setattr(grids, "_barycentric_matrix", counted_build)
     monkeypatch.setattr(analysis, "_residual_fn", counted_fn)
-    for call, n in enumerate((11, 7)):
+    for n in (11, 7, 11):
         builds.clear()
         point_sets.clear()
         max_residual(p, sol, n, method=method, weighted=True)
-        dense = [analysis._DENSE] if method == ADOMIAN_IDENTITY and call == 0 else []
         # the dense set plus one set per zoom round
-        assert len(dense + point_sets) > 2 and len(builds) == len(dense + point_sets)
-        assert all(np.array_equal(b, x) for b, x in zip(builds, dense + point_sets))
-        assert sum(b.size == analysis._DENSE.size for b in builds) == (
-            1 if method == SPECTRAL or call == 0 else 0)
+        assert len(point_sets) > 2 and len(builds) == len(point_sets)
+        assert all(np.array_equal(b, x) for b, x in zip(builds, point_sets))
+        assert np.array_equal(builds[0], analysis._DENSE)
+        assert sum(b.size == analysis._DENSE.size for b in builds) == 1
 
 
-@pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
-@pytest.mark.parametrize("make, backend", [
+def _perturbed_catalytic(seed):
+    """Catalytic with its four rates scaled by seeded factors in [0.8, 1.2]."""
+    rates = np.array([1.0, 0.4, 0.5, 1.0]) * np.random.default_rng(seed).uniform(
+        0.8, 1.2, 4)
+    return catalytic_problem(*rates.tolist())
+
+
+# the later cases are named: another unnamed lambda would renumber the ids of the rest
+SLOW_PATH_CASES = [
     (catalytic_problem, EXACT),
     (catalytic_symmetric_problem, EXACT),
     (catalytic_problem, GRID),
     (lambda: oxygen_problem(2.0), GRID),
-])
-def test_residuals_are_bitwise_the_slow_path(make, backend, method):
-    """Residuals and maxima are bitwise the per-order, per-polynomial ones.
+    pytest.param(catalytic_symmetric_problem, GRID, id="symmetric-grid"),
+    pytest.param(lambda: oxygen_problem(1.0), GRID, id="oxygen1-grid"),
+    pytest.param(lambda: oxygen_problem(3.0), GRID, id="oxygen3-grid"),
+    pytest.param(co2_pge_problem, GRID, id="co2_pge-grid"),
+    pytest.param(lambda: _perturbed_catalytic(1), EXACT, id="rates1-exact"),
+    pytest.param(lambda: _perturbed_catalytic(7), GRID, id="rates7-grid"),
+]
 
-    Orders asked ascending, descending and repeated, each on one solution,
-    weighted and unweighted; the dense data a solution keeps from its first
-    order must not move any later order.
+
+@pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
+@pytest.mark.parametrize("make, backend", SLOW_PATH_CASES)
+def test_residuals_are_bitwise_the_slow_path(make, backend, method):
+    """The pointwise report by both methods, and the spectral maxima, are
+    bitwise the per-polynomial ones of ``tests/reference_residual.py``.
+
+    The identity's maxima read the stored rows, not the report's expansion;
+    :func:`test_identity_search_matches_the_expanding_slow_path` holds them
+    to the reference.
     """
     p = make()
-    slow = {}
-    for orders in (range(1, 8), range(7, 0, -1), (4, 4, 2, 4)):
-        sol = gfadm_solve(p, 7, backend=backend)
-        for n in orders:
-            if n not in slow:
-                slow[n] = [reference.max_residual(p, sol, n, method, weighted)
-                           for weighted in (False, True)]
-                slow[n].append(np.array(
-                    reference._residual_fn(p, sol, n, method)(np.array(ABSCISSAE))))
-            fast = [max_residual(p, sol, n, method=method, weighted=weighted)
-                    for weighted in (False, True)]
-            rep = residual(p, sol, n, ABSCISSAE, method=method)
-            fast.append(np.array([[r for _, r in rep.points1], [r for _, r in rep.points2]]))
-            for got, want in zip(fast, slow[n]):
-                assert np.array(got).tobytes() == np.array(want).tobytes(), (n, got, want)
+    sol = gfadm_solve(p, 7, backend=backend)
+    for n in range(1, 8):
+        want = [np.array(reference._residual_fn(p, sol, n, method)(np.array(ABSCISSAE)))]
+        rep = residual(p, sol, n, ABSCISSAE, method=method)
+        got = [np.array([[r for _, r in rep.points1], [r for _, r in rep.points2]])]
+        if method == SPECTRAL:
+            for weighted in (False, True):
+                want.append(reference.max_residual(p, sol, n, method, weighted))
+                got.append(max_residual(p, sol, n, method=method, weighted=weighted))
+        for a, b in zip(got, want, strict=True):
+            assert np.array(a).tobytes() == np.array(b).tobytes(), (n, a, b)
 
 
-def test_dense_rows_past_the_order_may_overflow():
-    """A dense row past order n - 1 that overflows leaves order n as it was.
+@pytest.mark.parametrize("make, backend", SLOW_PATH_CASES)
+def test_identity_search_matches_the_expanding_slow_path(make, backend):
+    """The identity's maxima from the stored rows against the reference,
+    which expands the rows afresh at every point set of every order.
 
-    With terms 1, 0, 1e200, 0, 0, 0, row A_4 of y1^2 holds 1e200^2; order 1
-    reads only A_0.
+    The largest gap seen is 3.1e-15 (oxygen alpha = 2 and 3 on the grid).
+    """
+    p = make()
+    sol = gfadm_solve(p, 11, backend=backend)
+    for n in range(1, 12):
+        for weighted in (False, True):
+            got = max_residual(p, sol, n, weighted=weighted)
+            want = reference.max_residual(p, sol, n, ADOMIAN_IDENTITY, weighted)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-13, (n, got, want)
+
+
+def _bump(row):
+    """1e-9 as a function of the row's type."""
+    if isinstance(row, grids.GridFunction):
+        return grids.GridFunction(np.full(row.values.size, 1e-9))
+    return 1e-9
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_stored_rows_agree_with_the_report(name):
+    """The identity from the stored rows against the report's fresh
+    expansion at the table abscissae, to 1e-13 (seen: 4.4e-15).
+
+    Moving stored row A_3 by 1e-9 moves every maximum of order 4 and above,
+    and the comparison catches it; orders below 4 do not read A_3.
+    """
+    p = BUNDLED[name]()
+    backends = [GRID, EXACT] if name in ("catalytic", "symmetric") else [GRID]
+    xs = np.array(ABSCISSAE)
+    for backend in backends:
+        sol = gfadm_solve(p, 11, backend=backend)
+        bumped = SolutionSeries(p, sol.terms1, sol.terms2,
+                                sol.rows1[:3] + [sol.rows1[3] + _bump(sol.rows1[3])]
+                                + sol.rows1[4:], sol.rows2)
+        for n in range(1, 12):
+            rep = residual(p, sol, n, xs)
+            want = np.array([[r for _, r in rep.points1], [r for _, r in rep.points2]])
+            got = np.array(analysis._residual_fn(p, sol, n, ADOMIAN_IDENTITY)(xs))
+            assert np.max(np.abs(got - want)) <= 1e-13, (backend, n)
+            moved = np.array(analysis._residual_fn(p, bumped, n, ADOMIAN_IDENTITY)(xs))
+            assert (np.max(np.abs(moved - want)) > 1e-13) == (n >= 4), (backend, n)
+            assert (max_residual(p, bumped, n)[0] != max_residual(p, sol, n)[0]) == (
+                n >= 4), (backend, n)
+
+
+def test_rows_past_the_order_are_never_read():
+    """Order n reads the stored rows A_0..A_{n-1} only.
+
+    With terms 1, 0, 1e200, 0, 0, 0 of y1^2, row A_4 holds 1e200^2 = inf;
+    order 1 reads only A_0, and gives 0 as the re-expanding reference does.
     """
     c = ComponentSpec.make("lane_emden", alpha=2.0, left=NEUMANN_ZERO, a=1, b=0, c=1,
                            rhs="y1^2")
     p = ProblemSpec(c, c)
     terms = [grids.Polynomial([v]) for v in (1.0, 0.0, 1e200, 0.0, 0.0, 0.0)]
-    sol = SolutionSeries(p, terms, list(terms))
+    rows = [grids.Polynomial([v]) for v in (1.0, 0.0, 2e200, 0.0, np.inf)]
+    sol = SolutionSeries(p, terms, list(terms), rows, list(rows))
     for weighted in (False, True):
         got = max_residual(p, sol, 1, weighted=weighted)
         assert got == reference.max_residual(p, sol, 1, weighted=weighted) == (0.0, 0.0)
 
 
-def test_residual_table_expands_the_dense_rows_once(monkeypatch):
-    """Orders 2..11 of one exact solution: one dense expansion per component.
+def test_residual_table_expands_no_rows(monkeypatch):
+    """Orders 2..11 of one exact solution: the search reads the stored rows.
 
-    Every other Adomian call is a zoom round's, and no polynomial is
-    evaluated by its own call.
+    No Adomian call and no series tape inside max_residual, and no
+    polynomial evaluated by its own call.
     """
     p = catalytic_problem()
     sol = gfadm_solve(p, 11, backend=EXACT)
-    sizes = []
-    coefficients = analysis.adomian_coefficients
 
-    def counted(f, x, *rest):
-        sizes.append(np.size(x))
-        return coefficients(f, x, *rest)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the residual search expanded a row")
 
     def own_call(self, x):
         raise AssertionError("a polynomial evaluated by its own call")
 
-    monkeypatch.setattr(analysis, "adomian_coefficients", counted)
+    monkeypatch.setattr(analysis, "adomian_coefficients", forbidden)
+    monkeypatch.setattr(series.SeriesTape, "__init__", forbidden)
     monkeypatch.setattr(grids.Polynomial, "__call__", own_call)
     for n in range(2, 12):
-        max_residual(p, sol, n, weighted=True)
-    assert sizes.count(analysis._DENSE.size) == 2
-    assert set(sizes) == {analysis._DENSE.size, 41}
+        for weighted in (False, True):
+            max_residual(p, sol, n, weighted=weighted)
 
 
 class TestLipschitz:
@@ -334,14 +400,6 @@ class TestLipschitz:
         with pytest.raises(UsageError):
             lipschitz_estimate(parse_expression("y1"), parse_expression("y1"),
                                ((0, 1), (2, 1), (0, 1)))
-
-
-BUNDLED = {"catalytic": catalytic_problem,
-           "symmetric": catalytic_symmetric_problem,
-           "oxygen1": lambda: oxygen_problem(1.0),
-           "oxygen2": lambda: oxygen_problem(2.0),
-           "oxygen3": lambda: oxygen_problem(3.0),
-           "co2_pge": co2_pge_problem}
 
 
 @pytest.mark.parametrize("name", BUNDLED)

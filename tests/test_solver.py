@@ -16,6 +16,7 @@ from gfadm import (
     NumericError,
     ProblemSpec,
     SingularDivisionError,
+    SolutionSeries,
     UnsupportedBackendError,
     UsageError,
     build_baseline,
@@ -195,6 +196,12 @@ def test_psi_matches_term_sums(backend, make):
             old = sum(t(xs) for t in terms[: n + 1])
             assert np.max(np.abs(psi(xs) - old)) <= 1e-12
             assert sol.partial_sum(i, n, 0.37) == psi(0.37)
+    # the stored row sums S_{i,n} = sum_{j<n} A_{i,j} against row-by-row sums
+    for i, rows in ((1, sol.rows1), (2, sol.rows2)):
+        for n in range(1, sol.n_terms + 1):
+            s = sol.row_sum(i, n)
+            assert isinstance(s, kind)
+            assert np.max(np.abs(s(xs) - sum(r(xs) for r in rows[:n]))) <= 1e-12
 
 
 @pytest.mark.parametrize("make", BUNDLED)
@@ -291,6 +298,13 @@ def test_usage_errors():
         evaluate_partial_sum(sol, 3, 0.5)
     with pytest.raises(UsageError):
         evaluate_partial_sum(sol, 2, 1.5)
+    for n in (0, 3):
+        with pytest.raises(UsageError, match="row-sum order"):
+            sol.row_sum(1, n)
+    # a solution carries one Adomian row per component and term after the first
+    for rows1, rows2 in ((sol.rows1[:1], sol.rows2), (sol.rows1, sol.rows2 + sol.rows2[:1])):
+        with pytest.raises(UsageError, match="needs 2 Adomian rows"):
+            SolutionSeries(p, sol.terms1, sol.terms2, rows1, rows2)
 
 
 def test_zero_rhs_keeps_baseline():
