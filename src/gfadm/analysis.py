@@ -8,7 +8,9 @@ Two residual methods cross-validate each other:
 
 * ``spectral`` differentiates the partial-sum interpolant twice
   (spectral differentiation on the Chebyshev grid, exact derivatives for
-  polynomial terms) and forms |L psi - f|.
+  polynomial terms) and forms |L psi - f|.  The second derivative
+  magnifies the rounding in grid terms near x = 0: at N = 64 it carries
+  about 1e-8 there, so a spectral value below about 1e-7 is not resolved.
 * ``adomian_identity`` uses |sum_{j<n} A_j(x) - f(x, psi_1n, psi_2n)|,
   algebraically equal because every term satisfies L y_j = A_{j-1}; it
   involves no differentiation and is the accurate choice near roundoff

@@ -11,6 +11,8 @@ per grid size, every row bitwise the function's own call.
 
 Polynomial arithmetic runs on plain coefficient arrays, bitwise equal to
 ``numpy.polynomial.polynomial`` without its per-call conversions and checks.
+Every result is built from the fresh float array it computed, only trimmed;
+the constructor's conversion is for outside callers.
 """
 
 from __future__ import annotations
@@ -21,6 +23,18 @@ import math
 import numpy as np
 
 from .errors import UsageError
+
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    """A non-empty coefficient array without its exact trailing zeros.
+
+    A product can also make them by underflow; the zero polynomial keeps
+    one coefficient, +0.0.
+    """
+    if c[-1] != 0.0:
+        return c
+    nz = np.flatnonzero(c)
+    return c[: nz[-1] + 1] if nz.size else np.zeros(1)
 
 
 class Polynomial:
@@ -38,12 +52,18 @@ class Polynomial:
         c = np.asarray(coeffs, dtype=float)
         if c.ndim == 0:
             c = c.reshape(1)
-        # trim exact trailing zeros, which a product can also make by
-        # underflow; the zero polynomial keeps one coefficient, +0.0
-        if c.size == 0 or c[-1] == 0.0:
-            nz = np.flatnonzero(c)
-            c = c[: nz[-1] + 1] if nz.size else np.zeros(1)
-        self.coeffs = c
+        self.coeffs = _trim(c) if c.size else np.zeros(1)
+
+    @classmethod
+    def _of(cls, c: np.ndarray) -> "Polynomial":
+        """The polynomial of a fresh non-empty 1-D float array, only trimmed.
+
+        Every arithmetic result is built here: its array is already what
+        ``__init__`` would convert it to.
+        """
+        p = object.__new__(cls)
+        p.coeffs = _trim(c)
+        return p
 
     @classmethod
     def zero(cls):
@@ -70,10 +90,10 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial.zero()
-        return Polynomial(self.coeffs[1:] * np.arange(1, self.coeffs.size))
+        return Polynomial._of(self.coeffs[1:] * np.arange(1, self.coeffs.size))
 
     def __neg__(self):
-        return Polynomial(-self.coeffs)
+        return Polynomial._of(-self.coeffs)
 
     @staticmethod
     def _coeffs_of(other):
@@ -94,7 +114,7 @@ class Polynomial:
             a, b = b, a
         out = a.copy()
         out[: b.size] += b
-        return Polynomial(out)
+        return Polynomial._of(out)
 
     __radd__ = __add__
 
@@ -110,20 +130,20 @@ class Polynomial:
             # x - y is x + (-y) bitwise
             out = -b
             out[: a.size] += a
-        return Polynomial(out)
+        return Polynomial._of(out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return Polynomial(np.convolve(self.coeffs, other.coeffs))
+            return Polynomial._of(np.convolve(self.coeffs, other.coeffs))
         if not np.isscalar(other):
             return NotImplemented
         # convolve adds each product to +0.0, so a -0.0 product gives +0.0
         out = self.coeffs * float(other)
         out += 0.0
-        return Polynomial(out)
+        return Polynomial._of(out)
 
     __rmul__ = __mul__
 

@@ -16,8 +16,13 @@ with the kernel's cached node matrix (see ``kernels.kernel_apply``); every
 row must be resolved by the grid, its last two Chebyshev coefficients below
 ``RESOLVED`` times its largest, or the solve raises ``NumericError``.
 ``exact_polynomial`` keeps every term as an exact polynomial via
-closed-form monomial images (polynomial nonlinearities only).  Both run
-the same recursion; they differ in how a row is computed and imaged.
+closed-form monomial images (polynomial nonlinearities only).  Each
+component keeps one table of them per solve, one row per exponent, made by
+one ``kernel_monomial_image`` call when a row's degree first reaches it;
+the image of a row is its coefficients times their table rows, summed
+over axis 0 as one array.  A row whose image would pass ``DEGREE_CAP``
+raises ``DegreeCapError`` before the table grows.  Both run the same
+recursion; they differ in how a row is computed and imaged.
 """
 
 from __future__ import annotations
@@ -225,20 +230,53 @@ def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
     return _recurse(p, n_terms, base, nodes, rows, image)
 
 
+class _MonomialImages:
+    """The images of polynomials under one kernel, from a table of monomial images.
+
+    Row m of the table holds the coefficients of ``kernel_monomial_image``
+    of x^m, zero-padded, made by one call when a polynomial of degree m or
+    more first needs it; rows up to degree ``DEGREE_CAP - 2``, whose images
+    reach the cap, fit.  A solve keeps one per component.
+    """
+
+    def __init__(self, kern: KernelSpec):
+        self.kern = kern
+        self.table = np.zeros((DEGREE_CAP - 1, DEGREE_CAP + 1))
+        self.known = 0
+
+    def __call__(self, row: Polynomial) -> Polynomial:
+        """The image of row: sum over m of c_m J_m, bitwise as Polynomials add."""
+        c = row.coeffs
+        for m in range(self.known, c.size):
+            jm = kernel_monomial_image(self.kern, m).coeffs
+            self.table[m, : jm.size] = jm
+        self.known = max(self.known, c.size)
+        nz = np.flatnonzero(c)
+        if not nz.size:
+            return Polynomial.zero()
+        # c_m J_m as Polynomial's product by a number makes it: the + 0.0
+        # turns each -0.0 into +0.0, whatever value the reduction starts
+        # from.  With no -0.0 addend a padding +0.0 adds nothing, so the
+        # reduction over axis 0, row by row in m order, is bitwise the loop
+        # of Polynomial additions
+        scaled = self.table[nz, : nz[-1] + 3] * c[nz, None]
+        scaled += 0.0
+        return Polynomial._of(np.add.reduce(scaled, axis=0))
+
+
 def _solve_exact(p: ProblemSpec, n_terms: int) -> SolutionSeries:
     def rows(f, terms1, terms2, expansion):
         return adomian_polynomial_rows(f, terms1, terms2, expansion)[-1]
 
+    images = [_MonomialImages(c.kernel()) for c in p.components]
+
     def image(kern, row, j, component):
-        out = Polynomial.zero()
-        for m, cm in enumerate(row.coeffs):
-            if cm != 0.0:
-                out = out + cm * kernel_monomial_image(kern, m)
-        if out.degree > DEGREE_CAP:
+        if row.degree + 2 > DEGREE_CAP:  # before the table would grow past it
             raise DegreeCapError(
-                f"degree {out.degree} of term {j + 1} of component {component}"
+                f"degree {row.degree + 2} of term {j + 1} of component {component}"
                 f" exceeds cap {DEGREE_CAP}"
             )
+        out = images[component - 1](row)
         _finite(out.coeffs, j, component)
         return out
 

@@ -303,6 +303,21 @@ class TestErrors:
         assert not out.exists()
         assert not out.with_suffix(".coeffs.json").exists()
 
+    def test_degree_cap_exit_2(self, runner, tmp_path):
+        # y1 = 1 - x at first, so y1^5 gains 6 degrees per term and term 10
+        # would have degree 61
+        text = ZERO_RHS.replace("lane_emden alpha=2\nleft = neumann0\n"
+                                "right = a=1 b=0 c=1\nrhs = 0",
+                                "flat\nleft = dirichlet value=1\n"
+                                "right = a=1 b=0 c=0\nrhs = y1^5", 1)
+        assert "y1^5" in text
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, ["solve", _write(tmp_path, text), "--n", "12",
+                                   "--backend", "poly", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "degree 61 of term 10 of component 1 exceeds cap 60" in res.output
+        assert not out.exists()
+
     def test_bad_abscissae(self, runner, tmp_path):
         res = runner.invoke(main, ["solve", _write(tmp_path, ZERO_RHS),
                                    "--abscissae", "0.5,1.5"])

@@ -62,6 +62,39 @@ def test_operators_match_numpy_polynomial(a, b, s, x):
         assert np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
 
 
+def test_results_are_trimmed_as_numpy_polynomial():
+    """Arithmetic results skip the constructor's conversion, not its trim."""
+    op = OPERATORS
+    tiny = Polynomial([1.0, 1e-200])
+    # the leading 1e-200 * 1e-200 underflows to 0 and is trimmed
+    product = tiny * tiny
+    assert product.coeffs.tobytes() == op["__mul__"](tiny, tiny).coeffs.tobytes()
+    assert product.degree == 1 and type(product) is Polynomial
+    # the zero polynomial from each operation is [+0.0]
+    p, minus_zero = Polynomial([1.0, -0.0, 2.0]), Polynomial([-0.0])
+    zeros = [
+        (p - p, op["__sub__"](p, p)), (p + -p, op["__add__"](p, -p)),
+        (-minus_zero, op["__neg__"](minus_zero)),
+        (minus_zero * minus_zero, op["__mul__"](minus_zero, minus_zero)),
+        (p * -0.0, op["__mul__"](p, -0.0)),
+        (Polynomial([5.0]).derivative(), op["derivative"](Polynomial([5.0]))),
+    ]
+    for fast, slow in zeros:
+        assert fast.coeffs.tobytes() == slow.coeffs.tobytes() == np.zeros(1).tobytes()
+    # -0.0 interior coefficients through +, - and *
+    q = Polynomial([-0.0, -0.0, 3.0, -0.0, 4.0])
+    pairs = [
+        (p + q, op["__add__"](p, q)), (q + p, op["__radd__"](p, q)),
+        (p - q, op["__sub__"](p, q)), (q - p, op["__sub__"](q, p)),
+        (-1.0 - q, op["__rsub__"](q, -1.0)),
+        (p * q, op["__mul__"](p, q)), (q * -2.0, op["__mul__"](q, -2.0)),
+        (-q, op["__neg__"](q)), (q.derivative(), op["derivative"](q)),
+    ]
+    for fast, slow in pairs:
+        assert fast.coeffs.tobytes() == slow.coeffs.tobytes()
+    assert np.signbit((p + q).coeffs[1]) and np.signbit((q - p).coeffs[3])
+
+
 class TestGrid:
     def test_lobatto_nodes(self):
         nodes = chebyshev_lobatto(4)

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 from numpy_polynomial import OPERATORS
+from reference_exact_image import row_image
 from reference_image import image_at
 
 from gfadm import (
@@ -30,7 +31,7 @@ from gfadm import (
 import gfadm.solver
 from gfadm.adomian import adomian_coefficients, adomian_polynomial_rows
 from gfadm.grids import GridFunction, Polynomial
-from gfadm.kernels import _node_image
+from gfadm.kernels import DIRICHLET_DIRICHLET, LANE_EMDEN, KernelSpec, _node_image
 from gfadm.series import SeriesTape
 
 
@@ -173,6 +174,33 @@ def test_degree_cap():
         gfadm_solve(ProblemSpec(c, c), 31, backend=EXACT)
 
 
+def _counted_monomial_images(monkeypatch):
+    """The (kernel, m) of every ``kernel_monomial_image`` call the solver makes."""
+    calls = []
+    original = gfadm.solver.kernel_monomial_image
+
+    def counted(k, m):
+        calls.append((k, m))
+        return original(k, m)
+
+    monkeypatch.setattr(gfadm.solver, "kernel_monomial_image", counted)
+    return calls
+
+
+def test_degree_cap_checked_before_the_table_grows(monkeypatch):
+    # y_10 = 1 - x makes y1^5 gain 6 degrees per term, deg y_1j = 6j + 1:
+    # row 9 has degree 59, past the table's last exponent, DEGREE_CAP - 2
+    c1 = ComponentSpec.make("flat", left=DIRICHLET, left_value=1.0, c=0.0,
+                            rhs="y1^5")
+    c2 = ComponentSpec.make("lane_emden", alpha=2.0, c=1.0, rhs="y1*y2")
+    calls = _counted_monomial_images(monkeypatch)
+    with pytest.raises(DegreeCapError) as exc:
+        gfadm_solve(ProblemSpec(c1, c2), 12, backend=EXACT)
+    assert str(exc.value) == "degree 61 of term 10 of component 1 exceeds cap 60"
+    # the table of component 1 stopped at row 8's degree, 53
+    assert max(m for k, m in calls if k == c1.kernel()) == 53
+
+
 BUNDLED = [catalytic_problem, catalytic_symmetric_problem,
            lambda: oxygen_problem(1.0), lambda: oxygen_problem(2.0),
            lambda: oxygen_problem(3.0), co2_pge_problem]
@@ -250,11 +278,17 @@ def test_exact_backend_flat_dirichlet_matches_grid():
 @pytest.mark.parametrize("problem", [catalytic_problem, catalytic_symmetric_problem,
                                      _flat_dirichlet_problem])
 def test_exact_solve_matches_numpy_polynomial(problem, monkeypatch):
-    """The exact backend's series is bitwise the one numpy.polynomial gives."""
+    """The exact backend's series is bitwise the one numpy.polynomial gives.
+
+    The slow side images each row term by term, as a loop of Polynomial
+    operations, so that numpy.polynomial does all of its arithmetic.
+    """
     p = problem()
     fast = gfadm_solve(p, 11, backend=EXACT)
     for name, op in OPERATORS.items():
         monkeypatch.setattr(Polynomial, name, op)
+    monkeypatch.setattr(gfadm.solver._MonomialImages, "__call__",
+                        lambda self, row: row_image(self.kern, row))
     slow = gfadm_solve(p, 11, backend=EXACT)
     for name in ("terms1", "terms2", "rows1", "rows2"):
         for a, b in zip(getattr(fast, name), getattr(slow, name), strict=True):
@@ -262,6 +296,60 @@ def test_exact_solve_matches_numpy_polynomial(problem, monkeypatch):
     for i in (1, 2):
         for n in range(12):
             assert fast.psi(i, n).coeffs.tobytes() == slow.psi(i, n).coeffs.tobytes()
+
+
+IMAGE_KERNELS = [KernelSpec(LANE_EMDEN, alpha=a, robin_shift=r)
+                 for a in (0.0, 1.0, 2.0, 3.0) for r in (0.0, 0.5)]
+IMAGE_KERNELS.append(KernelSpec(DIRICHLET_DIRICHLET))
+
+
+def _image_rows():
+    """Rows of degree 0..DEGREE_CAP - 2 with zero and -0.0 coefficients."""
+    rng = np.random.default_rng(21)
+    rows = [Polynomial([0.0]), Polynomial([-0.0]), Polynomial([-0.0, 0.0, 1.0]),
+            # no positive coefficient: every c_m * 0.0 is -0.0 before the + 0.0
+            Polynomial([-3.0]), Polynomial([-1.0, -0.0, -2.5]),
+            Polynomial([0.0, -0.0, 0.0, -1.0]),
+            Polynomial([1.0, 1e-320])]  # the top term of the image underflows
+    for d in range(gfadm.solver.DEGREE_CAP - 1):
+        c = rng.normal(size=d + 1) * 10.0 ** rng.integers(-30, 30, size=d + 1)
+        c[rng.random(d + 1) < 0.3] = 0.0
+        c[rng.random(d + 1) < 0.3] = -0.0
+        c[-1] = rng.choice([-1.0, 1.0]) * rng.random()
+        rows.append(Polynomial(c))
+    return rows
+
+
+@pytest.mark.parametrize("kern", IMAGE_KERNELS)
+def test_row_image_matches_term_by_term_reference(kern):
+    """The table's image is bitwise the per-monomial loop's, however it grows."""
+    rows = _image_rows()
+    assert rows[-1].degree == gfadm.solver.DEGREE_CAP - 2
+    growing = gfadm.solver._MonomialImages(kern)
+    for row in rows + rows[::-1]:
+        slow = row_image(kern, row).coeffs.tobytes()
+        assert growing(row).coeffs.tobytes() == slow
+        # a fresh table, grown to the row's degree by one call
+        assert gfadm.solver._MonomialImages(kern)(row).coeffs.tobytes() == slow
+    assert growing.known == gfadm.solver.DEGREE_CAP - 1  # it never shrinks
+
+
+@pytest.mark.parametrize("make, count", [(catalytic_problem, 2 * 21),
+                                         (_flat_dirichlet_problem, 2 * 33)])
+def test_one_monomial_image_per_exponent_component_and_solve(make, count,
+                                                             monkeypatch):
+    # row 10 has degree 20 in both catalytic components, and 32 in both
+    # components of the flat Dirichlet problem
+    p = make()
+    calls = _counted_monomial_images(monkeypatch)
+    for _ in range(2):  # a second solve makes its own tables
+        calls.clear()
+        sol = gfadm_solve(p, 11, backend=EXACT)
+        expected = [(c.kernel(), m)
+                    for c, rows in zip(p.components, (sol.rows1, sol.rows2))
+                    for m in range(max(r.degree for r in rows) + 1)]
+        assert sorted(calls, key=repr) == sorted(expected, key=repr)
+        assert len(calls) == count
 
 
 def test_non_finite_parameters_rejected():
