@@ -14,16 +14,23 @@ and the residual search use), or ``x = Polynomial.identity()`` with
 polynomial terms (rows as exact polynomials in x, for the exact backend;
 polynomial f only).
 
+f may also be a sequence of nonlinearities, f1 and f2 of a problem.  They
+are recorded on one tape, a subtree equal in several of them once, and a
+call returns one block of rows per f, each bitwise the rows that f gets
+alone.
+
 Every call extends an expansion to the terms it is given.  Without one, a
 call records a fresh expansion and extends it once, by all the rows.  A
 solve needs row j at step j, from the terms 0..j; the solver keeps one
-expansion of each nonlinearity and passes it to every call, which then
-computes only the row of the new term, each coefficient once, so a
-solve's row work is O(n^2) instead of O(n^3).  The rows are bitwise the
-same either way.
+expansion of both nonlinearities and passes it to its one call per step,
+which then computes only the rows of the new term, each coefficient once,
+so a solve's row work is O(n^2) instead of O(n^3).  The rows are bitwise
+the same either way.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -33,11 +40,21 @@ from .grids import Polynomial
 from .series import RunningSeries, SeriesTape
 
 
-def adomian_expansion(f: Expression, x) -> RunningSeries:
+Rhs = Expression | Sequence[Expression]  # one f, or f1 and f2 on one tape
+
+
+def adomian_expansion(f: Rhs, x) -> RunningSeries | list[RunningSeries]:
     """The expansion of f at x, for the ``expansion`` argument below.
 
     ``x`` is what the calls it serves pass: a point, the array of points,
-    or ``Polynomial.identity()`` for :func:`adomian_polynomial_rows`.
+    or ``Polynomial.identity()`` for :func:`adomian_polynomial_rows`.  For
+    a sequence of expressions it is a list of series on one tape, one per
+    f, and the subtrees they share are recorded once::
+
+        f1, f2 = parse_expression("y1^2 + x*y2"), parse_expression("2*y1^2")
+        expansion = adomian_expansion([f1, f2], 0.5)  # y1^2 recorded once
+        rows1, rows2 = adomian_coefficients([f1, f2], 0.5, y1_terms, y2_terms,
+                                            expansion)
     """
     y1, y2 = SeriesTape(2).variables
     # the parts of f in x alone are computed here; one that overflows makes
@@ -46,47 +63,51 @@ def adomian_expansion(f: Expression, x) -> RunningSeries:
         return eval_series(f, x, y1, y2)
 
 
-def adomian_coefficients(f: Expression, x, y1_terms, y2_terms,
-                         expansion: RunningSeries | None = None) -> np.ndarray:
+def adomian_coefficients(f: Rhs, x, y1_terms, y2_terms, expansion=None):
     """Rows A_0..A_n of f at x from the component term values so far.
 
     ``x`` is one point or an array of points; each term is then a value or
     an array of values at them, and the rows have shape ``(n+1,)`` or
-    ``(n+1, len(x))``.  With an ``expansion`` of f at x, only the rows of
-    the terms it has not seen are computed; the terms it has seen must be
-    the ones it saw.  Empty term lists raise :class:`OrderMismatchError`.
-    A vanishing denominator raises :class:`SingularDivisionError` at the
-    first point where it vanishes.
+    ``(n+1, len(x))``.  For a sequence of expressions the result is a list,
+    one block of rows per f, all from one tape.  With an ``expansion`` of f
+    at x, only the rows of the terms it has not seen are computed; the
+    terms it has seen must be the ones it saw.  Empty term lists raise
+    :class:`OrderMismatchError`.  A vanishing denominator raises
+    :class:`SingularDivisionError` at the first point where it vanishes.
     """
     if len(y1_terms) != len(y2_terms):
         raise UnsupportedBackendError("term lists must have equal length")
-    fresh = expansion is None
-    if fresh:
+    if expansion is None:
         expansion = adomian_expansion(f, x)
-    seen = expansion.order + 1
+    many = isinstance(f, (list, tuple))
+    series = expansion if many else [expansion]
+    tape = series[0].tape
+    seen = tape.known
     try:
         # overflow raises NumericError from the finiteness checks below and
         # in the series arithmetic, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            expansion.tape.extend(y1_terms, y2_terms)
+            tape.extend(y1_terms, y2_terms)
     except SingularDivisionError as exc:
         where = float(np.ravel(x)[exc.index])
         raise SingularDivisionError(str(exc), location=where) from None
-    # a kept expansion's buffer is not handed out
-    rows = expansion.coeffs if fresh else expansion.coeffs.copy()
-    # series arithmetic checks float coefficients as it goes; checking
+    # the tape's buffer is not handed out
+    rows = [s.coeffs.copy() for s in series]
+    # the tape checks float coefficients once per extension; checking
     # Polynomial ones on every operation would slow the exact backend
-    if rows.dtype == object and not all(np.all(np.isfinite(r.coeffs))
-                                        for r in rows[seen:]):
-        expansion.tape.known = seen  # drop the rows just computed
+    if rows[0].dtype == object and not all(np.all(np.isfinite(r.coeffs))
+                                           for block in rows for r in block[seen:]):
+        tape.known = seen  # drop the rows just computed
         raise NumericError("non-finite coefficient in an Adomian row")
-    return rows
+    return rows if many else rows[0]
 
 
-def adomian_polynomial_rows(
-    f: Expression, y1_terms: list[Polynomial], y2_terms: list[Polynomial],
-    expansion: RunningSeries | None = None,
-) -> list[Polynomial]:
-    """Rows A_0..A_n as exact polynomials in x (polynomial f only)."""
-    return list(adomian_coefficients(f, Polynomial.identity(), y1_terms, y2_terms,
-                                     expansion))
+def adomian_polynomial_rows(f: Rhs, y1_terms: list[Polynomial],
+                            y2_terms: list[Polynomial], expansion=None):
+    """Rows A_0..A_n as exact polynomials in x (polynomial f only).
+
+    A list of Polynomials, or for a sequence of expressions one such list
+    per f.
+    """
+    rows = adomian_coefficients(f, Polynomial.identity(), y1_terms, y2_terms, expansion)
+    return [list(r) for r in rows] if isinstance(f, (list, tuple)) else list(rows)

@@ -113,12 +113,11 @@ def _expanded_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
         vals = values_at(terms, x)
         t1, t2 = vals[: n + 1], vals[n + 1 :]
         psi1, psi2 = sum(t1), sum(t2)
-        return tuple(
-            np.abs(np.sum(adomian_coefficients(p.components[i].rhs, x, t1[:n], t2[:n]),
-                          axis=0)
-                   - eval_scalar(p.components[i].rhs, x, psi1, psi2))
-            for i in components
-        )
+        fs = [p.components[i].rhs for i in components]
+        # one expansion of the components' f on one tape
+        rows = adomian_coefficients(fs, x, t1[:n], t2[:n])
+        return tuple(np.abs(np.sum(a, axis=0) - eval_scalar(f, x, psi1, psi2))
+                     for f, a in zip(fs, rows))
 
     return residual_at
 

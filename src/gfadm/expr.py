@@ -16,7 +16,9 @@ evaluates on scalars (or numpy arrays) through ``eval_scalar`` and, through
 expansion of ``f(x, y1(lam), y2(lam))`` over any coefficient ring, to be
 computed when the tape is extended.  The parser gives equal subtrees one
 node, and evaluation computes a node once by identity, so a repeated
-subexpression is recorded and computed once.
+subexpression is recorded and computed once.  ``eval_series`` given f1 and
+f2, parsed apart, keys its memo by node value instead, so a subtree equal
+in both is recorded once too.
 """
 
 from __future__ import annotations
@@ -31,46 +33,69 @@ from .errors import EvaluationError, ExpressionError, OrderMismatchError
 from .series import RunningSeries
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass node whose hash, over its whole subtree, is taken once.
+
+    The parser and :func:`eval_series` key nodes by value, and the generated
+    hash would walk the subtree at every lookup.  The cached hash is not
+    pickled, as string hashes differ between processes.
+    """
+    cls = dataclass(frozen=True)(cls)
+    subtree_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = subtree_hash(self)
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
+@_node
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Var:
     name: str  # 'x' | 'y1' | 'y2'
 
 
-@dataclass(frozen=True)
+@_node
 class Add:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Sub:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Mul:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Div:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Neg:
     operand: object
 
 
-@dataclass(frozen=True)
+@_node
 class PowInt:
     base: object
     exponent: int
@@ -200,25 +225,29 @@ def parse_expression(text: str) -> Expression:
     return _Parser(text).parse()
 
 
-def evaluate(e: Expression, x, y1, y2, lift, div=operator.truediv):
+def evaluate(e: Expression, x, y1, y2, lift, div=operator.truediv, done=None):
     """Evaluate structurally with values from an arbitrary arithmetic ring.
 
     ``lift`` embeds a float constant into the ring and ``div`` divides two
     values; ``x``, ``y1``, ``y2`` must already support ``+ - *`` with each
     other and with lifted constants.  A node met again is not evaluated
-    again: its value is reused, by the node's identity.
+    again: its value is reused, by the node's identity.  Calls that pass
+    one dict as ``done`` share their values instead by node value, so a
+    subtree equal in expressions parsed apart is evaluated once.
     """
     env = {"x": x, "y1": y1, "y2": y2}
-    done = {}
+    by_value = done is not None
+    done = done if by_value else {}
 
     def ev(e):
         if isinstance(e, Const):
             return lift(e.value)
         if isinstance(e, Var):
             return env[e.name]
-        key = id(e)
-        if key in done:
-            return done[key]
+        k = e if by_value else id(e)
+        out = done.get(k)  # no value is None
+        if out is not None:
+            return out
         if isinstance(e, Add):
             out = ev(e.left) + ev(e.right)
         elif isinstance(e, Sub):
@@ -237,7 +266,7 @@ def evaluate(e: Expression, x, y1, y2, lift, div=operator.truediv):
                 out = out * base
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        done[key] = out
+        done[k] = out
         return out
 
     try:
@@ -271,7 +300,7 @@ def eval_scalar(e: Expression, x, y1, y2):
         else np.full(shape, val)
 
 
-def eval_series(e: Expression, x, y1: RunningSeries, y2: RunningSeries) -> RunningSeries:
+def eval_series(e, x, y1: RunningSeries, y2: RunningSeries):
     """Record ``f(x, y1, y2)`` on the tape of the series y1 and y2.
 
     ``x`` and the literals of f enter as elements of the coefficient ring
@@ -279,6 +308,12 @@ def eval_series(e: Expression, x, y1: RunningSeries, y2: RunningSeries) -> Runni
     at, or ``Polynomial.identity()`` for polynomial coefficients.  Operands
     of a division, and a result free of y1 and y2, become constant series
     of that ring, so a vanishing divisor is caught by the series division.
+
+    ``e`` is one expression, or a sequence of them (f1 and f2 of a
+    problem), which gives a list of series, one per expression.  A subtree
+    equal in several of them, as ``y1^2`` in both of catalytic's, is
+    recorded once, and an expression equal to an earlier one gets its
+    series.
     """
     if y1.tape is not y2.tape:
         raise OrderMismatchError("series arguments must share one tape")
@@ -291,8 +326,14 @@ def eval_series(e: Expression, x, y1: RunningSeries, y2: RunningSeries) -> Runni
             zero.append(0.0 * y1)
         return zero[0] + v
 
-    out = evaluate(e, x, y1, y2, lambda c: c, lambda a, b: as_series(a) / as_series(b))
-    return as_series(out)
+    def series(f, done=None):
+        return as_series(evaluate(f, x, y1, y2, lambda c: c,
+                                  lambda a, b: as_series(a) / as_series(b), done))
+
+    if isinstance(e, (list, tuple)):
+        done = {}  # f1 and f2 were parsed apart: shared by node value
+        return [series(f, done) for f in e]
+    return series(e)
 
 
 def to_text(e: Expression) -> str:

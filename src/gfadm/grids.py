@@ -160,6 +160,18 @@ def chebyshev_lobatto(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def grid_nodes(n: int) -> np.ndarray:
+    """The n-grid's nodes, ``chebyshev_lobatto(n)``, as one cached read-only array.
+
+    The solver passes it as its points, so the kernel can tell its own
+    nodes by identity (``kernels.kernel_apply``).
+    """
+    x = chebyshev_lobatto(n)
+    x.flags.writeable = False
+    return x
+
+
+@functools.lru_cache(maxsize=None)
 def chebyshev_coefficient_matrix(n: int) -> np.ndarray:
     """Map from values on the n-grid to Chebyshev coefficients in 2x - 1.
 
@@ -180,9 +192,8 @@ def _barycentric(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and barycentric weights of the n-grid."""
     w = (-1.0) ** np.arange(n + 1)
     w[[0, -1]] *= 0.5
-    x = chebyshev_lobatto(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    w.flags.writeable = False
+    return grid_nodes(n), w
 
 
 @functools.lru_cache(maxsize=None)

@@ -36,8 +36,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import UsageError
-from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, \
-    chebyshev_lobatto
+from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, grid_nodes
 
 LANE_EMDEN = "lane_emden"
 DIRICHLET_DIRICHLET = "dirichlet_dirichlet"
@@ -150,7 +149,7 @@ def _image_coeffs(k: KernelSpec, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _node_image(k: KernelSpec, n: int) -> np.ndarray:
     """Map from values on the n-grid to the image's values at the same nodes."""
-    t = 2.0 * chebyshev_lobatto(n) - 1.0
+    t = 2.0 * grid_nodes(n) - 1.0
     out = chebyshev.chebvander(t, n + 2) @ _image_coeffs(k, n)
     out.flags.writeable = False
     return out
@@ -160,22 +159,24 @@ def kernel_apply(k: KernelSpec, g, x):
     """Weighted integral ``int_0^1 G(x, s) s^alpha g(s) ds`` at a point or array.
 
     For a :class:`GridFunction` the image of its interpolant is evaluated
-    from its exact Chebyshev coefficients.  At the function's own nodes (any
-    array equal to them) that is one product with the cached node matrix;
-    at other points Clenshaw's sum over the coefficients, exact between
-    nodes.  Any other callable accepting a numpy array of abscissae is
-    integrated by composite quadrature split at the kink s = x.
+    from its exact Chebyshev coefficients.  At the function's own nodes (the
+    array ``grid_nodes(n)``, found by identity, or any array equal to it)
+    that is one product with the cached node matrix; at other points
+    Clenshaw's sum over the coefficients, exact between nodes.  Any other
+    callable accepting a numpy array of abscissae is integrated by
+    composite quadrature split at the kink s = x.
     """
+    if isinstance(g, GridFunction):
+        n = g.values.size - 1
+        nodes = grid_nodes(n)
+        if x is nodes or np.shape(x) == nodes.shape and np.array_equal(x, nodes):
+            return _node_image(k, n) @ g.values
     xs = np.asarray(x, dtype=float)
     if not np.all((0.0 <= xs) & (xs <= 1.0)):
         raise UsageError("kernel_apply wants x in [0, 1]")
     if isinstance(g, GridFunction):
-        n = g.values.size - 1
-        if xs.shape == (n + 1,) and np.array_equal(xs, chebyshev_lobatto(n)):
-            out = _node_image(k, n) @ g.values
-        else:
-            coeffs = _image_coeffs(k, n) @ g.values
-            out = chebyshev.chebval(2.0 * xs - 1.0, coeffs)
+        coeffs = _image_coeffs(k, g.values.size - 1) @ g.values
+        out = chebyshev.chebval(2.0 * xs - 1.0, coeffs)
     else:
         out = np.reshape([_quad(k, g, t) for t in xs.ravel()], xs.shape)
     return float(out) if xs.ndim == 0 else out

@@ -22,7 +22,9 @@ one ``kernel_monomial_image`` call when a row's degree first reaches it;
 the image of a row is its coefficients times their table rows, summed
 over axis 0 as one array.  A row whose image would pass ``DEGREE_CAP``
 raises ``DegreeCapError`` before the table grows.  Both run the same
-recursion; they differ in how a row is computed and imaged.
+recursion; they differ in how a row is computed and imaged.  A solve
+records f1 and f2 on one series tape, a subexpression they share once,
+and extends it once per step: one rows call gives both components' rows.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ import numpy as np
 from .adomian import adomian_coefficients, adomian_expansion, adomian_polynomial_rows
 from .errors import DegreeCapError, NumericError, UsageError
 from .expr import Expression, parse_expression
-from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, \
-    chebyshev_lobatto
+from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, grid_nodes
 from .kernels import DIRICHLET_DIRICHLET, LANE_EMDEN, KernelSpec, kernel_apply, \
     kernel_monomial_image
 
@@ -185,17 +186,18 @@ def _finite(data: np.ndarray, j: int, component: int) -> None:
 def _recurse(p: ProblemSpec, n_terms: int, base, x, rows, image) -> SolutionSeries:
     """y_{i,j} = image(G_i, A_{i,j-1}) for j = 1..n_terms from the terms ``base``.
 
-    ``rows(f, terms1, terms2, expansion)`` is the last Adomian row of f over
-    the terms so far, through f's running expansion at ``x``;
-    ``image(kernel, row, j, i)`` is the next term of component i from its
-    row j.
+    ``rows(fs, terms1, terms2, expansion)`` is the last Adomian row of f1
+    and of f2 over the terms so far, through their one running expansion
+    at ``x``; ``image(kernel, row, j, i)`` is the next term of component i
+    from its row j.
     """
     kern = [c.kernel() for c in p.components]
-    expansions = [adomian_expansion(c.rhs, x) for c in p.components]
+    fs = [c.rhs for c in p.components]
+    expansion = adomian_expansion(fs, x)
     terms = ([base[0]], [base[1]])
     adomian = ([], [])
     for j in range(n_terms):
-        new = [rows(c.rhs, *terms, e) for c, e in zip(p.components, expansions)]
+        new = rows(fs, *terms, expansion)
         for i in range(2):
             adomian[i].append(new[i])
             # an image that overflows raises NumericError from the image's own
@@ -206,12 +208,12 @@ def _recurse(p: ProblemSpec, n_terms: int, base, x, rows, image) -> SolutionSeri
 
 
 def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
-    nodes = chebyshev_lobatto(grid_size)
+    nodes = grid_nodes(grid_size)
 
-    def rows(f, terms1, terms2, expansion):
-        a = adomian_coefficients(f, nodes, [t.values for t in terms1],
-                                 [t.values for t in terms2], expansion)
-        return GridFunction(a[-1])
+    def rows(fs, terms1, terms2, expansion):
+        blocks = adomian_coefficients(fs, nodes, [t.values for t in terms1],
+                                      [t.values for t in terms2], expansion)
+        return [GridFunction(a[-1]) for a in blocks]
 
     def image(kern, row, j, component):
         coeffs = np.abs(chebyshev_coefficient_matrix(grid_size) @ row.values)
@@ -265,8 +267,8 @@ class _MonomialImages:
 
 
 def _solve_exact(p: ProblemSpec, n_terms: int) -> SolutionSeries:
-    def rows(f, terms1, terms2, expansion):
-        return adomian_polynomial_rows(f, terms1, terms2, expansion)[-1]
+    def rows(fs, terms1, terms2, expansion):
+        return [a[-1] for a in adomian_polynomial_rows(fs, terms1, terms2, expansion)]
 
     images = [_MonomialImages(c.kernel()) for c in p.components]
 

@@ -334,3 +334,74 @@ def test_kept_expansion_refuses_fewer_terms_than_it_has_seen():
     with pytest.raises(OrderMismatchError):
         adomian_polynomial_rows(f, polys[:1], polys[:1], expansion)
     assert expansion.order == 2
+
+
+# pairs (f1, f2) that share nothing, share a subtree, are one f twice, or
+# hold an f free of y1 and y2
+JOINT_PAIRS = {
+    "apart": ("x*y1^3 - 0.4*y1*y2", "2 - y2^2 + x*y2"),
+    "shared": ("1 - 5*y1*y2/((0.0001 + y1)*(0.0001 + y2))",
+               "-0.1*y1*y2/((0.0001 + y1)*(0.0001 + y2)) + y1^2"),
+    "identical": ("0.5*y1^2 + 0.5*y1*y2", "0.5*y1^2 + 0.5*y1*y2"),
+    "free of y": ("x^2 - 3", "y1*y2 - x*y1"),
+}
+
+
+def _rule_count(expansion):
+    tape = (expansion[0] if isinstance(expansion, list) else expansion).tape
+    return sum(rule is not None for rule in tape.rules)
+
+
+@pytest.mark.parametrize("pair, x", [
+    pytest.param(pair, x, id=f"{name}-{ring}")
+    for name, pair in JOINT_PAIRS.items()
+    for ring, x in [("point", 0.3), ("points", np.linspace(0.0, 1.0, 17)),
+                    ("polynomial", Polynomial.identity())]
+    # the exact backend takes polynomial f only
+    if ring != "polynomial" or "/" not in "".join(pair)])
+def test_joint_rows_are_each_fs_own_bitwise(pair, x):
+    """Both f on one tape, one-shot or running, give each f's own rows, bitwise."""
+    fs = [parse_expression(t) for t in pair]
+    if isinstance(x, Polynomial):
+        rng = np.random.default_rng(3)
+        y1_terms = [Polynomial(c) for c in _random_terms(rng, 4, 7)]
+        y2_terms = [Polynomial(c) for c in _random_terms(rng, 3, 7)]
+    else:
+        rng = np.random.default_rng(len(pair[0]))
+        y1_terms = _random_terms(rng, np.shape(x), 7)
+        y2_terms = _random_terms(rng, np.shape(x), 7)
+    own = [[_bytes(r) for r in adomian_coefficients(f, x, y1_terms, y2_terms)]
+           for f in fs]
+    joint = adomian_coefficients(fs, x, y1_terms, y2_terms)
+    assert [[_bytes(r) for r in rows] for rows in joint] == own
+    expansion = adomian_expansion(fs, x)
+    for n in range(1, 9):
+        running = adomian_coefficients(fs, x, y1_terms[:n], y2_terms[:n], expansion)
+        assert [[_bytes(r) for r in rows] for rows in running] == [o[:n] for o in own]
+    # a subtree of both is recorded once: one f twice costs one f's rules
+    counts = [_rule_count(adomian_expansion(f, x)) for f in fs]
+    assert _rule_count(expansion) <= sum(counts)
+    if pair[0] == pair[1]:
+        assert _rule_count(expansion) == counts[0]
+        assert expansion[0] is expansion[1]
+
+
+
+def test_joint_polynomial_rows_are_lists_per_f():
+    fs = [parse_expression("y1*y2"), parse_expression("x + y1^2")]
+    one = [Polynomial([1.0]), Polynomial([0.0, 2.0])]
+    rows = adomian_polynomial_rows(fs, one, one)
+    assert [len(r) for r in rows] == [2, 2]
+    assert all(isinstance(p, Polynomial) for r in rows for p in r)
+    assert [p.coeffs.tobytes() for p in rows[1]] == \
+        [p.coeffs.tobytes() for p in adomian_polynomial_rows(fs[1], one, one)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_before_a_singular_division_is_reported_first():
+    """Errors come in the order of the operations, as with a check per operation."""
+    f = parse_expression("1e200*y2^2 + y1/(y1 - 2*x)")
+    with pytest.raises(NumericError, match="series arithmetic"):
+        adomian_coefficients(f, 0.5, [1.0], [1e200])
+    with pytest.raises(SingularDivisionError):  # the division alone
+        adomian_coefficients(f, 0.5, [1.0], [1.0])

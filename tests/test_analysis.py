@@ -350,6 +350,31 @@ def test_residual_table_expands_no_rows(monkeypatch):
             max_residual(p, sol, n, weighted=weighted)
 
 
+@pytest.mark.parametrize("make, backend", [(catalytic_problem, EXACT),
+                                           (lambda: oxygen_problem(2.0), GRID)])
+def test_residual_report_expands_both_components_in_one_call(make, backend,
+                                                             monkeypatch):
+    """One joint Adomian call per pointwise report, bitwise each f expanded alone."""
+    p = make()
+    sol = gfadm_solve(p, 6, backend=backend)
+    calls = []
+    joint = analysis.adomian_coefficients
+
+    def counted(fs, *args):
+        calls.append(list(fs))
+        return joint(fs, *args)
+
+    monkeypatch.setattr(analysis, "adomian_coefficients", counted)
+    report = residual(p, sol, 5, ABSCISSAE)
+    assert calls == [[c.rhs for c in p.components]]
+    monkeypatch.setattr(analysis, "adomian_coefficients",
+                        lambda fs, *args: [joint(f, *args) for f in fs])
+    apart = residual(p, sol, 5, ABSCISSAE)
+    for name in ("points1", "points2"):
+        assert np.array(getattr(report, name)).tobytes() == \
+            np.array(getattr(apart, name)).tobytes()
+
+
 class TestLipschitz:
     def test_linear(self):
         l1, l2 = lipschitz_estimate(parse_expression("2*y1"),

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -264,3 +265,13 @@ def test_repeated_subexpression_is_recorded_once():
                        np.float64(eval_scalar(e, 0.3, 1.2, 0.8)).tobytes()])
     assert counts == [10, 13]
     assert rows[0] == rows[1] and values[0] == values[1]
+
+
+def test_cached_node_hash_is_the_subtree_hash_and_is_not_pickled():
+    f = parse_expression("1 - 5*y1*y2/((0.0001 + y1)*(0.0001 + y2))")
+    g = _unshared(f)
+    assert hash(f) == hash(g) and f == g
+    # a string's hash differs between processes, so a pickle carries none
+    assert "_hash" in vars(f) and b"_hash" not in pickle.dumps(f)
+    again = pickle.loads(pickle.dumps(f))
+    assert again == f and hash(again) == hash(f)

@@ -11,7 +11,7 @@ from gfadm import (
     kernel_bound_m,
     kernel_monomial_image,
 )
-from gfadm.grids import GridFunction, Polynomial, chebyshev_lobatto
+from gfadm.grids import GridFunction, Polynomial, chebyshev_lobatto, grid_nodes
 from gfadm.kernels import _kernel_values, _node_image
 
 LE0 = KernelSpec(LANE_EMDEN, alpha=0.0)
@@ -151,6 +151,25 @@ class TestGridImage:
             assert _node_image.cache_info() == info
         # every caller shares the cached matrix
         assert not _node_image(k, n).flags.writeable
+
+    def test_cached_nodes_take_the_node_matrix_and_stay_unpoisoned(self):
+        """The solver's nodes are found by identity; no public array can change them."""
+        n = 16
+        nodes = grid_nodes(n)
+        assert nodes is grid_nodes(n) and not nodes.flags.writeable
+        assert nodes.tobytes() == chebyshev_lobatto(n).tobytes()
+        g = GridFunction(np.cos(nodes))
+        fast = (_node_image(LE2, n) @ g.values).tobytes()
+        assert kernel_apply(LE2, g, nodes).tobytes() == fast
+        assert kernel_apply(LE2, g, list(nodes)).tobytes() == fast  # equal, not identical
+        # chebyshev_lobatto gives a fresh writable array each call
+        mine = chebyshev_lobatto(n)
+        assert mine.flags.writeable and mine is not chebyshev_lobatto(n)
+        mine[3] = 0.25
+        assert grid_nodes(n).tobytes() == chebyshev_lobatto(n).tobytes()
+        assert kernel_apply(LE2, g, mine).tobytes() == image_at(LE2, g, mine).tobytes()
+        with pytest.raises(ValueError):
+            nodes[3] = 0.25
 
     def test_scalar_and_array_points(self):
         nodes = chebyshev_lobatto(8)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_product import product_coefficient
 
 from gfadm import (
+    NumericError,
     OrderMismatchError,
     Polynomial,
     SingularDivisionError,
@@ -280,3 +282,69 @@ def test_any_split_of_orders_is_bitwise_one_block(data, ring, n):
     assert _blocks(terms, data.draw(_splits(n)), p, ops) == whole
     assert _blocks(terms, [1] * n, p, ops) == whole
     assert _blocks(terms, None, p, ops) == whole
+
+
+def _exposing_terms(ring, n):
+    """Two coefficient lists of n orders whose products expose the order of a sum.
+
+    ``a_0 = 1e16`` meets unit addends: added one by one in i order each 1
+    is lost to rounding (1e16 + 1 is 1e16), while a pairwise sum adds the
+    ones up first.  On 65 points a second column has only -0.0 products,
+    whose sum is -0.0 from its first addend but +0.0 from a +0.0 start; the
+    others hold values of many magnitudes with exact and negative zeros.
+    """
+    big = [1e16] + [1.0] * (n - 1)
+    ones = [1.0] * n
+    if ring == "float":
+        return big, ones
+    if ring == "one point":
+        return [np.array([v]) for v in big], [np.array([v]) for v in ones]
+    rng = np.random.default_rng(12)
+    if ring == "65 points":
+        a = rng.normal(size=(n, 65)) * 10.0 ** rng.integers(-8, 8, size=(n, 65))
+        b = rng.normal(size=(n, 65)) * 10.0 ** rng.integers(-8, 8, size=(n, 65))
+        for c in (a, b):
+            c[rng.random(c.shape) < 0.2] = 0.0
+            c[rng.random(c.shape) < 0.2] = -0.0
+        a[:, 0], b[:, 0] = big, ones
+        a[:, 1], b[:, 1] = -0.0, 1.0
+        return list(a), list(b)
+    a = [Polynomial([v, *rng.normal(size=3)]) for v in big]
+    b = [Polynomial([v, *rng.choice([0.0, -0.0, 2.5], size=2)]) for v in ones]
+    return a, b
+
+
+@pytest.mark.parametrize("ring", ["float", "one point", "65 points", "polynomial"])
+def test_product_is_the_pair_loop_bitwise(ring):
+    """Every coefficient of a product, the tape grown by one order or by all, is the loop's."""
+    n = 16
+    a_terms, b_terms = _exposing_terms(ring, n)
+    want = [_bytes(product_coefficient(a_terms, b_terms, k)) for k in range(n)]
+    for steps in (range(1, n + 1), [n]):
+        tape = SeriesTape(2)
+        a, b = tape.variables
+        product = a * b
+        for k in steps:
+            tape.extend(a_terms[:k], b_terms[:k])
+        assert [_bytes(c) for c in product.coeffs] == want
+    if ring != "polynomial":
+        # the data tell the orders of summation apart: numpy's own sum of
+        # the last coefficient's addends differs from the loop's
+        addends = np.array([a_terms[i] * b_terms[n - 1 - i] for i in range(n)])
+        assert np.add.reduce(addends, axis=0).tobytes() != want[-1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [0.5, np.linspace(0.0, 1.0, 3)], ids=["point", "points"])
+def test_inf_hidden_by_a_division_raises(x):
+    """1/(1 + y1^2) is finite at y1 = 1e200, but y1^2 on the way is not."""
+    f = parse_expression("1/(1 + y1^2)")
+    big, one = 1e200 + 0 * np.asarray(x), 1.0 + 0 * np.asarray(x)
+    tapes = SeriesTape(2), SeriesTape(2)
+    kept, fresh = (eval_series(f, x, *t.variables) for t in tapes)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="series arithmetic"):
+        tapes[0].extend([big], [one])
+    assert tapes[0].known == 0
+    for t in tapes:  # the failed tape then extends as a fresh one does
+        t.extend([one, one], [one, one])
+    assert kept.coeffs.tobytes() == fresh.coeffs.tobytes()

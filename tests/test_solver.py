@@ -30,7 +30,7 @@ from gfadm import (
 )
 import gfadm.solver
 from gfadm.adomian import adomian_coefficients, adomian_polynomial_rows
-from gfadm.grids import GridFunction, Polynomial
+from gfadm.grids import GridFunction, Polynomial, grid_nodes
 from gfadm.kernels import DIRICHLET_DIRICHLET, LANE_EMDEN, KernelSpec, _node_image
 from gfadm.series import SeriesTape
 
@@ -169,8 +169,8 @@ def test_degree_cap():
     c = ComponentSpec.make("lane_emden", alpha=2.0, left=NEUMANN_ZERO,
                            a=1, b=0, c=1, rhs="y1^3")
     with pytest.raises(DegreeCapError):
-        # the cubic doubles the degree gain per term: deg y_ij = 2j, so the
-        # cap of 60 trips at the 31st term
+        # from a constant baseline every power gives deg y_ij = 2j, the
+        # image's 2 per term, so the cap of 60 trips at the 31st term
         gfadm_solve(ProblemSpec(c, c), 31, backend=EXACT)
 
 
@@ -245,13 +245,23 @@ def test_grid_solve_matches_clenshaw_images(make, monkeypatch):
 
 
 @pytest.mark.parametrize("make", BUNDLED)
-def test_one_node_matrix_per_kernel_and_grid_size(make):
+def test_one_node_matrix_per_kernel_and_grid_size(make, monkeypatch):
     p = make()
+    points = []
+    apply = gfadm.solver.kernel_apply
+
+    def recorded(k, g, x):
+        points.append(x)
+        return apply(k, g, x)
+
+    monkeypatch.setattr(gfadm.solver, "kernel_apply", recorded)
     _node_image.cache_clear()
     gfadm_solve(p, 11, grid_size=32)
     info = _node_image.cache_info()
     assert info.misses == len({c.kernel() for c in p.components})
     assert info.hits + info.misses == 22
+    # the solver passes the cached nodes, which kernel_apply knows by identity
+    assert len(points) == 22 and all(x is grid_nodes(32) for x in points)
 
 
 def _flat_dirichlet_problem():
@@ -427,11 +437,13 @@ def _robin_alpha1_problem():
 
 
 def _one_shot_rows(monkeypatch):
-    """Have the solver expand every row afresh, without its running expansion."""
+    """Have the solver expand every row afresh, each f on its own tape."""
     monkeypatch.setattr(gfadm.solver, "adomian_coefficients",
-                        lambda f, x, t1, t2, expansion: adomian_coefficients(f, x, t1, t2))
+                        lambda fs, x, t1, t2, expansion:
+                        [adomian_coefficients(f, x, t1, t2) for f in fs])
     monkeypatch.setattr(gfadm.solver, "adomian_polynomial_rows",
-                        lambda f, t1, t2, expansion: adomian_polynomial_rows(f, t1, t2))
+                        lambda fs, t1, t2, expansion:
+                        [adomian_polynomial_rows(f, t1, t2) for f in fs])
 
 
 def _solve_bytes(p, n, backend):
@@ -454,7 +466,7 @@ RUNNING_PROBLEMS = BUNDLED + [_robin_alpha1_problem, _flat_dirichlet_problem]
                          + [(EXACT, _robin_alpha1_problem),
                             (EXACT, _flat_dirichlet_problem)])
 def test_running_rows_match_one_shot(backend, make, n, monkeypatch):
-    """Rows from the running expansion are bitwise the one-shot rows."""
+    """Rows from the joint running expansion are bitwise each f's one-shot rows."""
     p = make()
     running = _solve_bytes(p, n, backend)
     _one_shot_rows(monkeypatch)
@@ -502,6 +514,7 @@ def test_running_rows_fail_as_one_shot(make, backend, error, monkeypatch):
                                            (EXACT, "adomian_polynomial_rows")])
 @pytest.mark.parametrize("n", [1, 7])
 def test_one_row_call_per_step_and_component(backend, name, n, monkeypatch):
+    """One rows call per step gives the rows of both components."""
     calls = []
     original = getattr(gfadm.solver, name)
 
@@ -511,15 +524,17 @@ def test_one_row_call_per_step_and_component(backend, name, n, monkeypatch):
 
     monkeypatch.setattr(gfadm.solver, name, counted)
     gfadm_solve(catalytic_problem(), n, backend=backend)
-    assert calls == [j + 1 for j in range(n) for _ in range(2)]
+    assert calls == [j + 1 for j in range(n)]
 
 
 def test_exact_row_work_is_quadratic(monkeypatch):
     """A row of order j costs j + 1 products per series product, not O(j^2).
 
-    Catalytic has two series products per component (y1*y1 and y1*y2), so
-    n = 20 takes 4 * (1 + 2 + ... + 20) = 840 Polynomial products; expanding
-    every row afresh at each step took 6160.
+    Catalytic's two right-hand sides hold three series products on their
+    one tape: y1*y1, which both share, and each its own (k*y1)*y2.  So
+    n = 20 takes 3 * (1 + 2 + ... + 20) = 630 Polynomial products; a tape
+    per component took 840, and expanding every row afresh at each step
+    6160.
     """
     products = []
     original = Polynomial.__mul__
@@ -531,7 +546,7 @@ def test_exact_row_work_is_quadratic(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", counted)
     gfadm_solve(catalytic_problem(), 20, backend=EXACT)
-    assert len(products) == 840
+    assert len(products) == 630
 
 
 @pytest.mark.parametrize("make, backend", [
@@ -540,20 +555,21 @@ def test_exact_row_work_is_quadratic(monkeypatch):
 ])
 def test_solve_frees_its_expansions_without_the_cyclic_collector(make, backend,
                                                                 monkeypatch):
-    """Each kept expansion, its tape and every coefficient array die with the solve."""
+    """The kept expansion, its tape and every coefficient buffer die with the solve."""
     refs = []
     expansion = gfadm.solver.adomian_expansion
     extend = SeriesTape.extend
 
-    def kept(f, x):
-        e = expansion(f, x)
-        refs.extend([weakref.ref(e), weakref.ref(e.tape),
-                     *map(weakref.ref, e.tape.variables)])
+    def kept(fs, x):
+        e = expansion(fs, x)
+        tape = e[0].tape
+        refs.extend([*map(weakref.ref, e), weakref.ref(tape),
+                     *map(weakref.ref, tape.variables)])
         return e
 
     def extended(tape, *terms):
         extend(tape, *terms)
-        refs.extend(map(weakref.ref, tape.bufs))
+        refs.append(weakref.ref(tape.buf))  # each growth makes a new buffer
 
     monkeypatch.setattr(SeriesTape, "extend", extended)
     monkeypatch.setattr(gfadm.solver, "adomian_expansion", kept)
