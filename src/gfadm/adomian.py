@@ -31,10 +31,16 @@ the same either way.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from numbers import Real
 
 import numpy as np
 
-from .errors import NumericError, SingularDivisionError, UnsupportedBackendError
+from .errors import (
+    NumericError,
+    SingularDivisionError,
+    UnsupportedBackendError,
+    UsageError,
+)
 from .expr import Expression, eval_series
 from .grids import Polynomial
 from .series import RunningSeries, SeriesTape
@@ -67,11 +73,15 @@ def adomian_coefficients(f: Rhs, x, y1_terms, y2_terms, expansion=None):
     """Rows A_0..A_n of f at x from the component term values so far.
 
     ``x`` is one point or an array of points; each term is then a value or
-    an array of values at them, and the rows have shape ``(n+1,)`` or
-    ``(n+1, len(x))``.  For a sequence of expressions the result is a list,
-    one block of rows per f, all from one tape.  With an ``expansion`` of f
-    at x, only the rows of the terms it has not seen are computed; the
-    terms it has seen must be the ones it saw.  Empty term lists raise
+    an array of values at them, a number standing for its value at every
+    point, and the rows have shape ``(n+1,)`` or ``(n+1, len(x))``.  At
+    ``Polynomial.identity()`` a term is a Polynomial or a number, the
+    constant Polynomial.  A term outside x's ring (one that does not
+    broadcast to the points, say) raises :class:`UsageError`.  For
+    a sequence of expressions the result is a list, one block of rows per
+    f, all from one tape.  With an ``expansion`` of f at x, only the rows
+    of the terms it has not seen are computed; the terms it has seen must
+    be the ones it saw.  Empty term lists raise
     :class:`OrderMismatchError`.  A vanishing denominator raises
     :class:`SingularDivisionError` at the first point where it vanishes.
     """
@@ -83,11 +93,12 @@ def adomian_coefficients(f: Rhs, x, y1_terms, y2_terms, expansion=None):
     series = expansion if many else [expansion]
     tape = series[0].tape
     seen = tape.known
+    terms = [_in_ring(t, x, seen) for t in (y1_terms, y2_terms)]
     try:
         # overflow raises NumericError from the finiteness checks below and
         # in the series arithmetic, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            tape.extend(y1_terms, y2_terms)
+            tape.extend(*terms)
     except SingularDivisionError as exc:
         where = float(np.ravel(x)[exc.index])
         raise SingularDivisionError(str(exc), location=where) from None
@@ -95,11 +106,38 @@ def adomian_coefficients(f: Rhs, x, y1_terms, y2_terms, expansion=None):
     rows = [s.coeffs.copy() for s in series]
     # the tape checks float coefficients once per extension; checking
     # Polynomial ones on every operation would slow the exact backend
-    if rows[0].dtype == object and not all(np.all(np.isfinite(r.coeffs))
-                                           for block in rows for r in block[seen:]):
+    if rows[0].dtype == object and len(rows[0]) > seen and not np.isfinite(
+            np.concatenate([r.coeffs for block in rows for r in block[seen:]])).all():
         tape.known = seen  # drop the rows just computed
         raise NumericError("non-finite coefficient in an Adomian row")
     return rows if many else rows[0]
+
+
+def _in_ring(terms, x, seen: int) -> list:
+    """The terms, those past ``seen`` (the ones an extension reads) in x's ring.
+
+    At a Polynomial x a number becomes the constant Polynomial, so every
+    coefficient on the tape is a Polynomial; at points a term is broadcast
+    to their shape, so a number is its value at every point.
+    """
+    terms = list(terms)
+    if isinstance(x, Polynomial):
+        for k in range(seen, len(terms)):
+            t = terms[k]
+            if not isinstance(t, Polynomial):
+                if not isinstance(t, Real):
+                    raise UsageError(f"term {k} is neither a Polynomial nor a number")
+                terms[k] = Polynomial([t])
+        return terms
+    shape = np.shape(x)
+    for k in range(seen, len(terms)):
+        if np.shape(terms[k]) != shape:
+            try:
+                terms[k] = np.broadcast_to(terms[k], shape)
+            except ValueError:
+                raise UsageError(f"term {k} of shape {np.shape(terms[k])} does not"
+                                 f" broadcast to the points' shape {shape}") from None
+    return terms
 
 
 def adomian_polynomial_rows(f: Rhs, y1_terms: list[Polynomial],
@@ -107,7 +145,7 @@ def adomian_polynomial_rows(f: Rhs, y1_terms: list[Polynomial],
     """Rows A_0..A_n as exact polynomials in x (polynomial f only).
 
     A list of Polynomials, or for a sequence of expressions one such list
-    per f.
+    per f.  A number term is the constant Polynomial.
     """
     rows = adomian_coefficients(f, Polynomial.identity(), y1_terms, y2_terms, expansion)
     return [list(r) for r in rows] if isinstance(f, (list, tuple)) else list(rows)

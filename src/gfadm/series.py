@@ -5,7 +5,10 @@ series ``sum c_k lam^k`` known up to the tape's order, and then extends
 every recorded series by a block of orders at once.  The coefficients are
 stacked along axis 0, and their ring is whatever they are: floats (one
 point), values at a set of points (every operation acting on all points
-at once) or :class:`Polynomial` objects in x (an object array).
+at once) or :class:`Polynomial` objects in x (an object array).  A
+product's new coefficient of Polynomials is summed on their coefficient
+arrays, one convolution per pair and one Polynomial in all, bitwise the
+sum of the Polynomial products.
 
 A one-shot expansion is a fresh tape extended once, by the block of all
 its orders; a running expansion is a kept tape extended as new terms come,
@@ -40,6 +43,7 @@ from .errors import (
     SingularDivisionError,
     UnsupportedBackendError,
 )
+from .grids import Polynomial, _trim
 
 _DIV_TOL = 1e-14
 
@@ -138,8 +142,9 @@ class RunningSeries:
     coefficients ``lo..hi-1`` from its operands' as :meth:`SeriesTape.block`
     gives them: stacked, or, for one order past 0, the coefficient itself.
     Sums, negation, scaling and shifts act on the whole block; a product
-    adds ``a_i b_{k-i}`` in i order (for one order, one multiply and one
-    sum over axis 0 where numpy sums rows in order) and a quotient takes
+    adds ``a_i b_{k-i}`` in i order (for one order, on values at two or
+    more points one multiply and one sum over axis 0, and on Polynomials
+    one convolution per pair added into one array) and a quotient takes
     the forward-substitution step order by order, so a coefficient does
     not depend on how the orders were split.
     """
@@ -209,12 +214,11 @@ class RunningSeries:
         def product(tape, lo, hi):
             aa, bb = tape.buf[a], tape.buf[b]
             if lo and hi - lo == 1:  # one order past 0, as _at places it
-                # numpy sums Polynomials, and values at two or more points,
-                # row by row in i order, as the loop does: an object sum
-                # from its first row, a float one from -0.0, which adds
-                # nothing where numpy's own start, +0.0, would turn a -0.0
                 if aa.dtype == object:
-                    return np.add.reduce(aa[:hi] * bb[lo::-1], axis=0)
+                    return _polynomial_coefficient(aa, bb, lo)
+                # numpy sums values at two or more points row by row in i
+                # order, as the loop does, here from -0.0, which adds
+                # nothing where numpy's own start, +0.0, would turn a -0.0
                 if aa.size > len(aa):
                     return np.add.reduce(aa[:hi] * bb[lo::-1], axis=0, initial=-0.0)
                 # on one point numpy would sum pairwise, so the loop stays
@@ -262,6 +266,25 @@ class RunningSeries:
             return q[_at(lo, hi)]
 
         return self.tape.record(quotient)
+
+
+def _polynomial_coefficient(aa: np.ndarray, bb: np.ndarray, k: int) -> Polynomial:
+    """``sum_i a_i b_(k-i)`` of Polynomials, in i order, on plain arrays.
+
+    Each pair is ``np.convolve`` trimmed, as ``Polynomial.__mul__`` makes
+    it, and each is added as ``Polynomial.__add__`` adds: into the longer
+    array, then trimmed.  The sum is then bitwise the Polynomial sum, its
+    signed zeros and its length included, with one Polynomial made at the
+    end instead of two per pair.  Every array added into is fresh.
+    """
+    c = _trim(np.convolve(aa[0].coeffs, bb[k].coeffs))
+    for i in range(1, k + 1):
+        p = _trim(np.convolve(aa[i].coeffs, bb[k - i].coeffs))
+        if c.size < p.size:
+            c, p = p, c
+        c[: p.size] += p
+        c = _trim(c)
+    return Polynomial._of(c)
 
 
 def _at(lo: int, hi: int):

@@ -253,15 +253,15 @@ class _MonomialImages:
             jm = kernel_monomial_image(self.kern, m).coeffs
             self.table[m, : jm.size] = jm
         self.known = max(self.known, c.size)
-        nz = np.flatnonzero(c)
-        if not nz.size:
+        if c.size == 1 and c[0] == 0.0:  # the zero polynomial
             return Polynomial.zero()
         # c_m J_m as Polynomial's product by a number makes it: the + 0.0
         # turns each -0.0 into +0.0, whatever value the reduction starts
-        # from.  With no -0.0 addend a padding +0.0 adds nothing, so the
-        # reduction over axis 0, row by row in m order, is bitwise the loop
-        # of Polynomial additions
-        scaled = self.table[nz, : nz[-1] + 3] * c[nz, None]
+        # from.  With no -0.0 addend a padding +0.0, and the row of a zero
+        # c_m, add nothing, so the reduction over axis 0, row by row in m
+        # order, is bitwise the loop of Polynomial additions over the
+        # non-zero c_m (row is trimmed: its last one is c[-1])
+        scaled = self.table[: c.size, : c.size + 2] * c[:, None]
         scaled += 0.0
         return Polynomial._of(np.add.reduce(scaled, axis=0))
 

@@ -8,6 +8,7 @@ from gfadm import (
     Polynomial,
     SingularDivisionError,
     UnsupportedBackendError,
+    UsageError,
     adomian_coefficients,
     adomian_polynomial_rows,
     parse_expression,
@@ -133,6 +134,66 @@ class TestPolynomialRows:
         terms = [Polynomial([1.0]), Polynomial([1e200])]
         with pytest.raises(NumericError, match="Adomian row"):
             adomian_polynomial_rows(f, terms, terms)
+
+
+NUMBER_TERMS_TEXT = "x*y1^2 - 0.4*y1*y2 + y2^3"
+
+
+def test_number_terms_at_points_are_their_values_there():
+    """A number term is its value at every point: the explicit arrays' rows, bitwise."""
+    f, xs = parse_expression(NUMBER_TERMS_TEXT), np.linspace(0.0, 1.0, 3)
+    for y1_terms, y2_terms in [([1.0, 2.0], [2.0, 1.0]),
+                               ([1.0, 0.5 + xs, -0.0], [np.full(3, 2.0), 1, 0.25])]:
+        explicit = [[np.broadcast_to(np.asarray(t, dtype=float), xs.shape).copy()
+                     for t in terms] for terms in (y1_terms, y2_terms)]
+        want = adomian_coefficients(f, xs, *explicit)
+        got = adomian_coefficients(f, xs, y1_terms, y2_terms)
+        assert got.shape == want.shape == (len(y1_terms), 3)
+        assert got.tobytes() == want.tobytes()
+        # grown by one term at a time through a kept expansion
+        expansion = adomian_expansion(f, xs)
+        for n in range(1, len(y1_terms) + 1):
+            got = adomian_coefficients(f, xs, y1_terms[:n], y2_terms[:n], expansion)
+        assert got.tobytes() == want.tobytes()
+    # a term of one value broadcasts as a number does
+    got = adomian_coefficients(f, xs, [np.array([1.0])], [np.array(2.0)])
+    want = adomian_coefficients(f, xs, [np.ones(3)], [np.full(3, 2.0)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_number_terms_of_polynomial_rows_are_constant_polynomials():
+    """A number term is the constant Polynomial: explicit Polynomials' rows, bitwise."""
+    f = parse_expression(NUMBER_TERMS_TEXT)
+    for y1_terms, y2_terms in [([1.0, 2.0], [0.5, 0.1]),
+                               ([Polynomial([1.0, 0.5]), -0.0, 3],
+                                [2, Polynomial([0.0, 1.0]), 0.25])]:
+        explicit = [[t if isinstance(t, Polynomial) else Polynomial([t]) for t in terms]
+                    for terms in (y1_terms, y2_terms)]
+        want = [r.coeffs.tobytes() for r in adomian_polynomial_rows(f, *explicit)]
+        got = adomian_polynomial_rows(f, y1_terms, y2_terms)
+        assert all(isinstance(r, Polynomial) for r in got)
+        assert [r.coeffs.tobytes() for r in got] == want
+        expansion = adomian_expansion(f, Polynomial.identity())
+        for n in range(1, len(y1_terms) + 1):
+            got = adomian_polynomial_rows(f, y1_terms[:n], y2_terms[:n], expansion)
+        assert [r.coeffs.tobytes() for r in got] == want
+
+
+def test_terms_outside_the_ring_raise_usage_error():
+    f = parse_expression(NUMBER_TERMS_TEXT)
+    xs = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(UsageError, match="term 1"):
+        adomian_coefficients(f, xs, [1.0, np.ones(4)], [1.0, 1.0])
+    with pytest.raises(UsageError, match="term 0"):
+        adomian_coefficients(f, 0.5, [np.ones(3)], [1.0])
+    with pytest.raises(UsageError, match="term 1"):
+        adomian_polynomial_rows(f, [1.0, 1.0], [Polynomial([1.0]), np.ones(3)])
+    # a kept expansion keeps its order after the refusal
+    expansion = adomian_expansion(f, xs)
+    adomian_coefficients(f, xs, [1.0], [1.0], expansion)
+    with pytest.raises(UsageError):
+        adomian_coefficients(f, xs, [1.0, np.ones(2)], [1.0, 1.0], expansion)
+    assert expansion.order == 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -330,7 +391,9 @@ def test_kept_expansion_refuses_fewer_terms_than_it_has_seen():
     assert expansion.order == 2
     polys = [Polynomial([t]) for t in terms]
     expansion = adomian_expansion(f, Polynomial.identity())
-    adomian_polynomial_rows(f, polys, polys, expansion)
+    rows = adomian_polynomial_rows(f, polys, polys, expansion)
+    again = adomian_polynomial_rows(f, polys, polys, expansion)
+    assert [r.coeffs.tobytes() for r in again] == [r.coeffs.tobytes() for r in rows]
     with pytest.raises(OrderMismatchError):
         adomian_polynomial_rows(f, polys[:1], polys[:1], expansion)
     assert expansion.order == 2

@@ -334,6 +334,87 @@ def test_product_is_the_pair_loop_bitwise(ring):
         assert np.add.reduce(addends, axis=0).tobytes() != want[-1]
 
 
+def _convolve_from_first_product(a, b):
+    """``np.convolve`` with each sum started from its first product, not +0.0.
+
+    numpy's convolution sums through its BLAS dot, which here starts from
+    +0.0 and so never gives -0.0; a sum started from its first product
+    keeps the -0.0 of a lone ``-0.0 * 1.0``.  Polynomial products, and so
+    the pair loop, then carry -0.0, which the product step must add as
+    Polynomials do.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.empty(a.size + b.size - 1)
+    for j in range(out.size):
+        lo, hi = max(0, j - b.size + 1), min(j, a.size - 1)
+        s = a[lo] * b[j - lo]
+        for i in range(lo + 1, hi + 1):
+            s = s + a[i] * b[j - i]
+        out[j] = s
+    return out
+
+
+def _cancelling_terms():
+    """Order 2's first two products cancel at the top, the third has -0.0 there.
+
+    ``[1, 1] + [2, -1]`` is ``[3, +0.0]``, trimmed to ``[3]``; added to
+    ``[1, -0.0, 4]`` it leaves that -0.0, where the untrimmed sum's +0.0
+    would make it +0.0.  The zero polynomial rides along at order 3.
+    """
+    one, zero = Polynomial([1.0]), Polynomial.zero()
+    a = [one, one, Polynomial([1.0, -0.0, 4.0]), zero]
+    b = [one, Polynomial([2.0, -1.0]), Polynomial([1.0, 1.0]), zero]
+    return a, b
+
+
+def _random_polynomials(rng, degrees):
+    """Polynomials of at most the given degrees, among them zero ones.
+
+    Small integers and ±0.0 make exact cancellations and trimmed tops;
+    normal draws make sums whose rounding tells the orders of summation
+    apart.
+    """
+    out = []
+    for d in degrees:
+        c = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=d + 1)
+        drawn = rng.random(d + 1) < 0.3
+        c[drawn] = rng.normal(size=drawn.sum())
+        out.append(Polynomial(c))
+    return out
+
+
+@pytest.mark.parametrize("convolve", ["numpy", "from first product"])
+def test_polynomial_product_step_is_the_pair_loop_bitwise(convolve, monkeypatch):
+    """The one-order step on Polynomials is the loop of Polynomial products, bitwise.
+
+    Terms of the solver's degrees (2i), of random degrees and the
+    cancelling ones; the tape grown by one order and in one block.
+    """
+    if convolve != "numpy":
+        monkeypatch.setattr(np, "convolve", _convolve_from_first_product)
+    rng = np.random.default_rng(2023)
+    cases = [_cancelling_terms()]
+    for _ in range(200):
+        n = int(rng.integers(2, 10))
+        cases.append((_random_polynomials(rng, [2 * i for i in range(n)]),
+                      _random_polynomials(rng, rng.integers(0, 6, size=n))))
+    for a_terms, b_terms in cases:
+        n = len(a_terms)
+        want = [_bytes(product_coefficient(a_terms, b_terms, k)) for k in range(n)]
+        for steps in (range(1, n + 1), [n]):
+            tape = SeriesTape(2)
+            a, b = tape.variables
+            product = a * b
+            for k in steps:
+                tape.extend(a_terms[:k], b_terms[:k])
+            assert [_bytes(c) for c in product.coeffs] == want
+    # the cancelling terms reach the -0.0 only through a sum started from
+    # its first product
+    top = product_coefficient(*_cancelling_terms(), 2).coeffs
+    assert top.tolist() == [4.0, 0.0, 4.0]
+    assert np.signbit(top[1]) == (convolve != "numpy")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("x", [0.5, np.linspace(0.0, 1.0, 3)], ids=["point", "points"])
 def test_inf_hidden_by_a_division_raises(x):

@@ -528,25 +528,24 @@ def test_one_row_call_per_step_and_component(backend, name, n, monkeypatch):
 
 
 def test_exact_row_work_is_quadratic(monkeypatch):
-    """A row of order j costs j + 1 products per series product, not O(j^2).
+    """A row of order j costs j + 1 pair convolutions per series product, not O(j^2).
 
     Catalytic's two right-hand sides hold three series products on their
     one tape: y1*y1, which both share, and each its own (k*y1)*y2.  So
-    n = 20 takes 3 * (1 + 2 + ... + 20) = 630 Polynomial products; a tape
-    per component took 840, and expanding every row afresh at each step
-    6160.
+    n = 20 takes 3 * (1 + 2 + ... + 20) = 630 convolutions of a coefficient
+    pair; a tape per component took 840, and expanding every row afresh at
+    each step 6160.
     """
-    products = []
-    original = Polynomial.__mul__
+    pairs = []
+    original = np.convolve
 
-    def counted(self, other):
-        if isinstance(other, Polynomial):
-            products.append(1)
-        return original(self, other)
+    def counted(a, b):
+        pairs.append(1)
+        return original(a, b)
 
-    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(np, "convolve", counted)
     gfadm_solve(catalytic_problem(), 20, backend=EXACT)
-    assert len(products) == 630
+    assert len(pairs) == 630
 
 
 @pytest.mark.parametrize("make, backend", [
