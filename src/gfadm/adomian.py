@@ -15,9 +15,9 @@ polynomial terms (rows as exact polynomials in x, for the exact backend;
 polynomial f only).
 
 f may also be a sequence of nonlinearities, f1 and f2 of a problem.  They
-are recorded on one tape, a subtree equal in several of them once, and a
-call returns one block of rows per f, each bitwise the rows that f gets
-alone.
+are recorded on one tape, a subexpression equal in several of them once,
+and a call returns one block of rows per f, each bitwise the rows that f
+gets alone.
 
 Every call extends an expansion to the terms it is given.  Without one, a
 call records a fresh expansion and extends it once, by all the rows.  A
@@ -55,7 +55,7 @@ def adomian_expansion(f: Rhs, x) -> RunningSeries | list[RunningSeries]:
     ``x`` is what the calls it serves pass: a point, the array of points,
     or ``Polynomial.identity()`` for :func:`adomian_polynomial_rows`.  For
     a sequence of expressions it is a list of series on one tape, one per
-    f, and the subtrees they share are recorded once::
+    f, and the subexpressions they share are recorded once::
 
         f1, f2 = parse_expression("y1^2 + x*y2"), parse_expression("2*y1^2")
         expansion = adomian_expansion([f1, f2], 0.5)  # y1^2 recorded once

@@ -233,7 +233,7 @@ def lipschitz_estimate(
         return a / b
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-        vals = [[evaluate(f, gx, y1, y2, float, divide) for f in (f1, f2)]
+        vals = [[evaluate(f.steps, gx, y1, y2, float, divide)[-1] for f in (f1, f2)]
                 for y1, y2 in ((gy1 + 1j * STEP, gy2), (gy1, gy2 + 1j * STEP))]
     if not all(np.all(np.isfinite(v)) for row in vals for v in row):
         raise EvaluationError("non-finite value while evaluating expression")

@@ -9,16 +9,20 @@ non-negative integer exponent):
     power  := atom ('^' INT)?
     atom   := NUMBER | 'x' | 'y1' | 'y2' | '(' expr ')'
 
-Expressions are immutable trees; evaluation is reentrant.  The same tree
-evaluates on scalars (or numpy arrays) through ``eval_scalar`` and, through
-``eval_series``, on the :class:`~gfadm.series.RunningSeries` variables of a
+Parentheses and unary minuses nest at most ``MAX_NESTING`` deep; deeper
+input raises :class:`~gfadm.errors.ExpressionError`.
+
+A parsed f is a flat program, an :class:`Expression`: its steps in
+evaluation order (the post-order of the syntax tree), each reading earlier
+steps by index.  The parser makes equal subexpressions one step, so a
+repeated subexpression is evaluated once, and evaluation is one loop over
+the steps.  The same program evaluates on scalars (or numpy arrays)
+through ``eval_scalar`` and, through ``eval_series``, on the
+:class:`~gfadm.series.RunningSeries` variables of a
 :class:`~gfadm.series.SeriesTape`: that records the truncated Taylor
 expansion of ``f(x, y1(lam), y2(lam))`` over any coefficient ring, to be
-computed when the tape is extended.  The parser gives equal subtrees one
-node, and evaluation computes a node once by identity, so a repeated
-subexpression is recorded and computed once.  ``eval_series`` given f1 and
-f2, parsed apart, keys its memo by node value instead, so a subtree equal
-in both is recorded once too.
+computed when the tape is extended.  ``eval_series`` given f1 and f2 joins
+their steps, a step equal in both kept once, and evaluates the join once.
 """
 
 from __future__ import annotations
@@ -32,168 +36,120 @@ import numpy as np
 from .errors import EvaluationError, ExpressionError, OrderMismatchError
 from .series import RunningSeries
 
+# parentheses and unary minuses, one inside another; the parser recurses at
+# most five calls deep per level, so this stays well inside Python's limit
+MAX_NESTING = 100
+_VARS = ("x", "y1", "y2")
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}  # the binary operators' precedence
 
-def _node(cls):
-    """A frozen dataclass node whose hash, over its whole subtree, is taken once.
 
-    The parser and :func:`eval_series` key nodes by value, and the generated
-    hash would walk the subtree at every lookup.  The cached hash is not
-    pickled, as string hashes differ between processes.
+@dataclass(frozen=True)
+class Expression:
+    """A parsed f: steps ``(op, a, b)`` in evaluation order, the last its value.
+
+    ``op`` is ``"num"`` (the constant a), ``"x"``, ``"y1"`` or ``"y2"``,
+    ``"neg"`` (minus step a), ``"^"`` (step a to the integer power b >= 1)
+    or one of ``+ - * /`` (step a op step b).  No two steps are equal.
     """
-    cls = dataclass(frozen=True)(cls)
-    subtree_hash = cls.__hash__
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = subtree_hash(self)
-        return h
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
-    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
-    return cls
+    steps: tuple
 
 
-@_node
-class Const:
-    value: float
+class _Program:
+    """Steps in evaluation order, each kept once."""
 
+    def __init__(self):
+        self.steps = []
+        self.index = {}  # step -> its index
 
-@_node
-class Var:
-    name: str  # 'x' | 'y1' | 'y2'
+    def add(self, op, a=None, b=None) -> int:
+        """The index of the step ``(op, a, b)``, appended if it is new."""
+        step = (op, a, b)
+        i = self.index.get(step)
+        if i is None:
+            i = self.index[step] = len(self.steps)
+            self.steps.append(step)
+        return i
 
-
-@_node
-class Add:
-    left: object
-    right: object
-
-
-@_node
-class Sub:
-    left: object
-    right: object
-
-
-@_node
-class Mul:
-    left: object
-    right: object
-
-
-@_node
-class Div:
-    left: object
-    right: object
-
-
-@_node
-class Neg:
-    operand: object
-
-
-@_node
-class PowInt:
-    base: object
-    exponent: int
-
-
-Expression = object  # any of the node types above
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))"
+    r"|\d+(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str):
-    pos = 0
+    """(kind, text, position) per token, then ("end", "", len(text))."""
     tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            # skip pure whitespace tail
-            if text[pos:].strip() == "":
-                break
-            raise ExpressionError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):  # only trailing whitespace matches nothing
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {text[m.start()]!r}", m.start())
+        tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent; each method returns the index of its value's step."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        self.nodes = {}  # every node made so far, by value
+        self.depth = 0  # parentheses and unary minuses open
+        self.program = _Program()
 
-    def node(self, made):
-        """The node equal to ``made`` made first, so equal subtrees are one."""
-        return self.nodes.setdefault(made, made)
-
-    def peek(self):
-        return self.tokens[self.i]
+    def at(self, ops: str) -> bool:
+        """Whether the next token is one of the operators ``ops``."""
+        kind, val, _ = self.tokens[self.i]
+        return kind == "op" and val in ops
 
     def next(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def expect_op(self, op: str):
         kind, val, pos = self.next()
         if kind != "op" or val != op:
             raise ExpressionError(f"expected {op!r}, found {val!r}", pos)
 
-    def parse(self):
-        e = self.expr()
-        kind, val, pos = self.peek()
+    def nest(self, pos: int):
+        """Open one more level at ``pos``; the caller closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(f"nested deeper than {MAX_NESTING} levels", pos)
+
+    def parse(self) -> Expression:
+        self.expr()
+        kind, val, pos = self.tokens[self.i]
         if kind != "end":
             raise ExpressionError(f"unexpected trailing {val!r}", pos)
-        return e
+        return Expression(tuple(self.program.steps))
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                node = self.node(Add(node, rhs) if val == "+" else Sub(node, rhs))
-            else:
-                return node
+        i = self.term()
+        while self.at("+-"):
+            i = self.program.add(self.next()[1], i, self.term())
+        return i
 
     def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                node = self.node(Mul(node, rhs) if val == "*" else Div(node, rhs))
-            else:
-                return node
+        i = self.unary()
+        while self.at("*/"):
+            i = self.program.add(self.next()[1], i, self.unary())
+        return i
 
     def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return self.node(Neg(self.unary()))
+        if self.at("-"):
+            self.nest(self.next()[2])
+            i = self.program.add("neg", self.unary())
+            self.depth -= 1
+            return i
         return self.power()
 
     def power(self):
+        start = len(self.program.steps)
         base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
+        if self.at("^"):
             self.next()
             kind, val, pos = self.next()
             if kind != "num":
@@ -202,77 +158,67 @@ class _Parser:
                 raise ExpressionError(
                     f"exponent must be a non-negative integer, got {val!r}", pos
                 )
-            return self.node(PowInt(base, int(val)))
+            if int(val) == 0:  # x^0 is 1, x unevaluated: the steps only x needs go
+                program = self.program
+                for step in program.steps[start:]:
+                    del program.index[step]
+                del program.steps[start:]
+                return program.add("num", 1.0)
+            return self.program.add("^", base, int(val))
         return base
 
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            return self.node(Const(float(val)))
+            return self.program.add("num", float(val))
         if kind == "ident":
-            if val in ("x", "y1", "y2"):
-                return self.node(Var(val))
+            if val in _VARS:
+                return self.program.add(val)
             raise ExpressionError(f"unknown identifier {val!r}", pos)
         if kind == "op" and val == "(":
-            node = self.expr()
+            self.nest(pos)
+            i = self.expr()
             self.expect_op(")")
-            return node
+            self.depth -= 1
+            return i
         raise ExpressionError(f"unexpected token {val!r}", pos)
 
 
 def parse_expression(text: str) -> Expression:
-    """Parse ``text`` into an expression tree."""
+    """Parse ``text`` into an expression program."""
     return _Parser(text).parse()
 
 
-def evaluate(e: Expression, x, y1, y2, lift, div=operator.truediv, done=None):
-    """Evaluate structurally with values from an arbitrary arithmetic ring.
+def evaluate(steps, x, y1, y2, lift, div=operator.truediv) -> list:
+    """The value of every step of a program, in order, in an arbitrary ring.
 
     ``lift`` embeds a float constant into the ring and ``div`` divides two
     values; ``x``, ``y1``, ``y2`` must already support ``+ - *`` with each
-    other and with lifted constants.  A node met again is not evaluated
-    again: its value is reused, by the node's identity.  Calls that pass
-    one dict as ``done`` share their values instead by node value, so a
-    subtree equal in expressions parsed apart is evaluated once.
+    other and with lifted constants.
     """
     env = {"x": x, "y1": y1, "y2": y2}
-    by_value = done is not None
-    done = done if by_value else {}
-
-    def ev(e):
-        if isinstance(e, Const):
-            return lift(e.value)
-        if isinstance(e, Var):
-            return env[e.name]
-        k = e if by_value else id(e)
-        out = done.get(k)  # no value is None
-        if out is not None:
-            return out
-        if isinstance(e, Add):
-            out = ev(e.left) + ev(e.right)
-        elif isinstance(e, Sub):
-            out = ev(e.left) - ev(e.right)
-        elif isinstance(e, Mul):
-            out = ev(e.left) * ev(e.right)
-        elif isinstance(e, Div):
-            out = div(ev(e.left), ev(e.right))
-        elif isinstance(e, Neg):
-            out = -ev(e.operand)
-        elif isinstance(e, PowInt):
-            if e.exponent == 0:
-                return lift(1.0)
-            base = out = ev(e.base)
-            for _ in range(e.exponent - 1):
-                out = out * base
+    vals = []
+    for op, a, b in steps:
+        if op == "*":
+            v = vals[a] * vals[b]
+        elif op == "+":
+            v = vals[a] + vals[b]
+        elif op == "-":
+            v = vals[a] - vals[b]
+        elif op == "/":
+            v = div(vals[a], vals[b])
+        elif op == "num":
+            v = lift(a)
+        elif op == "neg":
+            v = -vals[a]
+        elif op == "^":
+            v = base = vals[a]
+            for _ in range(b - 1):
+                v = v * base
         else:
-            raise TypeError(f"not an expression node: {e!r}")
-        done[k] = out
-        return out
-
-    try:
-        return ev(e)
-    finally:
-        del ev  # ev refers to itself; freed now, not at the next collection
+            v = env[op]
+        vals.append(v)
+    return vals
 
 
 STEP = 2.0**-64  # the complex step's size; a power of two, so dividing by it is exact
@@ -288,7 +234,7 @@ def eval_scalar(e: Expression, x, y1, y2):
     """
     try:
         with np.errstate(divide="raise", invalid="raise"):
-            val = evaluate(e, x, y1, y2, float)
+            val = evaluate(e.steps, x, y1, y2, float)[-1]
     except (ZeroDivisionError, FloatingPointError) as exc:
         raise EvaluationError(f"division by zero while evaluating: {exc}") from exc
     if not np.all(np.isfinite(val)):
@@ -298,6 +244,21 @@ def eval_scalar(e: Expression, x, y1, y2):
     shape = np.broadcast_shapes(np.shape(x), np.shape(y1), np.shape(y2))
     return np.asarray(val, dtype=np.result_type(val, float)) if np.shape(val) == shape \
         else np.full(shape, val)
+
+
+def _join(exprs) -> tuple[list, list]:
+    """One program for several expressions, and the step of each one's value."""
+    program, roots = _Program(), []
+    for e in exprs:
+        at = []  # at[i]: the index in the join of e's step i
+        for op, a, b in e.steps:
+            if op in _BINARY:
+                a, b = at[a], at[b]
+            elif op in ("neg", "^"):
+                a = at[a]
+            at.append(program.add(op, a, b))
+        roots.append(at[-1])
+    return program.steps, roots
 
 
 def eval_series(e, x, y1: RunningSeries, y2: RunningSeries):
@@ -310,10 +271,10 @@ def eval_series(e, x, y1: RunningSeries, y2: RunningSeries):
     of that ring, so a vanishing divisor is caught by the series division.
 
     ``e`` is one expression, or a sequence of them (f1 and f2 of a
-    problem), which gives a list of series, one per expression.  A subtree
-    equal in several of them, as ``y1^2`` in both of catalytic's, is
-    recorded once, and an expression equal to an earlier one gets its
-    series.
+    problem), which gives a list of series, one per expression.  Their
+    steps are joined, so a subexpression equal in several of them, as
+    ``y1^2`` in both of catalytic's, is recorded once, and an expression
+    equal to an earlier one gets its series.
     """
     if y1.tape is not y2.tape:
         raise OrderMismatchError("series arguments must share one tape")
@@ -326,34 +287,31 @@ def eval_series(e, x, y1: RunningSeries, y2: RunningSeries):
             zero.append(0.0 * y1)
         return zero[0] + v
 
-    def series(f, done=None):
-        return as_series(evaluate(f, x, y1, y2, lambda c: c,
-                                  lambda a, b: as_series(a) / as_series(b), done))
-
-    if isinstance(e, (list, tuple)):
-        done = {}  # f1 and f2 were parsed apart: shared by node value
-        return [series(f, done) for f in e]
-    return series(e)
+    several = isinstance(e, (list, tuple))
+    steps, roots = _join(e) if several else (e.steps, [-1])
+    vals = evaluate(steps, x, y1, y2, lambda c: c,
+                    lambda a, b: as_series(a) / as_series(b))
+    out = [as_series(vals[r]) for r in roots]
+    return out if several else out[0]
 
 
 def to_text(e: Expression) -> str:
-    """Pretty-print with enough parentheses to round-trip through the parser."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Add):
-        return f"({to_text(e.left)} + {to_text(e.right)})"
-    if isinstance(e, Sub):
-        return f"({to_text(e.left)} - {to_text(e.right)})"
-    if isinstance(e, Mul):
-        return f"({to_text(e.left)} * {to_text(e.right)})"
-    if isinstance(e, Div):
-        return f"({to_text(e.left)} / {to_text(e.right)})"
-    if isinstance(e, Neg):
-        return f"(-{to_text(e.operand)})"
-    if isinstance(e, PowInt):
-        return f"{to_text(e.base)}^{e.exponent}" if isinstance(e.base, (Const, Var)) \
-            else f"({to_text(e.base)})^{e.exponent}"
-    raise TypeError(f"not an expression node: {e!r}")
-
+    """Pretty-print, round-tripping through the parser; ``a + b - c`` prints flat."""
+    texts = []
+    for op, a, b in e.steps:
+        if op == "num":
+            text = repr(a)
+        elif op in _VARS:
+            text = op
+        elif op == "neg":
+            text = f"-{texts[a]}"
+        elif op == "^":
+            leaf = e.steps[a][0] == "num" or e.steps[a][0] in _VARS
+            text = f"{texts[a]}^{b}" if leaf else f"({texts[a]})^{b}"
+        else:
+            left = texts[a]
+            if _BINARY.get(e.steps[a][0]) == _BINARY[op]:
+                left = left[1:-1]  # a left operand of the same precedence, unwrapped
+            text = f"({left} {op} {texts[b]})"
+        texts.append(text)
+    return texts[-1]

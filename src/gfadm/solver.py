@@ -89,9 +89,9 @@ class ComponentSpec:
     @classmethod
     def make(cls, operator, alpha=0.0, left=NEUMANN_ZERO, left_value=0.0,
              a=1.0, b=0.0, c=0.0, rhs=""):
-        tree = parse_expression(rhs) if isinstance(rhs, str) else rhs
+        f = parse_expression(rhs) if isinstance(rhs, str) else rhs
         return cls(operator, float(alpha), left, float(left_value),
-                   float(a), float(b), float(c), tree)
+                   float(a), float(b), float(c), f)
 
     def kernel(self) -> KernelSpec:
         if self.left_kind == NEUMANN_ZERO:

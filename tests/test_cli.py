@@ -12,6 +12,7 @@ import gfadm
 import gfadm.solver
 from gfadm.adomian import adomian_coefficients, adomian_polynomial_rows
 from gfadm.cli import main
+from gfadm.expr import MAX_NESTING
 
 PROBLEMS = importlib.resources.files("gfadm") / "problems"
 # default solve, bound and residual-summary outputs of the bundled problems
@@ -213,6 +214,30 @@ class TestErrors:
         bad = ZERO_RHS.replace("rhs = 0", "rhs = y3 +", 1)
         res = runner.invoke(main, ["solve", _write(tmp_path, bad)])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("rhs", ["(" * 300 + "y1" + ")" * 300, "-" * 2000 + "y1"])
+    def test_deep_nesting_exit_1(self, tmp_path, rhs):
+        """Nesting past the parser's limit is an input error, reported in one line."""
+        bad = _write(tmp_path, ZERO_RHS.replace("rhs = 0", f"rhs = {rhs}", 1))
+        src = str(Path(gfadm.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-m", "gfadm.cli", "solve", bad,
+                              "--out", str(tmp_path / "s.csv")],
+                             env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True)
+        assert res.returncode == 1
+        assert res.stderr.splitlines() == [
+            f"error: [component.1]: nested deeper than {MAX_NESTING} levels"
+            f" (at position {MAX_NESTING})"]
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_long_sum_solves(self, runner, tmp_path):
+        rhs = " + ".join(f"{k}e-8*y1*y2" for k in range(1, 3001))
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, ["solve", _write(tmp_path, ZERO_RHS.replace(
+            "rhs = 0", f"rhs = {rhs}", 1)), "--n", "2", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert out.exists()
 
     def test_numeric_error_exit_2(self, runner, tmp_path):
         # iterate hits the nonlinearity pole y1 = 1 at the baseline

@@ -1,25 +1,30 @@
-import dataclasses
-import pickle
-
 import numpy as np
 import pytest
+import reference_expr as reference
 import sympy as sp
 
+import gfadm.adomian
 from gfadm import (
+    ComponentSpec,
     EvaluationError,
     ExpressionError,
+    GfadmError,
     OrderMismatchError,
+    Polynomial,
+    ProblemSpec,
+    adomian_polynomial_rows,
     catalytic_problem,
     catalytic_symmetric_problem,
     co2_pge_problem,
     eval_scalar,
     eval_series,
+    gfadm_solve,
     oxygen_problem,
     parse_expression,
     to_text,
 )
 from gfadm.adomian import adomian_coefficients, adomian_expansion
-from gfadm.expr import STEP, Var, evaluate
+from gfadm.expr import MAX_NESTING, STEP, Expression, evaluate
 from gfadm.series import SeriesTape
 
 
@@ -38,7 +43,7 @@ class TestParse:
 
     def test_bare_variable(self):
         e = parse_expression("x")
-        assert e == Var("x")
+        assert e == Expression((("x", None, None),))
         assert eval_scalar(e, 0.3, 0.0, 0.0) == pytest.approx(0.3)
 
     def test_rational(self):
@@ -69,6 +74,30 @@ class TestParse:
     def test_unexpected_character(self):
         with pytest.raises(ExpressionError):
             parse_expression("y1 @ y2")
+
+    @pytest.mark.parametrize("text", ["(" * 300 + "y1" + ")" * 300, "-" * 2000 + "y1",
+                                      "-(" * 60 + "y1" + ")" * 60])
+    def test_nesting_past_the_limit_is_an_expression_error(self, text):
+        with pytest.raises(ExpressionError, match="nested deeper") as exc:
+            parse_expression(text)
+        assert exc.value.position == MAX_NESTING  # the first opening past it
+
+    @pytest.mark.parametrize("text", ["(" * MAX_NESTING + "y1" + ")" * MAX_NESTING,
+                                      "-" * MAX_NESTING + "y1",
+                                      "-(" * (MAX_NESTING // 2) + "y1" + ")" * (MAX_NESTING // 2)])
+    def test_nesting_up_to_the_limit_parses(self, text):
+        sign = -1.0 if text.count("-") % 2 else 1.0
+        assert eval_scalar(parse_expression(text), 0.0, 2.0, 0.0) == 2.0 * sign
+
+    def test_equal_subexpressions_are_one_step(self):
+        e = parse_expression("y1*y2/(1 + y1*y2) + (1 + y1*y2)")
+        assert [op for op, _, _ in e.steps] == ["y1", "y2", "*", "num", "+", "/", "+"]
+        assert e.steps[-1] == ("+", 5, 4)
+
+    def test_zeroth_power_is_one_and_its_base_is_not_evaluated(self):
+        e = parse_expression("(1/(y1 - y1))^0 * y2")
+        assert e == parse_expression("1*y2")
+        assert eval_scalar(e, 0.0, 2.0, 3.0) == 3.0
 
 
 class TestEvalScalar:
@@ -131,8 +160,8 @@ class TestEvalScalar:
 def _eval_scalar_full_constants(e, x, y1, y2):
     """eval_scalar with every constant lifted to a full array, as it once was."""
     with np.errstate(divide="raise", invalid="raise"):
-        val = evaluate(e, x, y1, y2,
-                       lambda c: np.full(np.broadcast(x, y1, y2).shape, c))
+        val = evaluate(e.steps, x, y1, y2,
+                       lambda c: np.full(np.broadcast(x, y1, y2).shape, c))[-1]
     return np.asarray(val, dtype=float)
 
 
@@ -234,22 +263,39 @@ def test_parser_roundtrip(text):
         assert abs(eval_scalar(e, x, y1, y2) - eval_scalar(e2, x, y1, y2)) <= 1e-14
 
 
+def test_long_chains_round_trip():
+    """Chains of sums and products print flat, so their text parses to the same program."""
+    for text in [" + ".join(f"{k}e-8*y1*y2" for k in range(1, 3001)),
+                 "/".join(["x"] + ["(1 - y1)"] * 500) + " * y2", "-" * MAX_NESTING + "y1"]:
+        e = parse_expression(text)
+        assert parse_expression(to_text(e)) == e
+
+
 def _unshared(e):
-    """A copy of the tree e in which no two nodes are one object."""
-    return type(e)(**{f.name: _unshared(v) if dataclasses.is_dataclass(v) else v
-                      for f in dataclasses.fields(e)
-                      for v in [getattr(e, f.name)]})
+    """e's program with no step read twice: a step read again is copied."""
+    steps = []
+
+    def copy(i):
+        op, a, b = e.steps[i]
+        if op in ("+", "-", "*", "/"):
+            a, b = copy(a), copy(b)
+        elif op in ("neg", "^"):
+            a = copy(a)
+        steps.append((op, a, b))
+        return len(steps) - 1
+
+    copy(len(e.steps) - 1)
+    return Expression(tuple(steps))
 
 
 def test_repeated_subexpression_is_recorded_once():
     """Oxygen's second f holds its denominator twice; it is parsed and recorded once.
 
-    Its rows and values are bitwise those of the same tree without sharing.
+    Its rows and values are bitwise those of the same program without sharing.
     """
     f = oxygen_problem(2.0).component2.rhs
     g = _unshared(f)
-    assert g == f and g is not f
-    assert f.left.right is f.right.right and g.left.right is not g.right.right
+    assert to_text(g) == to_text(f) and len(g.steps) > len(f.steps)
     xs = np.linspace(0.0, 1.0, 7)
     y1 = [1.0 + 0.1 * xs, -0.2 * xs**2, 0.05 * xs, 0.01 + 0 * xs]
     y2 = [2.0 - 0.3 * xs, 0.1 * xs, -0.02 * xs**3, 0.003 * xs]
@@ -267,11 +313,89 @@ def test_repeated_subexpression_is_recorded_once():
     assert rows[0] == rows[1] and values[0] == values[1]
 
 
-def test_cached_node_hash_is_the_subtree_hash_and_is_not_pickled():
-    f = parse_expression("1 - 5*y1*y2/((0.0001 + y1)*(0.0001 + y2))")
-    g = _unshared(f)
-    assert hash(f) == hash(g) and f == g
-    # a string's hash differs between processes, so a pickle carries none
-    assert "_hash" in vars(f) and b"_hash" not in pickle.dumps(f)
-    again = pickle.loads(pickle.dumps(f))
-    assert again == f and hash(again) == hash(f)
+def test_a_3000_term_sum_parses_evaluates_and_solves():
+    """A long sum is a long chain of steps, not a deep recursion."""
+    text = " + ".join(f"{k}e-8*y1*y2" for k in range(1, 3001))
+    f = parse_expression(text)
+    rate = sum(k * 1e-8 for k in range(1, 3001))
+    assert eval_scalar(f, 0.5, 2.0, 3.0) == pytest.approx(6.0 * rate, rel=1e-12)
+    other = ComponentSpec.make("lane_emden", alpha=2, c=2.0, rhs="-0.1*y1")
+    long, short = (gfadm_solve(ProblemSpec(ComponentSpec.make("lane_emden", alpha=2,
+                                                              c=1.0, rhs=rhs), other), 2)
+                   for rhs in (text, f"{rate!r}*y1*y2"))
+    for a, b in zip(long.terms1 + long.terms2, short.terms1 + short.terms2):
+        assert np.allclose(a.values, b.values, rtol=1e-12, atol=0.0)
+
+
+BUNDLED = [catalytic_problem(), catalytic_symmetric_problem(), oxygen_problem(1.0),
+           oxygen_problem(2.0), oxygen_problem(3.0), co2_pge_problem()]
+# f1 and f2 of each bundled problem, and of each RANDOM_EXPRS entry with the next
+PAIRS = ([tuple(c.rhs for c in p.components) for p in BUNDLED]
+         + [(parse_expression(a), parse_expression(b))
+            for a, b in zip(RANDOM_EXPRS, RANDOM_EXPRS[1:] + RANDOM_EXPRS[:1])])
+PAIR_IDS = [p.name for p in BUNDLED] + [f"random{k}" for k in range(len(RANDOM_EXPRS))]
+
+
+def _bits(v):
+    """v bitwise: arrays by dtype, shape and bytes, Polynomials by coefficients."""
+    if isinstance(v, Polynomial):
+        return "P", v.coeffs.tobytes()
+    if isinstance(v, (list, tuple)):
+        return [_bits(u) for u in v]
+    a = np.asarray(v)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _outcome(fn, *args):
+    """The bits of ``fn(*args)``, or the type and message of the error it raises."""
+    try:
+        return _bits(fn(*args))
+    except GfadmError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
+def test_eval_scalar_is_the_recursive_evaluation(pair):
+    """Reals, complex steps and arrays, signed zeros among them, bitwise."""
+    rng = np.random.default_rng(29)
+    x = np.linspace(0.0, 1.0, 9)
+    y1, y2 = rng.uniform(0.2, 1.5, size=(2, 3, 9))
+    y1[0, :3], y2[1, :2] = 0.0, -0.0
+    cases = [(0.3, 1.2, 0.7), (0.0, 0.0, -0.0), (0.3, 1.2 + 1j * STEP, 0.7),
+             (0.3, 1.2, 0.7 + 1j * STEP), (x, y1, y2), (x, y1 + 1j * STEP, y2),
+             (x, y1, y2 + 1j * STEP), (x[3], y1, 0.5)]
+    for f in pair:
+        for args in cases:
+            got, want = (_outcome(fn, f, *args) for fn in (eval_scalar, reference.eval_scalar))
+            assert got == want
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
+def test_adomian_rows_are_the_recursive_evaluations(pair, monkeypatch):
+    """Rows at points, at one point and as polynomials, for each f and both, bitwise.
+
+    The series counts of the expansions are the recursive evaluation's too.
+    """
+    xs = np.linspace(0.0, 1.0, 7)
+    t1 = [1.0 + 0.1 * xs, -0.2 * xs**2, 0.05 * xs, 0.01 + 0 * xs]
+    t2 = [2.0 - 0.3 * xs, 0.1 * xs, -0.02 * xs**3, 0.003 * xs]
+    p1 = [Polynomial([1.0, 0.1]), Polynomial([0.0, 0.0, -0.2]), Polynomial([0.0, 0.05])]
+    p2 = [Polynomial([2.0, -0.3]), Polynomial([0.0, 0.1]), 0.25]
+
+    def outcomes():
+        out = []
+        for f in (pair[0], pair[1], list(pair)):
+            expansion = adomian_expansion(f, xs)
+            tape = (expansion[0] if isinstance(f, list) else expansion).tape
+            out.append(sum(rule is not None for rule in tape.rules))
+            out.append(_outcome(adomian_coefficients, f, xs, t1, t2))
+            out.append(_outcome(adomian_coefficients, f, xs, t1[:2], t2[:2], expansion))
+            out.append(_outcome(adomian_coefficients, f, xs, t1, t2, expansion))
+            out.append(_outcome(adomian_coefficients, f, 0.4, [t[2] for t in t1],
+                                [t[2] for t in t2]))
+            out.append(_outcome(adomian_polynomial_rows, f, p1, p2))
+        return out
+
+    ours = outcomes()
+    monkeypatch.setattr(gfadm.adomian, "eval_series", reference.eval_series)
+    assert outcomes() == ours
