@@ -19,13 +19,13 @@ are recorded on one tape, a subexpression equal in several of them once,
 and a call returns one block of rows per f, each bitwise the rows that f
 gets alone.
 
-Every call extends an expansion to the terms it is given.  Without one, a
-call records a fresh expansion and extends it once, by all the rows.  A
-solve needs row j at step j, from the terms 0..j; the solver keeps one
-expansion of both nonlinearities and passes it to its one call per step,
-which then computes only the rows of the new term, each coefficient once,
-so a solve's row work is O(n^2) instead of O(n^3).  The rows are bitwise
-the same either way.
+Every call extends an expansion to the terms it is given, one order at
+a time.  Without one, a call records a fresh expansion and extends it by
+all the rows.  A solve needs row j at step j, from the terms 0..j; the
+solver keeps one expansion of both nonlinearities and passes it to its one
+call per step, which then computes only the row of the new term, each
+coefficient once, so a solve's row work is O(n^2) instead of O(n^3).  The
+rows are bitwise the same either way.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ import numpy as np
 
 from .adomian import adomian_coefficients
 from .errors import BoundInapplicableError, EvaluationError, UsageError
-from .expr import STEP, Expression, eval_scalar, evaluate
+from .expr import STEP, Expression, eval_scalar, evaluate, join
 from .grids import value_at_zero, values_at
 from .kernels import kernel_bound_m
 from .solver import ProblemSpec, SolutionSeries, build_baseline
@@ -81,11 +81,11 @@ def _residual_from_operator(p: ProblemSpec, psi, parts, operator):
     def residual_at(x: np.ndarray, components=(0, 1)):
         psi1, psi2, *vals = values_at(psi + [g for i in components for g in parts[i]], x)
         k = len(parts[0])
-        return tuple(
-            np.abs(operator(i, x, vals[k * m : k * m + k])
-                   - eval_scalar(p.components[i].rhs, x, psi1, psi2))
-            for m, i in enumerate(components)
-        )
+        # both components by one evaluation of their joined f, one by its own f
+        fs = eval_scalar(p.rhs, x, psi1, psi2) if components == (0, 1) else \
+            [eval_scalar(p.components[i].rhs, x, psi1, psi2) for i in components]
+        return tuple(np.abs(operator(i, x, vals[k * m : k * m + k]) - f)
+                     for m, (i, f) in enumerate(zip(components, fs)))
 
     return residual_at
 
@@ -108,16 +108,17 @@ def _stored_row_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
 def _expanded_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
     """The identity from rows A_0..A_{n-1} expanded afresh at the points."""
     terms = sol.terms1[: n + 1] + sol.terms2[: n + 1]
+    fs = [c.rhs for c in p.components]
 
     def residual_at(x: np.ndarray, components=(0, 1)):
         vals = values_at(terms, x)
         t1, t2 = vals[: n + 1], vals[n + 1 :]
         psi1, psi2 = sum(t1), sum(t2)
-        fs = [p.components[i].rhs for i in components]
-        # one expansion of the components' f on one tape
+        # one expansion of both f on one tape, one evaluation of their join
         rows = adomian_coefficients(fs, x, t1[:n], t2[:n])
-        return tuple(np.abs(np.sum(a, axis=0) - eval_scalar(f, x, psi1, psi2))
-                     for f, a in zip(fs, rows))
+        r = [np.abs(np.sum(a, axis=0) - f)
+             for a, f in zip(rows, eval_scalar(p.rhs, x, psi1, psi2))]
+        return tuple(r[i] for i in components)
 
     return residual_at
 
@@ -232,9 +233,11 @@ def lipschitz_estimate(
             raise EvaluationError("a divisor vanishes or changes sign in the box")
         return a / b
 
+    both = join([f1, f2])
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-        vals = [[evaluate(f.steps, gx, y1, y2, float, divide)[-1] for f in (f1, f2)]
-                for y1, y2 in ((gy1 + 1j * STEP, gy2), (gy1, gy2 + 1j * STEP))]
+        vals = [[v[r] for r in both.roots]
+                for v in (evaluate(both.steps, gx, y1, y2, float, divide)
+                          for y1, y2 in ((gy1 + 1j * STEP, gy2), (gy1, gy2 + 1j * STEP)))]
     if not all(np.all(np.isfinite(v)) for row in vals for v in row):
         raise EvaluationError("non-finite value while evaluating expression")
     l1, l2 = (max(np.max(np.abs(np.imag(v))) for v in row) for row in vals)
@@ -294,10 +297,8 @@ def convergence_estimate(
     gamma = 2.0 * m * max(l1, l2)
     base1, base2 = build_baseline(p)
     xs = np.linspace(0.0, 1.0, 201)
-    max_f0 = max(
-        float(np.max(np.abs(eval_scalar(c.rhs, xs, base1(xs), base2(xs)))))
-        for c in p.components
-    )
+    max_f0 = max(float(np.max(np.abs(f)))
+                 for f in eval_scalar(p.rhs, xs, base1(xs), base2(xs)))
     bounds = {}
     if gamma < 1.0:
         bounds = {int(n): error_bound(m, max(l1, l2), max_f0, int(n))

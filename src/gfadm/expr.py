@@ -21,8 +21,10 @@ through ``eval_scalar`` and, through ``eval_series``, on the
 :class:`~gfadm.series.RunningSeries` variables of a
 :class:`~gfadm.series.SeriesTape`: that records the truncated Taylor
 expansion of ``f(x, y1(lam), y2(lam))`` over any coefficient ring, to be
-computed when the tape is extended.  ``eval_series`` given f1 and f2 joins
-their steps, a step equal in both kept once, and evaluates the join once.
+computed when the tape is extended.  :func:`join` makes one program of
+f1 and f2, a step equal in both kept once; ``eval_series`` given both
+evaluates their join, and ``eval_scalar`` takes a join and gives both
+values from one evaluation.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ class Expression:
     """
 
     steps: tuple
+    roots = (-1,)  # the step of its value, as in a Joint
 
 
 class _Program:
@@ -84,7 +87,7 @@ def _tokenize(text: str):
     for m in _TOKEN.finditer(text):  # only trailing whitespace matches nothing
         kind = m.lastgroup
         if kind == "bad":
-            raise ExpressionError(f"unexpected character {text[m.start()]!r}", m.start())
+            raise ExpressionError(f"unexpected character {m[kind]!r}", m.start(kind))
         tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
@@ -224,19 +227,28 @@ def evaluate(steps, x, y1, y2, lift, div=operator.truediv) -> list:
 STEP = 2.0**-64  # the complex step's size; a power of two, so dividing by it is exact
 
 
-def eval_scalar(e: Expression, x, y1, y2):
+def eval_scalar(e, x, y1, y2):
     """Evaluate on real or complex numbers (or numpy arrays, elementwise).
 
     With array arguments the result has their broadcast shape, also when
     it does not depend on all of them.  Every f is rational, so at y_j +
     i STEP its imaginary part over STEP is df/dy_j to rounding, with no
-    difference to cancel (the complex step, Squire & Trapp 1998).
+    difference to cancel (the complex step, Squire & Trapp 1998).  A
+    :class:`Joint` of several expressions gives a tuple, each one's value,
+    from one evaluation of their joined steps.
     """
     try:
         with np.errstate(divide="raise", invalid="raise"):
-            val = evaluate(e.steps, x, y1, y2, float)[-1]
+            vals = evaluate(e.steps, x, y1, y2, float)
     except (ZeroDivisionError, FloatingPointError) as exc:
         raise EvaluationError(f"division by zero while evaluating: {exc}") from exc
+    if isinstance(e, Joint):
+        return tuple(_scalar_value(vals[r], x, y1, y2) for r in e.roots)
+    return _scalar_value(vals[-1], x, y1, y2)
+
+
+def _scalar_value(val, x, y1, y2):
+    """A value of eval_scalar, checked finite: a number, or of the arguments' shape."""
     if not np.all(np.isfinite(val)):
         raise EvaluationError("non-finite value while evaluating expression")
     if np.isscalar(x) and np.isscalar(y1) and np.isscalar(y2):
@@ -246,8 +258,21 @@ def eval_scalar(e: Expression, x, y1, y2):
         else np.full(shape, val)
 
 
-def _join(exprs) -> tuple[list, list]:
-    """One program for several expressions, and the step of each one's value."""
+@dataclass(frozen=True)
+class Joint:
+    """Expressions joined (:func:`join`): ``steps`` and the step of each one's value."""
+
+    steps: tuple
+    roots: tuple
+
+
+def join(exprs) -> Joint:
+    """One program for several expressions (f1 and f2 of a problem).
+
+    Their steps follow one another, a step equal to an earlier one kept
+    once, so every step's value is the one it has in its own expression,
+    and the steps they share are evaluated once.
+    """
     program, roots = _Program(), []
     for e in exprs:
         at = []  # at[i]: the index in the join of e's step i
@@ -258,7 +283,7 @@ def _join(exprs) -> tuple[list, list]:
                 a = at[a]
             at.append(program.add(op, a, b))
         roots.append(at[-1])
-    return program.steps, roots
+    return Joint(tuple(program.steps), tuple(roots))
 
 
 def eval_series(e, x, y1: RunningSeries, y2: RunningSeries):
@@ -288,10 +313,10 @@ def eval_series(e, x, y1: RunningSeries, y2: RunningSeries):
         return zero[0] + v
 
     several = isinstance(e, (list, tuple))
-    steps, roots = _join(e) if several else (e.steps, [-1])
-    vals = evaluate(steps, x, y1, y2, lambda c: c,
+    program = join(e) if several else e
+    vals = evaluate(program.steps, x, y1, y2, lambda c: c,
                     lambda a, b: as_series(a) / as_series(b))
-    out = [as_series(vals[r]) for r in roots]
+    out = [as_series(vals[r]) for r in program.roots]
     return out if several else out[0]
 
 

@@ -10,13 +10,14 @@ node.  Each component has the regularity row ``(1 + alpha) y''(0) = f``
 defect is ``L_i y_{i-1} + D_i y_i + U_i y_{i+1} - b_i - mask_i f_i(y_i)``,
 plus ``corner y_{M-2}`` in the Robin row; ``L`` and ``U`` are diagonal.
 The Jacobian has the same blocks with ``D_i - mask_i df_i/dy_j``; its four
-central-difference perturbations are columns of one evaluation of each
-component's f.  One row operation with row M-1 moves the corner term into
-the band, and block cyclic reduction solves the block-tridiagonal system:
-each level takes one product for the odd nodes, two for the even nodes'
-update and one to recover the odd nodes, and a dense solve finishes once
-32 or fewer blocks remain.  A Newton step whose 20 halvings all fail to lower the
-defect norm ends the solve with :class:`NoConvergenceError`.
+central-difference perturbations are columns of one evaluation of f1 and
+f2, joined into one program (``ProblemSpec.rhs``).  One row operation with
+row M-1 moves the corner term into the band, and block cyclic reduction
+solves the block-tridiagonal system: each level takes one product for the
+odd nodes, two for the even nodes' update and one to recover the odd
+nodes, and a dense solve finishes once 32 or fewer blocks remain.  A
+Newton step whose 20 halvings all fail to lower the defect norm ends the
+solve with :class:`NoConvergenceError`.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ def _system(p: ProblemSpec, M: int):
         """eps and f at z and at z + e_0, z - e_0, z + e_1, z - e_1 (e_j = eps_j
         at unknown j), as ``(2, 5, M+1)``: component, column, node.
 
-        One evaluation per component.  The defect and the Jacobian at the
-        same array z share it (an iterate is never changed in place), so the
-        accepted trial of a Newton step serves the next Jacobian.
+        One evaluation of f1 and f2 joined.  The defect and the
+        Jacobian at the same array z share it (an iterate is never changed
+        in place), so the accepted trial of a Newton step serves the next
+        Jacobian.
         """
         if last[0] is not z:
             eps = 1e-7 * (1.0 + np.abs(z.T))
@@ -97,9 +99,8 @@ def _system(p: ProblemSpec, M: int):
             zs[:, 0] = z.T
             # the signed zeros make each column the sum of its own perturbation
             zs[:, 1:] = z.T[:, None] + eps[:, None] * _PERTURB[:, :, None]
-            fs = np.empty_like(zs)
-            for f, c in zip(fs, p.components):  # broadcast: f may not read y1, y2
-                f[:] = eval_scalar(c.rhs, x, zs[0], zs[1])
+            # each value has the shape of zs[0], also an f that does not read y1, y2
+            fs = np.array(eval_scalar(p.rhs, x, zs[0], zs[1]))
             last[:] = z, (eps, fs)
         return last[1]
 

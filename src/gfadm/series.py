@@ -2,19 +2,19 @@
 
 A :class:`SeriesTape` records arithmetic on :class:`RunningSeries`, the
 series ``sum c_k lam^k`` known up to the tape's order, and then extends
-every recorded series by a block of orders at once.  The coefficients are
-stacked along axis 0, and their ring is whatever they are: floats (one
-point), values at a set of points (every operation acting on all points
-at once) or :class:`Polynomial` objects in x (an object array).  A
-product's new coefficient of Polynomials is summed on their coefficient
-arrays, one convolution per pair and one Polynomial in all, bitwise the
-sum of the Polynomial products.
+every recorded series order by order.  The coefficients are stacked along
+axis 0, and their ring is whatever they are: floats (one point), values
+at a set of points (every operation acting on all points at once) or
+:class:`Polynomial` objects in x (an object array).  A product's
+coefficient of Polynomials is summed on their coefficient arrays, one
+convolution per pair and one Polynomial in all, bitwise the sum of the
+Polynomial products.
 
-A one-shot expansion is a fresh tape extended once, by the block of all
-its orders; a running expansion is a kept tape extended as new terms come,
-a block of one order per step.  Each operation has one rule for a block of
-orders, so coefficient k is bitwise the same however the orders were split
-into blocks.
+Each operation has one rule, which computes one coefficient from those
+of its operands up to the same order.  A one-shot expansion is a fresh
+tape extended by all its orders, a running expansion a kept tape extended
+as new terms come; either way coefficient k is computed once, by the same
+rule, so it is bitwise the same however the orders were split.
 
 The tape owns the rule of every series on it, by index, and the
 coefficients of all of them in one buffer, series by order by ring, so an
@@ -24,8 +24,7 @@ handle, its tape and index, and a rule reads its operands by index.
 Nothing on the tape refers back to a handle or to the tape, so an
 expansion is freed with its last handle.  The solver records both
 nonlinearities of a problem on one tape (11 series for catalytic, y1 and
-y2 included, where a tape per component held 14) and extends it once per
-step.
+y2 included) and extends it by one order per step.
 
 Series combine only when they are on the same tape.  Anything that is
 not a series (a number, an array of point values, a Polynomial) acts as
@@ -49,18 +48,18 @@ _DIV_TOL = 1e-14
 
 
 class SeriesTape:
-    """Series operations recorded once, then extended by blocks of orders.
+    """Series operations recorded once, then extended order by order.
 
     Series i has the rule ``rules[i]`` (None for an input).  The
     coefficients of every series sit in one buffer, ``buf[i, k]`` the
     coefficient k of series i, grown by doubling along the orders; all are
     known to orders below ``known``.  Arithmetic on the :attr:`variables`,
     and on its results, records a rule per operation; :meth:`extend` then
-    appends the next coefficients of every input and computes the same
-    block of every recorded series, in the order recorded.  A product then
-    costs k + 1 terms at order k however the tape is extended, O(n^2) up to
-    order n, where expanding afresh at each order 0..n costs O(n^3).
-    Record every operation before the first :meth:`extend`.
+    appends the next coefficients of every input and, for each new order,
+    computes that coefficient of every recorded series, in the order
+    recorded.  A product costs k + 1 terms at order k, O(n^2) up to order
+    n, where expanding afresh at each order 0..n costs O(n^3).  Record
+    every operation before the first :meth:`extend`.
     """
 
     def __init__(self, count: int):
@@ -75,42 +74,39 @@ class SeriesTape:
         return [RunningSeries(self, i) for i in range(self.inputs)]
 
     def record(self, rule) -> RunningSeries:
-        """A new series, whose coefficients ``rule(tape, lo, hi)`` computes."""
+        """A new series, whose coefficient k ``rule(tape, k)`` computes."""
         self.rules.append(rule)
         return RunningSeries(self, len(self.rules) - 1)
-
-    def block(self, i: int, lo: int, hi: int):
-        """Orders ``lo..hi-1`` of series i, stacked or, past order 0, one alone."""
-        return self.buf[i, _at(lo, hi)]
 
     def extend(self, *terms) -> None:
         """Extend to the order of ``terms``, one term list per variable.
 
         Only the terms past the current order are read.  Fewer terms than
-        the tape has seen raise.  Float coefficients are checked once per
-        extension, those of every recorded series at once, so an
-        intermediate overflow that a later division hides (``1/inf = 0``)
-        still raises.  ``known`` moves once every coefficient is computed
-        and checked, so if one raises, the tape keeps its order.
+        the tape has seen raise.  Errors come order by order and, within an
+        order, in the order the operations were recorded: a division by a
+        series with a vanishing constant term raises at order 0, after an
+        overflow at order 0 of an earlier series.  Float coefficients are
+        checked once per extension, those of every recorded series at every
+        new order at once, so an intermediate overflow that a later
+        division hides (``1/inf = 0``) still raises.  ``known`` moves once
+        every coefficient is computed and checked, so if one raises, the
+        tape keeps its order.
         """
         lo, hi = self.known, len(terms[0])
         if hi < max(lo, 1):
             raise OrderMismatchError(f"{hi} terms given, at least {max(lo, 1)} needed")
-        if hi == lo:
-            return
-        if lo:
-            buf = self._room(hi)
-            for i, t in enumerate(terms):
-                buf[i, _at(lo, hi)] = t[_at(lo, hi)]
-        else:
-            first = [np.asarray(t[:hi]) for t in terms]
+        if not lo:
+            first = [np.asarray(t[0]) for t in terms]
             kind = object if object in (b.dtype for b in first) else float
-            ring = np.broadcast_shapes(*(b.shape[1:] for b in first))
-            self.buf = buf = np.empty((len(self.rules), hi) + ring, kind)
-            for i, b in enumerate(first):
-                buf[i, :hi] = b
-        for i in range(self.inputs, len(self.rules)):
-            buf[i, _at(lo, hi)] = self.rules[i](self, lo, hi)
+            ring = np.broadcast_shapes(*(b.shape for b in first))
+            self.buf = np.empty((len(self.rules), hi) + ring, kind)
+        buf = self._room(hi)
+        rules = self.rules[self.inputs :]
+        for k in range(lo, hi):
+            for i, t in enumerate(terms):
+                buf[i, k] = t[k]
+            for i, rule in enumerate(rules, self.inputs):
+                buf[i, k] = rule(self, k)
         self.check(lo, hi, len(self.rules))
         self.known = hi
 
@@ -138,15 +134,13 @@ class SeriesTape:
 class RunningSeries:
     """Series ``index`` of ``tape``, known up to the tape's order.
 
-    An operation records a rule ``rule(tape, lo, hi)`` that returns the
-    coefficients ``lo..hi-1`` from its operands' as :meth:`SeriesTape.block`
-    gives them: stacked, or, for one order past 0, the coefficient itself.
-    Sums, negation, scaling and shifts act on the whole block; a product
-    adds ``a_i b_{k-i}`` in i order (for one order, on values at two or
-    more points one multiply and one sum over axis 0, and on Polynomials
-    one convolution per pair added into one array) and a quotient takes
-    the forward-substitution step order by order, so a coefficient does
-    not depend on how the orders were split.
+    An operation records a rule ``rule(tape, k)`` that returns coefficient
+    k from its operands' coefficients 0..k in the tape's buffer.  Sums,
+    negation and scaling act on coefficient k, a shift adds to coefficient
+    0; a product adds ``a_i b_{k-i}`` in i order (on values at two or more
+    points one multiply and one sum over axis 0, on Polynomials one
+    convolution per pair added into one array) and a quotient takes one
+    forward-substitution step.
     """
 
     __slots__ = ("tape", "index", "__weakref__")
@@ -171,26 +165,18 @@ class RunningSeries:
 
     def _shift(self, r) -> RunningSeries:
         a = self.index
-
-        def shift(tape, lo, hi):
-            if lo:
-                return tape.block(a, lo, hi)
-            c = tape.buf[a, :hi].copy()
-            c[0] = c[0] + r
-            return c
-
-        return self.tape.record(shift)
+        return self.tape.record(
+            lambda tape, k: tape.buf[a, k] if k else tape.buf[a, 0] + r)
 
     def __neg__(self) -> RunningSeries:
         a = self.index
-        return self.tape.record(lambda tape, lo, hi: -tape.block(a, lo, hi))
+        return self.tape.record(lambda tape, k: -tape.buf[a, k])
 
     def __add__(self, other) -> RunningSeries:
         if not isinstance(other, RunningSeries):
             return self._shift(other)
         a, b = self.index, self._other(other)
-        return self.tape.record(
-            lambda tape, lo, hi: tape.block(a, lo, hi) + tape.block(b, lo, hi))
+        return self.tape.record(lambda tape, k: tape.buf[a, k] + tape.buf[b, k])
 
     __radd__ = __add__
 
@@ -198,8 +184,7 @@ class RunningSeries:
         if not isinstance(other, RunningSeries):
             return self._shift(-other)
         a, b = self.index, self._other(other)
-        return self.tape.record(
-            lambda tape, lo, hi: tape.block(a, lo, hi) - tape.block(b, lo, hi))
+        return self.tape.record(lambda tape, k: tape.buf[a, k] - tape.buf[b, k])
 
     def __rsub__(self, other) -> RunningSeries:
         return (-self)._shift(other)
@@ -208,30 +193,22 @@ class RunningSeries:
         """Truncated Cauchy product ``c_k = sum_i a_i b_{k-i}``, or scaling."""
         a = self.index
         if not isinstance(other, RunningSeries):
-            return self.tape.record(lambda tape, lo, hi: tape.block(a, lo, hi) * other)
+            return self.tape.record(lambda tape, k: tape.buf[a, k] * other)
         b = self._other(other)
 
-        def product(tape, lo, hi):
+        def product(tape, k):
             aa, bb = tape.buf[a], tape.buf[b]
-            if lo and hi - lo == 1:  # one order past 0, as _at places it
-                if aa.dtype == object:
-                    return _polynomial_coefficient(aa, bb, lo)
-                # numpy sums values at two or more points row by row in i
-                # order, as the loop does, here from -0.0, which adds
-                # nothing where numpy's own start, +0.0, would turn a -0.0
-                if aa.size > len(aa):
-                    return np.add.reduce(aa[:hi] * bb[lo::-1], axis=0, initial=-0.0)
-                # on one point numpy would sum pairwise, so the loop stays
-                c = aa[0] * bb[lo]
-                for i in range(1, hi):
-                    c = c + aa[i] * bb[lo - i]
-                return c
-            c = aa[0] * bb[lo:hi]
-            for i in range(1, hi):
-                if i > lo:  # a_i meets the orders from i on
-                    c[i - lo :] += aa[i] * bb[: hi - i]
-                else:
-                    c += aa[i] * bb[lo - i : hi - i]
+            if aa.dtype == object:
+                return _polynomial_coefficient(aa, bb, k)
+            # numpy sums values at two or more points row by row in i order,
+            # as the loop does, here from -0.0, which adds nothing where
+            # numpy's own start, +0.0, would turn a -0.0
+            if aa.size > len(aa):
+                return np.add.reduce(aa[: k + 1] * bb[k::-1], axis=0, initial=-0.0)
+            # on one point numpy would sum pairwise, so the loop stays
+            c = aa[0] * bb[k]
+            for i in range(1, k + 1):
+                c = c + aa[i] * bb[k - i]
             return c
 
         return self.tape.record(product)
@@ -247,23 +224,20 @@ class RunningSeries:
         """
         a, b, me = self.index, self._other(other), len(self.tape.rules)
 
-        def quotient(tape, lo, hi):
+        def quotient(tape, k):
             aa, bb, q = tape.buf[a], tape.buf[b], tape.buf[me]  # q reads its own orders
-            if not lo:
-                if aa.dtype == object:
-                    # Polynomial coefficients come only from the exact backend
-                    raise UnsupportedBackendError(
-                        "exact backend requires polynomial nonlinearities")
-                bad = np.flatnonzero(np.abs(bb[0]) <= _DIV_TOL)
-                if bad.size:  # the first point where the divisor vanishes
-                    tape.check(lo, hi, me)  # an earlier overflow is reported first
-                    raise SingularDivisionError("division by a series with zero"
-                                                " constant term", index=int(bad[0]))
-                q[0] = aa[0] / bb[0]
-            # forward substitution; orders here are small
-            for k in range(max(lo, 1), hi):
-                q[k] = (aa[k] - np.sum(bb[1 : k + 1] * q[k - 1 :: -1], axis=0)) / bb[0]
-            return q[_at(lo, hi)]
+            if k:  # one forward-substitution step
+                return (aa[k] - np.add.reduce(bb[1 : k + 1] * q[k - 1 :: -1], axis=0)) / bb[0]
+            if aa.dtype == object:
+                # Polynomial coefficients come only from the exact backend
+                raise UnsupportedBackendError(
+                    "exact backend requires polynomial nonlinearities")
+            bad = np.flatnonzero(np.abs(bb[0]) <= _DIV_TOL)
+            if bad.size:  # the first point where the divisor vanishes
+                tape.check(0, 1, me)  # an earlier overflow is reported first
+                raise SingularDivisionError("division by a series with zero"
+                                            " constant term", index=int(bad[0]))
+            return aa[0] / bb[0]
 
         return self.tape.record(quotient)
 
@@ -285,13 +259,3 @@ def _polynomial_coefficient(aa: np.ndarray, bb: np.ndarray, k: int) -> Polynomia
         c[: p.size] += p
         c = _trim(c)
     return Polynomial._of(c)
-
-
-def _at(lo: int, hi: int):
-    """Where orders lo..hi-1 sit in a buffer: lo alone for one order past 0.
-
-    A step of the solver adds one order; acting on the coefficient itself
-    spares it the cost of one-row blocks (of Polynomials above all).  Order
-    0 is always stacked, as it starts the buffer.
-    """
-    return lo if lo and hi - lo == 1 else slice(lo, hi)

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from .adomian import adomian_coefficients, adomian_expansion, adomian_polynomial_rows
 from .errors import DegreeCapError, NumericError, UsageError
-from .expr import Expression, parse_expression
+from .expr import Expression, Joint, join, parse_expression
 from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, grid_nodes
 from .kernels import DIRICHLET_DIRICHLET, LANE_EMDEN, KernelSpec, kernel_apply, \
     kernel_monomial_image
@@ -111,6 +112,11 @@ class ProblemSpec:
     @property
     def components(self):
         return (self.component1, self.component2)
+
+    @cached_property
+    def rhs(self) -> Joint:
+        """f1 and f2 as one program (see :func:`~gfadm.expr.join`), joined once."""
+        return join([c.rhs for c in self.components])
 
 
 def build_baseline(p: ProblemSpec) -> tuple[Polynomial, Polynomial]:

@@ -468,3 +468,25 @@ def test_overflow_before_a_singular_division_is_reported_first():
         adomian_coefficients(f, 0.5, [1.0], [1e200])
     with pytest.raises(SingularDivisionError):  # the division alone
         adomian_coefficients(f, 0.5, [1.0], [1.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_errors_come_order_by_order_in_a_one_shot_expansion():
+    """Order by order, and within an order in the order of the operations.
+
+    The division by y1 - 2x vanishes at order 0.  An overflow of 1e200 y2^2
+    at order 0, recorded before the division, is reported before it; one at
+    order 1 is not reached, as in a running expansion.
+    """
+    f = parse_expression("1e200*y2^2 + y1/(y1 - 2*x)")
+    with pytest.raises(NumericError, match="series arithmetic"):
+        adomian_coefficients(f, 0.5, [1.0, 1.0, 1.0], [1e200, 1.0, 1.0])
+    with pytest.raises(SingularDivisionError):
+        adomian_coefficients(f, 0.5, [1.0, 1.0, 1.0], [1.0, 1e200, 1.0])
+    expansion = adomian_expansion(f, 0.5)
+    with pytest.raises(SingularDivisionError):
+        adomian_coefficients(f, 0.5, [1.0], [1.0], expansion)
+    # past order 0 the division is regular: the overflow at order 1 raises
+    g = parse_expression("1e200*y2^2 + y1/(y1 - x)")
+    with pytest.raises(NumericError, match="series arithmetic"):
+        adomian_coefficients(g, 0.5, [1.0, 1.0, 1.0], [1.0, 1e200, 1.0])

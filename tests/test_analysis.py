@@ -33,7 +33,7 @@ from gfadm import (
 )
 from gfadm import analysis, grids, series
 from gfadm.errors import EvaluationError
-from gfadm.expr import STEP
+from gfadm.expr import STEP, Joint
 import reference_residual as reference
 
 ABSCISSAE = [0.1 * i for i in range(1, 10)]
@@ -175,6 +175,34 @@ def test_residual_abscissae_check(xs):
     sol = gfadm_solve(p, 4, backend=GRID)
     with pytest.raises(UsageError, match=r"abscissae must lie in \[0, 1\]"):
         residual(p, sol, 4, xs)
+
+
+@pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
+def test_both_components_take_one_joined_evaluation(method, monkeypatch):
+    """f1 and f2 are evaluated by one call of their join where both are needed.
+
+    The pointwise report, the dense stage of the search and the bound's
+    max |f(x, y10, y20)| each make one call; a refinement round evaluates
+    the f of the component it refines alone.
+    """
+    p = catalytic_problem()
+    sol = gfadm_solve(p, 6, backend=GRID)
+    assert p.rhs is p.rhs and len(p.rhs.roots) == 2  # joined once per problem
+    calls = []
+
+    def counted(e, *args):
+        calls.append(isinstance(e, Joint))
+        return eval_scalar(e, *args)
+
+    monkeypatch.setattr(analysis, "eval_scalar", counted)
+    residual(p, sol, 6, ABSCISSAE, method)
+    assert calls == [True]
+    calls.clear()
+    max_residual(p, sol, 6, method)
+    assert calls[0] and len(calls) > 2 and not any(calls[1:])
+    calls.clear()
+    convergence_estimate(p, sol, [1])
+    assert calls == [True]
 
 
 @pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])

@@ -56,6 +56,17 @@ grid_size = 32
 """
 
 
+def _solve_in_subprocess(tmp_path, rhs):
+    """``gfadm solve`` in a fresh process on ZERO_RHS with component 1's rhs replaced."""
+    bad = _write(tmp_path, ZERO_RHS.replace("rhs = 0", f"rhs = {rhs}", 1))
+    src = str(Path(gfadm.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gfadm.cli", "solve", bad,
+                           "--out", str(tmp_path / "s.csv")],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+
+
 class TestSolve:
     def test_example2_golden_row(self, runner, tmp_path):
         out = tmp_path / "sol.csv"
@@ -218,17 +229,19 @@ class TestErrors:
     @pytest.mark.parametrize("rhs", ["(" * 300 + "y1" + ")" * 300, "-" * 2000 + "y1"])
     def test_deep_nesting_exit_1(self, tmp_path, rhs):
         """Nesting past the parser's limit is an input error, reported in one line."""
-        bad = _write(tmp_path, ZERO_RHS.replace("rhs = 0", f"rhs = {rhs}", 1))
-        src = str(Path(gfadm.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        res = subprocess.run([sys.executable, "-m", "gfadm.cli", "solve", bad,
-                              "--out", str(tmp_path / "s.csv")],
-                             env={**os.environ, "PYTHONPATH": path},
-                             capture_output=True, text=True)
+        res = _solve_in_subprocess(tmp_path, rhs)
         assert res.returncode == 1
         assert res.stderr.splitlines() == [
             f"error: [component.1]: nested deeper than {MAX_NESTING} levels"
             f" (at position {MAX_NESTING})"]
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_unexpected_character_exit_1(self, tmp_path):
+        """The error line names the character and its own position."""
+        res = _solve_in_subprocess(tmp_path, "y1 @ y2")
+        assert res.returncode == 1
+        assert res.stderr.splitlines() == [
+            "error: [component.1]: unexpected character '@' (at position 3)"]
         assert not (tmp_path / "s.csv").exists()
 
     def test_long_sum_solves(self, runner, tmp_path):

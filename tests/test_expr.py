@@ -24,7 +24,7 @@ from gfadm import (
     to_text,
 )
 from gfadm.adomian import adomian_coefficients, adomian_expansion
-from gfadm.expr import MAX_NESTING, STEP, Expression, evaluate
+from gfadm.expr import MAX_NESTING, STEP, Expression, Joint, evaluate, join
 from gfadm.series import SeriesTape
 
 
@@ -74,6 +74,16 @@ class TestParse:
     def test_unexpected_character(self):
         with pytest.raises(ExpressionError):
             parse_expression("y1 @ y2")
+
+    @pytest.mark.parametrize("text, position", [("y1 @ y2", 3), ("y1@y2", 2),
+                                                ("y1 +\t\n $", 7), ("   ?", 3)])
+    def test_unexpected_character_is_reported_where_it_stands(self, text, position):
+        """The character itself and its position, not the whitespace before it."""
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        char = text[position]
+        assert str(exc.value) == f"unexpected character {char!r} (at position {position})"
+        assert exc.value.position == position
 
     @pytest.mark.parametrize("text", ["(" * 300 + "y1" + ")" * 300, "-" * 2000 + "y1",
                                       "-(" * 60 + "y1" + ")" * 60])
@@ -368,6 +378,33 @@ def test_eval_scalar_is_the_recursive_evaluation(pair):
         for args in cases:
             got, want = (_outcome(fn, f, *args) for fn in (eval_scalar, reference.eval_scalar))
             assert got == want
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)
+def test_joint_evaluation_is_each_expressions_own(pair):
+    """``eval_scalar`` of the join gives each f's own value bitwise, or its first error."""
+    rng = np.random.default_rng(31)
+    x = np.linspace(0.0, 1.0, 9)
+    y1, y2 = rng.uniform(0.2, 1.5, size=(2, 3, 9))
+    y1[0, :3], y2[1, :2] = 0.0, -0.0
+    cases = [(0.3, 1.2, 0.7), (0.0, 0.0, -0.0), (0.3, 1.2 + 1j * STEP, 0.7),
+             (x, y1, y2), (x, y1 + 1j * STEP, y2), (x, y1, y2 + 1j * STEP),
+             (x[3], y1, 0.5), (x, 0.0, -0.0)]
+    both = join(pair)
+    assert isinstance(both, Joint) and len(both.roots) == 2
+    assert len(both.steps) <= sum(len(f.steps) for f in pair)
+    for args in cases:
+        own = [_outcome(eval_scalar, f, *args) for f in pair]
+        errors = [o for o in own if len(o) == 2]  # (type, message)
+        assert _outcome(eval_scalar, both, *args) == (errors[0] if errors else own)
+
+
+def test_join_keeps_a_step_equal_in_both_once():
+    f1, f2 = parse_expression("y1*y2 + x"), parse_expression("2*(y1*y2)")
+    both = join([f1, f2])
+    assert [op for op, _, _ in both.steps] == ["y1", "y2", "*", "x", "+", "num", "*"]
+    assert both.roots == (4, 6)
+    assert join([f1, f1]).roots == (4, 4)
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=PAIR_IDS)

@@ -146,9 +146,9 @@ JACOBIAN_CASES = {**PROBLEMS,
 def _per_column_blocks(p, M, z, monkeypatch):
     """The Jacobian blocks with one evaluation of f per perturbed column."""
     x, _, _, jacobian = _system(p, M)
-    with monkeypatch.context() as m:  # f = 0 leaves the stencil's blocks
+    with monkeypatch.context() as m:  # f1 = f2 = 0 leaves the stencil's blocks
         m.setattr(oracle, "eval_scalar",
-                  lambda e, x, y1, y2: np.zeros(np.broadcast(x, y1, y2).shape))
+                  lambda e, x, y1, y2: (np.zeros(np.broadcast(x, y1, y2).shape),) * 2)
         low, mid, upp = jacobian(z)
     mask = np.ones_like(z)
     mask[M] = 0.0
@@ -170,7 +170,7 @@ def _per_column_blocks(p, M, z, monkeypatch):
 
 @pytest.mark.parametrize("name", JACOBIAN_CASES)
 def test_stacked_jacobian_is_per_column_bitwise(name, monkeypatch):
-    # the four perturbations evaluated as columns of one call per component
+    # the four perturbations evaluated as columns of one call of f1 and f2
     # give the blocks of one evaluation per perturbed column, bit for bit
     M = 64
     p = JACOBIAN_CASES[name]()
@@ -207,13 +207,14 @@ def _counting(monkeypatch):
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_one_evaluation_per_component_per_newton_step(name, monkeypatch):
-    # each defect evaluation makes one call per component, and the Jacobian
-    # reuses the call of the defect at the same unknowns: the first guess's
-    # and one trial per Newton step, as no step here needs halving
+    # each defect evaluation makes one call, of f1 and f2 joined, and the
+    # Jacobian reuses the call of the defect at the same unknowns: the
+    # first guess's and one trial per Newton step, as no step here needs
+    # halving
     counts = _counting(monkeypatch)
     sol = fd_solve(PROBLEMS[name](), M=64)
     assert counts["defect"] == sol.iterations + 1
-    assert counts["eval"] == 2 * counts["defect"]
+    assert counts["eval"] == counts["defect"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 64, 65, 512, 513, 1025])
