@@ -14,10 +14,11 @@ and the residual search use), or ``x = Polynomial.identity()`` with
 polynomial terms (rows as exact polynomials in x, for the exact backend;
 polynomial f only).
 
-f may also be a sequence of nonlinearities, f1 and f2 of a problem.  They
-are recorded on one tape, a subexpression equal in several of them once,
-and a call returns one block of rows per f, each bitwise the rows that f
-gets alone.
+f may also be several nonlinearities, f1 and f2 of a problem, as a
+sequence or as their :class:`~gfadm.expr.Joint` (``ProblemSpec.rhs``,
+joined once per problem).  They are recorded on one tape, a subexpression
+equal in several of them once, and a call returns one block of rows per f,
+each bitwise the rows that f gets alone.
 
 Every call extends an expansion to the terms it is given, one order at
 a time.  Without one, a call records a fresh expansion and extends it by
@@ -41,12 +42,12 @@ from .errors import (
     UnsupportedBackendError,
     UsageError,
 )
-from .expr import Expression, eval_series
+from .expr import Expression, Joint, eval_series
 from .grids import Polynomial
 from .series import RunningSeries, SeriesTape
 
 
-Rhs = Expression | Sequence[Expression]  # one f, or f1 and f2 on one tape
+Rhs = Expression | Sequence[Expression] | Joint  # one f, or f1 and f2 on one tape
 
 
 def adomian_expansion(f: Rhs, x) -> RunningSeries | list[RunningSeries]:
@@ -54,8 +55,8 @@ def adomian_expansion(f: Rhs, x) -> RunningSeries | list[RunningSeries]:
 
     ``x`` is what the calls it serves pass: a point, the array of points,
     or ``Polynomial.identity()`` for :func:`adomian_polynomial_rows`.  For
-    a sequence of expressions it is a list of series on one tape, one per
-    f, and the subexpressions they share are recorded once::
+    several expressions it is a list of series on one tape, one per f, and
+    the subexpressions they share are recorded once::
 
         f1, f2 = parse_expression("y1^2 + x*y2"), parse_expression("2*y1^2")
         expansion = adomian_expansion([f1, f2], 0.5)  # y1^2 recorded once
@@ -78,8 +79,8 @@ def adomian_coefficients(f: Rhs, x, y1_terms, y2_terms, expansion=None):
     ``Polynomial.identity()`` a term is a Polynomial or a number, the
     constant Polynomial.  A term outside x's ring (one that does not
     broadcast to the points, say) raises :class:`UsageError`.  For
-    a sequence of expressions the result is a list, one block of rows per
-    f, all from one tape.  With an ``expansion`` of f at x, only the rows
+    several expressions the result is a list, one block of rows per f, all
+    from one tape.  With an ``expansion`` of f at x, only the rows
     of the terms it has not seen are computed; the terms it has seen must
     be the ones it saw.  Empty term lists raise
     :class:`OrderMismatchError`.  A vanishing denominator raises
@@ -89,7 +90,7 @@ def adomian_coefficients(f: Rhs, x, y1_terms, y2_terms, expansion=None):
         raise UnsupportedBackendError("term lists must have equal length")
     if expansion is None:
         expansion = adomian_expansion(f, x)
-    many = isinstance(f, (list, tuple))
+    many = not isinstance(f, Expression)
     series = expansion if many else [expansion]
     tape = series[0].tape
     seen = tape.known
@@ -144,8 +145,8 @@ def adomian_polynomial_rows(f: Rhs, y1_terms: list[Polynomial],
                             y2_terms: list[Polynomial], expansion=None):
     """Rows A_0..A_n as exact polynomials in x (polynomial f only).
 
-    A list of Polynomials, or for a sequence of expressions one such list
-    per f.  A number term is the constant Polynomial.
+    A list of Polynomials, or for several expressions one such list per f.
+    A number term is the constant Polynomial.
     """
     rows = adomian_coefficients(f, Polynomial.identity(), y1_terms, y2_terms, expansion)
-    return [list(r) for r in rows] if isinstance(f, (list, tuple)) else list(rows)
+    return list(rows) if isinstance(f, Expression) else [list(r) for r in rows]

@@ -14,13 +14,15 @@ Two residual methods cross-validate each other:
 * ``adomian_identity`` uses |sum_{j<n} A_j(x) - f(x, psi_1n, psi_2n)|,
   algebraically equal because every term satisfies L y_j = A_{j-1}; it
   involves no differentiation and is the accurate choice near roundoff
-  scales.  The residual search reads the row sums S_n = sum_{j<n} A_j
-  stored on the solution; the pointwise report expands the rows afresh at
-  its abscissae, so it checks the search independently.
+  scales.  The pointwise report and the residual search both read the row
+  sums S_n = sum_{j<n} A_j stored on the solution and expand no f; the
+  tests hold them to a fresh expansion of the rows.
 
 Both evaluate all the functions they need at a set of points in one
 :func:`~gfadm.grids.values_at` call, so grid functions share one
 barycentric matrix per point set and polynomials one stacked Horner pass.
+The search's dense point set is :data:`~gfadm.grids.DENSE_POINTS`, whose
+matrix is built once per grid size.
 
 Near the singular point the operator value uses the regularity limit
 ``(1 + alpha) psi''(0)``; elsewhere it forms ``alpha (psi'(x) - psi'(0))/x``,
@@ -34,20 +36,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adomian import adomian_coefficients
+from . import adomian
 from .errors import BoundInapplicableError, EvaluationError, UsageError
-from .expr import STEP, Expression, eval_scalar, evaluate, join
-from .grids import value_at_zero, values_at
+from .expr import STEP, Expression, Joint, eval_scalar, evaluate, join
+from .grids import DENSE_POINTS, value_at_zero, values_at
 from .kernels import kernel_bound_m
 from .solver import ProblemSpec, SolutionSeries, build_baseline
 
 SPECTRAL = "spectral"
 ADOMIAN_IDENTITY = "adomian_identity"
 
+# nothing here calls it; the benchmark's tracer binds the name (ROADMAP item 10)
+adomian_coefficients = adomian.adomian_coefficients
 _SINGULAR_X = 1e-10
-# the dense stage of the residual search: 0, 901 points inside and 1
-_DENSE = np.concatenate(([0.0], np.linspace(0.001, 0.999, 901), [1.0]))
-_DENSE.flags.writeable = False
 # sample points per coordinate of the Lipschitz box
 _LIPSCHITZ_SAMPLES = 11
 # padding of the solution box, relative to the range of the partial sums
@@ -105,31 +106,11 @@ def _stored_row_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
     return _residual_from_operator(p, psi, sums, lambda i, x, s: s[0])
 
 
-def _expanded_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
-    """The identity from rows A_0..A_{n-1} expanded afresh at the points."""
-    terms = sol.terms1[: n + 1] + sol.terms2[: n + 1]
-    fs = [c.rhs for c in p.components]
-
-    def residual_at(x: np.ndarray, components=(0, 1)):
-        vals = values_at(terms, x)
-        t1, t2 = vals[: n + 1], vals[n + 1 :]
-        psi1, psi2 = sum(t1), sum(t2)
-        # one expansion of both f on one tape, one evaluation of their join
-        rows = adomian_coefficients(fs, x, t1[:n], t2[:n])
-        r = [np.abs(np.sum(a, axis=0) - f)
-             for a, f in zip(rows, eval_scalar(p.rhs, x, psi1, psi2))]
-        return tuple(r[i] for i in components)
-
-    return residual_at
-
-
-def _residual_fn(p, sol, n, method, expand=False):
+def _residual_fn(p, sol, n, method):
     """The residuals as a function of an array of points.
 
     The function takes the points and the indices of the components to
     return (both by default) and returns their residuals, one array each.
-    By the Adomian identity, the rows come from the solution, or with
-    ``expand`` from a fresh expansion at the points.
     """
     if n > sol.n_terms:
         raise UsageError(f"order {n} exceeds stored terms {sol.n_terms}")
@@ -138,7 +119,7 @@ def _residual_fn(p, sol, n, method, expand=False):
     if method == ADOMIAN_IDENTITY:
         if n < 1:
             raise UsageError("adomian_identity needs n >= 1")
-        return (_expanded_residual_fns if expand else _stored_row_residual_fns)(p, sol, n)
+        return _stored_row_residual_fns(p, sol, n)
     raise UsageError(f"unknown residual method {method!r}")
 
 
@@ -151,11 +132,10 @@ def residual(
 ) -> ResidualReport:
     """Pointwise residual report at the requested abscissae.
 
-    By the Adomian identity the rows are expanded afresh at the abscissae,
-    not read from the solution as :func:`max_residual` reads them, so the
-    report checks the search independently.
+    By the Adomian identity it reads the row sums stored on the solution,
+    as :func:`max_residual` does, and expands no f.
     """
-    fn = _residual_fn(p, sol, n, method, expand=True)
+    fn = _residual_fn(p, sol, n, method)
     xs = np.asarray(xs, dtype=float).ravel()
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise UsageError("abscissae must lie in [0, 1]")
@@ -174,11 +154,12 @@ def max_residual(
 ) -> tuple[float, float]:
     """Maximum residual over (0, 1], by dense search plus local refinement.
 
-    The dense stage takes 0, 901 points in [0.001, 0.999] and 1; the
-    refinement zooms in on the bracket around the maximizer, 41 points
-    a round, until the bracket is narrower than 1e-10.  A round computes
-    only the component it refines, and every point set evaluates what it
-    needs in one :func:`~gfadm.grids.values_at` call.  By the Adomian
+    The dense stage takes :data:`~gfadm.grids.DENSE_POINTS`, 0, 901 points
+    in [0.001, 0.999] and 1; the refinement zooms in on the bracket around
+    the maximizer, 41 points a round, until the bracket is narrower than
+    1e-10.  A round computes only the component it refines, and every
+    point set evaluates what it needs in one
+    :func:`~gfadm.grids.values_at` call.  By the Adomian
     identity that is psi_1n, psi_2n and the row sums S_{i,n} stored on
     the solution, since L psi_{i,n} = S_{i,n}: the search expands no f.
     With ``weighted=True`` the residual is multiplied by ``x^alpha_i``
@@ -191,10 +172,10 @@ def max_residual(
     def weigh(x, i, vals):
         return vals * x ** alphas[i] if weighted else vals
 
-    dense = fn(_DENSE)
+    dense = fn(DENSE_POINTS)
     out = []
     for i in range(2):
-        zs, vals = _DENSE, weigh(_DENSE, i, dense[i])
+        zs, vals = DENSE_POINTS, weigh(DENSE_POINTS, i, dense[i])
         peaks = []
         while True:
             j = int(np.argmax(vals))
@@ -209,8 +190,8 @@ def max_residual(
 
 
 def lipschitz_estimate(
-    f1: Expression,
-    f2: Expression,
+    f1: Expression | Joint,
+    f2: Expression | None,
     box,
 ) -> tuple[float, float]:
     """(l1, l2): max sampled |df_i/dy_j| over the box, inflated by 10%.
@@ -219,6 +200,7 @@ def lipschitz_estimate(
     are exact to rounding, the complex step ``Im f(y + i STEP e_j) / STEP``.
     A divisor of f that takes both signs, or 0, at the samples raises
     :class:`EvaluationError`: the box is connected, so f has a pole in it.
+    With f2 None, f1 is the two already joined, as ``ProblemSpec.rhs``.
     """
     (x0, x1), (a0, a1), (b0, b1) = box
     if x1 < x0 or a1 < a0 or b1 < b0:
@@ -233,7 +215,7 @@ def lipschitz_estimate(
             raise EvaluationError("a divisor vanishes or changes sign in the box")
         return a / b
 
-    both = join([f1, f2])
+    both = f1 if f2 is None else join([f1, f2])
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         vals = [[v[r] for r in both.roots]
                 for v in (evaluate(both.steps, gx, y1, y2, float, divide)
@@ -291,7 +273,7 @@ def convergence_estimate(
     m = max(kernel_bound_m(c.kernel()) for c in p.components)
     box = solution_box(sol)
     try:
-        l1, l2 = lipschitz_estimate(p.component1.rhs, p.component2.rhs, box)
+        l1, l2 = lipschitz_estimate(p.rhs, None, box)
     except EvaluationError as exc:
         raise EvaluationError(f"pole inside Lipschitz box {box}: {exc}") from exc
     gamma = 2.0 * m * max(l1, l2)

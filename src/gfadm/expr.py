@@ -22,9 +22,9 @@ through ``eval_scalar`` and, through ``eval_series``, on the
 :class:`~gfadm.series.SeriesTape`: that records the truncated Taylor
 expansion of ``f(x, y1(lam), y2(lam))`` over any coefficient ring, to be
 computed when the tape is extended.  :func:`join` makes one program of
-f1 and f2, a step equal in both kept once; ``eval_series`` given both
-evaluates their join, and ``eval_scalar`` takes a join and gives both
-values from one evaluation.
+f1 and f2, a step equal in both kept once; ``eval_series`` and
+``eval_scalar`` take a join and give both values from one evaluation, and
+``eval_series`` given both joins them itself.
 """
 
 from __future__ import annotations
@@ -295,11 +295,12 @@ def eval_series(e, x, y1: RunningSeries, y2: RunningSeries):
     of a division, and a result free of y1 and y2, become constant series
     of that ring, so a vanishing divisor is caught by the series division.
 
-    ``e`` is one expression, or a sequence of them (f1 and f2 of a
-    problem), which gives a list of series, one per expression.  Their
-    steps are joined, so a subexpression equal in several of them, as
-    ``y1^2`` in both of catalytic's, is recorded once, and an expression
-    equal to an earlier one gets its series.
+    ``e`` is one expression, or several (f1 and f2 of a problem), which
+    give a list of series, one per expression: their :class:`Joint`, as
+    ``ProblemSpec.rhs`` holds it, or a sequence of them, joined here.  A
+    subexpression equal in several of them, as ``y1^2`` in both of
+    catalytic's, is recorded once, and an expression equal to an earlier
+    one gets its series.
     """
     if y1.tape is not y2.tape:
         raise OrderMismatchError("series arguments must share one tape")
@@ -312,12 +313,11 @@ def eval_series(e, x, y1: RunningSeries, y2: RunningSeries):
             zero.append(0.0 * y1)
         return zero[0] + v
 
-    several = isinstance(e, (list, tuple))
-    program = join(e) if several else e
+    program = join(e) if isinstance(e, (list, tuple)) else e
     vals = evaluate(program.steps, x, y1, y2, lambda c: c,
                     lambda a, b: as_series(a) / as_series(b))
     out = [as_series(vals[r]) for r in program.roots]
-    return out if several else out[0]
+    return out if isinstance(program, Joint) else out[0]
 
 
 def to_text(e: Expression) -> str:

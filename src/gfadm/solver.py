@@ -199,7 +199,7 @@ def _recurse(p: ProblemSpec, n_terms: int, base, x, rows, image) -> SolutionSeri
     """
     kern = [c.kernel() for c in p.components]
     fs = [c.rhs for c in p.components]
-    expansion = adomian_expansion(fs, x)
+    expansion = adomian_expansion(p.rhs, x)  # f1 and f2 as joined once per problem
     terms = ([base[0]], [base[1]])
     adomian = ([], [])
     for j in range(n_terms):

@@ -1,13 +1,14 @@
 """The residual search as it was before its fast paths, for the checks.
 
 ``gfadm.grids.values_at`` evaluates its polynomials by one stacked Horner
-pass, and ``gfadm.analysis.max_residual`` reads the Adomian identity's
-rows from the row sums stored on the solution.  These are the slow paths
-they replace: every polynomial evaluated by its own call, and every point
-set of every order expanding the rows A_0..A_{n-1} afresh from the term
-values there, through the same ``_residual_fn`` logic.  The tests require
-the pointwise reports and the spectral maxima to match them bitwise, and
-the identity's maxima to 1e-13.
+pass and takes the dense point set's barycentric matrix from a cache, and
+``gfadm.analysis`` reads the Adomian identity's rows from the row sums
+stored on the solution.  These are the slow paths they replace: every
+polynomial evaluated by its own call and every matrix built afresh, with
+the identity either from the same stored row sums (``stored=True``) or
+from the rows A_0..A_{n-1} expanded afresh at every point set of every
+order.  The tests require the pointwise reports and the maxima to match
+the first bitwise, and the second to 1e-13.
 """
 
 import numpy as np
@@ -46,7 +47,7 @@ def values_at(funcs, xs) -> np.ndarray:
     return out
 
 
-def _residual_fn(p, sol, n, method):
+def _residual_fn(p, sol, n, method, stored=False):
     if method == SPECTRAL:
         psi = [sol.psi(1, n), sol.psi(2, n)]
         derivs = [(d1, d1.derivative()) for d1 in (f.derivative() for f in psi)]
@@ -63,6 +64,16 @@ def _residual_fn(p, sol, n, method):
 
         return residual_at
     assert method == ADOMIAN_IDENTITY
+    if stored:
+        psi = [sol.psi(1, n), sol.psi(2, n)]
+        sums = [sol.row_sum(1, n), sol.row_sum(2, n)]
+
+        def residual_at(x, components=(0, 1)):
+            psi1, psi2, *s = values_at(psi + [sums[i] for i in components], x)
+            return tuple(np.abs(s[k] - eval_scalar(p.components[i].rhs, x, psi1, psi2))
+                         for k, i in enumerate(components))
+
+        return residual_at
     terms = sol.terms1[: n + 1] + sol.terms2[: n + 1]
 
     def residual_at(x, components=(0, 1)):
@@ -79,9 +90,9 @@ def _residual_fn(p, sol, n, method):
     return residual_at
 
 
-def max_residual(p, sol, n, method=ADOMIAN_IDENTITY, weighted=False):
+def max_residual(p, sol, n, method=ADOMIAN_IDENTITY, weighted=False, stored=False):
     """Dense search at 903 points, then a 41-point zoom to a 1e-10 bracket."""
-    fn = _residual_fn(p, sol, n, method)
+    fn = _residual_fn(p, sol, n, method, stored)
     alphas = [c.alpha for c in p.components]
 
     def weigh(x, i, vals):

@@ -31,7 +31,7 @@ from gfadm import (
     solution_box,
     to_text,
 )
-from gfadm import analysis, grids, series
+from gfadm import analysis, expr, grids, series
 from gfadm.errors import EvaluationError
 from gfadm.expr import STEP, Joint
 import reference_residual as reference
@@ -205,14 +205,42 @@ def test_both_components_take_one_joined_evaluation(method, monkeypatch):
     assert calls == [True]
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_f1_and_f2_are_joined_once_per_problem(name, monkeypatch):
+    """Solves on both backends, residuals and the bound use ``p.rhs``.
+
+    Nothing joins f1 and f2 again, and the Lipschitz sample of the join
+    is bitwise that of the two expressions given apart.
+    """
+    p = BUNDLED[name]()
+    both = p.rhs
+    box = ((0.0, 1.0), (0.5, 1.5), (0.5, 2.5))
+    apart = lipschitz_estimate(p.component1.rhs, p.component2.rhs, box)
+
+    def forbidden(exprs):
+        raise AssertionError("f1 and f2 joined again")
+
+    monkeypatch.setattr(expr, "join", forbidden)
+    monkeypatch.setattr(analysis, "join", forbidden)
+    assert lipschitz_estimate(both, None, box) == apart
+    for backend in [GRID, EXACT] if name in ("catalytic", "symmetric") else [GRID]:
+        sol = gfadm_solve(p, 4, backend=backend)
+        residual(p, sol, 4, ABSCISSAE)
+        max_residual(p, sol, 4)
+        convergence_estimate(p, sol, [4])
+    assert p.rhs is both
+
+
 @pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
 def test_max_residual_builds_one_matrix_per_point_set(method, monkeypatch):
-    """One barycentric matrix per point set, the dense set and every zoom round.
+    """One barycentric matrix per point set: the dense set's once per grid
+    size and process, every zoom round's on every call.
 
-    The search keeps nothing on the solution, so every call builds its own.
+    The search keeps nothing on the solution; the dense matrix is cached in
+    ``grids`` for the constant DENSE_POINTS, which the search passes as is.
     """
     p = catalytic_problem()
-    sol = gfadm_solve(p, 11, backend=GRID)
+    sols = [gfadm_solve(p, 11, backend=GRID, grid_size=size) for size in (64, 32)]
     builds, point_sets = [], []
     build, make_fn = grids._barycentric_matrix, analysis._residual_fn
 
@@ -231,15 +259,19 @@ def test_max_residual_builds_one_matrix_per_point_set(method, monkeypatch):
 
     monkeypatch.setattr(grids, "_barycentric_matrix", counted_build)
     monkeypatch.setattr(analysis, "_residual_fn", counted_fn)
-    for n in (11, 7, 11):
-        builds.clear()
-        point_sets.clear()
-        max_residual(p, sol, n, method=method, weighted=True)
-        # the dense set plus one set per zoom round
-        assert len(point_sets) > 2 and len(builds) == len(point_sets)
-        assert all(np.array_equal(b, x) for b, x in zip(builds, point_sets))
-        assert np.array_equal(builds[0], analysis._DENSE)
-        assert sum(b.size == analysis._DENSE.size for b in builds) == 1
+    grids._dense_matrix.cache_clear()
+    for sol in sols:
+        for call, n in enumerate((11, 7, 11)):
+            builds.clear()
+            point_sets.clear()
+            max_residual(p, sol, n, method=method, weighted=True)
+            # the dense set, then one set per zoom round
+            dense, *zooms = point_sets
+            assert dense is grids.DENSE_POINTS and len(zooms) > 1
+            if call == 0:
+                assert np.array_equal(builds.pop(0), grids.DENSE_POINTS)
+            assert len(builds) == len(zooms)
+            assert all(np.array_equal(b, x) for b, x in zip(builds, zooms))
 
 
 def _perturbed_catalytic(seed):
@@ -267,23 +299,25 @@ SLOW_PATH_CASES = [
 @pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
 @pytest.mark.parametrize("make, backend", SLOW_PATH_CASES)
 def test_residuals_are_bitwise_the_slow_path(make, backend, method):
-    """The pointwise report by both methods, and the spectral maxima, are
-    bitwise the per-polynomial ones of ``tests/reference_residual.py``.
+    """The pointwise report and the maxima by both methods are bitwise the
+    per-polynomial ones of ``tests/reference_residual.py``, whose matrices
+    are all built afresh.
 
-    The identity's maxima read the stored rows, not the report's expansion;
-    :func:`test_identity_search_matches_the_expanding_slow_path` holds them
-    to the reference.
+    By the identity both read the stored row sums, as the slow path here
+    does; :func:`test_identity_search_matches_the_expanding_slow_path` and
+    :func:`test_stored_rows_agree_with_the_report` hold them to a fresh
+    expansion of the rows.
     """
     p = make()
     sol = gfadm_solve(p, 7, backend=backend)
     for n in range(1, 8):
-        want = [np.array(reference._residual_fn(p, sol, n, method)(np.array(ABSCISSAE)))]
+        slow = reference._residual_fn(p, sol, n, method, stored=True)
+        want = [np.array(slow(np.array(ABSCISSAE)))]
         rep = residual(p, sol, n, ABSCISSAE, method=method)
         got = [np.array([[r for _, r in rep.points1], [r for _, r in rep.points2]])]
-        if method == SPECTRAL:
-            for weighted in (False, True):
-                want.append(reference.max_residual(p, sol, n, method, weighted))
-                got.append(max_residual(p, sol, n, method=method, weighted=weighted))
+        for weighted in (False, True):
+            want.append(reference.max_residual(p, sol, n, method, weighted, stored=True))
+            got.append(max_residual(p, sol, n, method=method, weighted=weighted))
         for a, b in zip(got, want, strict=True):
             assert np.array(a).tobytes() == np.array(b).tobytes(), (n, a, b)
 
@@ -313,8 +347,8 @@ def _bump(row):
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_stored_rows_agree_with_the_report(name):
-    """The identity from the stored rows against the report's fresh
-    expansion at the table abscissae, to 1e-13 (seen: 4.4e-15).
+    """The report from the stored rows against the reference's fresh
+    expansion of the rows at the table abscissae, to 1e-13 (seen: 4.4e-15).
 
     Moving stored row A_3 by 1e-9 moves every maximum of order 4 and above,
     and the comparison catches it; orders below 4 do not read A_3.
@@ -322,17 +356,20 @@ def test_stored_rows_agree_with_the_report(name):
     p = BUNDLED[name]()
     backends = [GRID, EXACT] if name in ("catalytic", "symmetric") else [GRID]
     xs = np.array(ABSCISSAE)
+
+    def report(sol, n):
+        rep = residual(p, sol, n, xs)
+        return np.array([[r for _, r in rep.points1], [r for _, r in rep.points2]])
+
     for backend in backends:
         sol = gfadm_solve(p, 11, backend=backend)
         bumped = SolutionSeries(p, sol.terms1, sol.terms2,
                                 sol.rows1[:3] + [sol.rows1[3] + _bump(sol.rows1[3])]
                                 + sol.rows1[4:], sol.rows2)
         for n in range(1, 12):
-            rep = residual(p, sol, n, xs)
-            want = np.array([[r for _, r in rep.points1], [r for _, r in rep.points2]])
-            got = np.array(analysis._residual_fn(p, sol, n, ADOMIAN_IDENTITY)(xs))
-            assert np.max(np.abs(got - want)) <= 1e-13, (backend, n)
-            moved = np.array(analysis._residual_fn(p, bumped, n, ADOMIAN_IDENTITY)(xs))
+            want = np.array(reference._residual_fn(p, sol, n, ADOMIAN_IDENTITY)(xs))
+            assert np.max(np.abs(report(sol, n) - want)) <= 1e-13, (backend, n)
+            moved = report(bumped, n)
             assert (np.max(np.abs(moved - want)) > 1e-13) == (n >= 4), (backend, n)
             assert (max_residual(p, bumped, n)[0] != max_residual(p, sol, n)[0]) == (
                 n >= 4), (backend, n)
@@ -380,27 +417,22 @@ def test_residual_table_expands_no_rows(monkeypatch):
 
 @pytest.mark.parametrize("make, backend", [(catalytic_problem, EXACT),
                                            (lambda: oxygen_problem(2.0), GRID)])
-def test_residual_report_expands_both_components_in_one_call(make, backend,
-                                                             monkeypatch):
-    """One joint Adomian call per pointwise report, bitwise each f expanded alone."""
+def test_residual_report_expands_no_rows(make, backend, monkeypatch):
+    """The pointwise report reads the stored rows, as the search does.
+
+    No Adomian call and no series tape in a report by either method.
+    """
     p = make()
     sol = gfadm_solve(p, 6, backend=backend)
-    calls = []
-    joint = analysis.adomian_coefficients
 
-    def counted(fs, *args):
-        calls.append(list(fs))
-        return joint(fs, *args)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the residual report expanded a row")
 
-    monkeypatch.setattr(analysis, "adomian_coefficients", counted)
-    report = residual(p, sol, 5, ABSCISSAE)
-    assert calls == [[c.rhs for c in p.components]]
-    monkeypatch.setattr(analysis, "adomian_coefficients",
-                        lambda fs, *args: [joint(f, *args) for f in fs])
-    apart = residual(p, sol, 5, ABSCISSAE)
-    for name in ("points1", "points2"):
-        assert np.array(getattr(report, name)).tobytes() == \
-            np.array(getattr(apart, name)).tobytes()
+    monkeypatch.setattr(analysis, "adomian_coefficients", forbidden)
+    monkeypatch.setattr(series.SeriesTape, "__init__", forbidden)
+    for n in range(1, 7):
+        for method in (ADOMIAN_IDENTITY, SPECTRAL):
+            residual(p, sol, n, ABSCISSAE, method)
 
 
 class TestLipschitz:

@@ -1,4 +1,5 @@
 import importlib.resources
+import json
 import math
 import os
 import subprocess
@@ -58,7 +59,12 @@ grid_size = 32
 
 def _solve_in_subprocess(tmp_path, rhs):
     """``gfadm solve`` in a fresh process on ZERO_RHS with component 1's rhs replaced."""
-    bad = _write(tmp_path, ZERO_RHS.replace("rhs = 0", f"rhs = {rhs}", 1))
+    return _solve_file_in_subprocess(tmp_path, ZERO_RHS.replace("rhs = 0", f"rhs = {rhs}", 1))
+
+
+def _solve_file_in_subprocess(tmp_path, text):
+    """``gfadm solve`` in a fresh process on a problem file of this text."""
+    bad = _write(tmp_path, text)
     src = str(Path(gfadm.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "gfadm.cli", "solve", bad,
@@ -129,6 +135,18 @@ class TestSolve:
                                        "--n", "4", "--out", str(out)])
             assert res.exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_defaults_without_run(self, runner, tmp_path):
+        """A file without [run] solves n_terms 5 on the grid backend."""
+        path = _write(tmp_path, ZERO_RHS[: ZERO_RHS.index("[run]")])
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, ["solve", path, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert not out.with_suffix(".coeffs.json").exists()
+        res = runner.invoke(main, ["solve", path, "--backend", "poly", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(out.with_suffix(".coeffs.json").read_text())
+        assert payload["n"] == 5 and len(payload["terms1"]) == 6
 
     def test_out_dir_env(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("GFADM_OUT_DIR", str(tmp_path))
@@ -242,6 +260,14 @@ class TestErrors:
         assert res.returncode == 1
         assert res.stderr.splitlines() == [
             "error: [component.1]: unexpected character '@' (at position 3)"]
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_unknown_run_backend_exit_1(self, tmp_path):
+        """A [run] backend outside grid and poly is a problem-file error, in one line."""
+        res = _solve_file_in_subprocess(tmp_path, ZERO_RHS.replace(
+            "backend = grid", "backend = foo"))
+        assert res.returncode == 1
+        assert res.stderr.splitlines() == ["error: unknown backend 'foo'"]
         assert not (tmp_path / "s.csv").exists()
 
     def test_long_sum_solves(self, runner, tmp_path):
@@ -398,6 +424,15 @@ class TestSharedPath:
         assert runner.invoke(main, [cmd, path]).exit_code == 2
         res = runner.invoke(main, [cmd, path, "--grid-size", "64"])
         assert res.exit_code == 0, res.output
+
+    def test_order_one_accepted(self, runner, cmd, tmp_path, monkeypatch):
+        """Order 1 is a valid ``--n`` and ``--n-list``, not only orders from 2."""
+        monkeypatch.setenv("GFADM_OUT_DIR", str(tmp_path / "out"))
+        res = runner.invoke(main, [cmd, _write(tmp_path, ZERO_RHS), ORDER[cmd], "1"])
+        assert res.exit_code == 0, res.output
+        if cmd == "residual":
+            summary = (tmp_path / "out" / "problem_residual_summary.csv").read_text()
+            assert summary.splitlines()[1].startswith("1,")
 
     @pytest.mark.parametrize("args", [["FILE", "--n", "abc"],
                                       ["FILE", "--backend", "foo"],

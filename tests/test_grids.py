@@ -6,7 +6,8 @@ from numpy_polynomial import OPERATORS, trim
 
 from gfadm import GridFunction, Polynomial, chebyshev_lobatto
 from gfadm.errors import UsageError
-from gfadm.grids import _barycentric_matrix, value_at_zero, values_at
+from gfadm import grids
+from gfadm.grids import DENSE_POINTS, _barycentric_matrix, value_at_zero, values_at
 
 
 class TestPolynomial:
@@ -168,6 +169,32 @@ def test_finite_products_keep_the_barycentric_formula(scale):
         assert np.array_equal(got[finite], plain[finite])
         assert np.all(np.isfinite(got))
     assert finite.sum() == (52 if scale == 1.0 else 50)
+
+
+@pytest.mark.parametrize("n", [1, 16, 64])
+def test_dense_matrix_is_a_fresh_build_read_only(n):
+    """The cached matrix at DENSE_POINTS is bitwise a fresh build, and read-only.
+
+    values_at takes it for the constant itself, and gives the rows it gives
+    at an equal copy of the points, which builds a matrix afresh.
+    """
+    grids._dense_matrix.cache_clear()
+    cached = grids._dense_matrix(n)
+    assert grids._dense_matrix(n) is cached
+    terms, den, (exact_i, exact_j) = cached
+    fresh, fresh_den, (fresh_i, fresh_j) = _barycentric_matrix(n, DENSE_POINTS.copy())
+    for a, b in ((terms, fresh), (den, fresh_den), (exact_i, fresh_i), (exact_j, fresh_j)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    assert not DENSE_POINTS.flags.writeable
+    with pytest.raises(ValueError):
+        terms[0, 0] = 0.0
+    rng = np.random.default_rng(n)
+    funcs = [GridFunction(scale * rng.standard_normal(n + 1)) for scale in (1.0, 1e300)]
+    got = values_at(funcs + [Polynomial([1.0, 2.0])], DENSE_POINTS)
+    assert got.tobytes() == values_at(funcs + [Polynomial([1.0, 2.0])],
+                                      DENSE_POINTS.copy()).tobytes()
+    assert grids._dense_matrix.cache_info().currsize == 1
 
 
 @pytest.mark.filterwarnings("error")
