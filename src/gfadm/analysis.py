@@ -22,7 +22,8 @@ Both evaluate all the functions they need at a set of points in one
 :func:`~gfadm.grids.values_at` call, so grid functions share one
 barycentric matrix per point set and polynomials one stacked Horner pass.
 The search's dense point set is :data:`~gfadm.grids.DENSE_POINTS`, whose
-matrix is built once per grid size.
+matrix is built once per grid size, and each of its zoom rounds refines
+both components by one call on their two point sets stacked.
 
 Near the singular point the operator value uses the regularity limit
 ``(1 + alpha) psi''(0)``; elsewhere it forms ``alpha (psi'(x) - psi'(0))/x``,
@@ -77,7 +78,8 @@ def _residual_from_operator(p: ProblemSpec, psi, parts, operator):
 
     L psi_i at x is ``operator(i, x, values)`` from the values there of
     the functions ``parts[i]``; psi and the parts the call needs are
-    evaluated in one :func:`~gfadm.grids.values_at` call.
+    evaluated in one :func:`~gfadm.grids.values_at` call.  The points may
+    be a stack of point sets, each component's residual then a stack too.
     """
     def residual_at(x: np.ndarray, components=(0, 1)):
         psi1, psi2, *vals = values_at(psi + [g for i in components for g in parts[i]], x)
@@ -156,12 +158,16 @@ def max_residual(
 
     The dense stage takes :data:`~gfadm.grids.DENSE_POINTS`, 0, 901 points
     in [0.001, 0.999] and 1; the refinement zooms in on the bracket around
-    the maximizer, 41 points a round, until the bracket is narrower than
-    1e-10.  A round computes only the component it refines, and every
-    point set evaluates what it needs in one
-    :func:`~gfadm.grids.values_at` call.  By the Adomian
-    identity that is psi_1n, psi_2n and the row sums S_{i,n} stored on
-    the solution, since L psi_{i,n} = S_{i,n}: the search expands no f.
+    each component's maximizer, 41 points a round, until the bracket is
+    narrower than 1e-10.  A round stacks the point sets of the components
+    still refining and makes one call of the residual function on them,
+    each component reading its own set: while both refine, shape (2, 41)
+    and one evaluation of the joined f; a component still refining after
+    the other has stopped goes on alone, with its own f.  Every call
+    evaluates what it needs in one :func:`~gfadm.grids.values_at` call.
+    By the Adomian identity that is psi_1n, psi_2n and the row sums
+    S_{i,n} stored on the solution, since L psi_{i,n} = S_{i,n}: the
+    search expands no f.
     With ``weighted=True`` the residual is multiplied by ``x^alpha_i``
     (the defect of the self-adjoint form ``(x^alpha y')' = x^alpha f``),
     which some published benchmark tables report.
@@ -173,20 +179,24 @@ def max_residual(
         return vals * x ** alphas[i] if weighted else vals
 
     dense = fn(DENSE_POINTS)
-    out = []
-    for i in range(2):
-        zs, vals = DENSE_POINTS, weigh(DENSE_POINTS, i, dense[i])
-        peaks = []
-        while True:
+    # component -> the points of its latest set and its values there
+    brackets = {i: (DENSE_POINTS, weigh(DENSE_POINTS, i, dense[i])) for i in range(2)}
+    peaks = ([], [])
+    while True:
+        zooms = {}  # component -> the points of its next round
+        for i, (zs, vals) in brackets.items():
             j = int(np.argmax(vals))
-            peaks.append(vals[j])
+            peaks[i].append(vals[j])
             lo, hi = zs[max(j - 1, 0)], zs[min(j + 1, zs.size - 1)]
-            if hi - lo <= 1e-10:
-                break
-            zs = np.linspace(lo, hi, 41)
-            vals = weigh(zs, i, fn(zs, (i,))[0])
-        out.append(float(np.max(peaks)))
-    return tuple(out)
+            if hi - lo > 1e-10:
+                zooms[i] = np.linspace(lo, hi, 41)
+        if not zooms:
+            return tuple(float(np.max(pk)) for pk in peaks)
+        # the m-th refining component reads its residual at the m-th set
+        points = np.stack(list(zooms.values()))
+        rs = fn(points, tuple(zooms))
+        brackets = {i: (points[m], weigh(points[m], i, rs[m][m]))
+                    for m, i in enumerate(zooms)}
 
 
 def lipschitz_estimate(

@@ -223,7 +223,7 @@ def _command(name: str, n_list: bool = False, n_help: str | None = None):
             flags = {"n_terms": n_terms, "backend": _BACKENDS.get(backend),
                      "grid_size": grid_size}
             run.update((key, v) for key, v in flags.items() if v is not None)
-            ns = sorted(_parse_list(n_list, "n")) if n_list else [run["n_terms"]]
+            ns = sorted(set(_parse_list(n_list, "n"))) if n_list else [run["n_terms"]]
             xs = _parse_list(abscissae, "abscissae") if abscissae else DEFAULT_ABSCISSAE
             t0 = time.perf_counter()
             sol = gfadm_solve(problem, ns[-1], backend=run["backend"],

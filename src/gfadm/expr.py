@@ -225,37 +225,46 @@ def evaluate(steps, x, y1, y2, lift, div=operator.truediv) -> list:
 
 
 STEP = 2.0**-64  # the complex step's size; a power of two, so dividing by it is exact
+# the value types eval_scalar returns as they are
+_RESULT_TYPES = (np.dtype(float), np.dtype(complex))
 
 
 def eval_scalar(e, x, y1, y2):
     """Evaluate on real or complex numbers (or numpy arrays, elementwise).
 
-    With array arguments the result has their broadcast shape, also when
-    it does not depend on all of them.  Every f is rational, so at y_j +
-    i STEP its imaginary part over STEP is df/dy_j to rounding, with no
-    difference to cancel (the complex step, Squire & Trapp 1998).  A
-    :class:`Joint` of several expressions gives a tuple, each one's value,
-    from one evaluation of their joined steps.
+    Three numbers give a float, or a complex for a complex value.  With
+    array arguments the result is an array of their broadcast shape, also
+    when it does not depend on all of them; a float64 or complex value
+    array of that shape is returned as it is, without a copy.  Every value
+    is checked finite.  Every f is rational, so at y_j + i STEP its
+    imaginary part over STEP is df/dy_j to rounding, with no difference to
+    cancel (the complex step, Squire & Trapp 1998).  A :class:`Joint` of
+    several expressions gives a tuple, each one's value, from one
+    evaluation of their joined steps.
     """
     try:
         with np.errstate(divide="raise", invalid="raise"):
             vals = evaluate(e.steps, x, y1, y2, float)
     except (ZeroDivisionError, FloatingPointError) as exc:
         raise EvaluationError(f"division by zero while evaluating: {exc}") from exc
-    if isinstance(e, Joint):
-        return tuple(_scalar_value(vals[r], x, y1, y2) for r in e.roots)
-    return _scalar_value(vals[-1], x, y1, y2)
-
-
-def _scalar_value(val, x, y1, y2):
-    """A value of eval_scalar, checked finite: a number, or of the arguments' shape."""
-    if not np.all(np.isfinite(val)):
-        raise EvaluationError("non-finite value while evaluating expression")
-    if np.isscalar(x) and np.isscalar(y1) and np.isscalar(y2):
-        return complex(val) if np.iscomplexobj(val) else float(val)
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y1), np.shape(y2))
-    return np.asarray(val, dtype=np.result_type(val, float)) if np.shape(val) == shape \
-        else np.full(shape, val)
+    out = []
+    for r in e.roots:
+        v = vals[r]
+        if not np.isfinite(v).all():
+            raise EvaluationError("non-finite value while evaluating expression")
+        if not out:  # the shape is taken once, after the first value's check
+            numbers = np.isscalar(x) and np.isscalar(y1) and np.isscalar(y2)
+            if not numbers:
+                shape = np.shape(x)
+                if not shape == np.shape(y1) == np.shape(y2):
+                    shape = np.broadcast_shapes(shape, np.shape(y1), np.shape(y2))
+        if numbers:
+            v = complex(v) if np.iscomplexobj(v) else float(v)
+        elif not (type(v) is np.ndarray and v.dtype in _RESULT_TYPES and v.shape == shape):
+            v = np.asarray(v, dtype=np.result_type(v, float)) if np.shape(v) == shape \
+                else np.full(shape, v)
+        out.append(v)
+    return tuple(out) if isinstance(e, Joint) else out[0]
 
 
 @dataclass(frozen=True)

@@ -218,26 +218,27 @@ DENSE_POINTS.flags.writeable = False
 
 
 def _barycentric_matrix(n: int, xs: np.ndarray):
-    """The (points, nodes) barycentric terms of the n-grid at the points xs.
+    """The barycentric terms of the n-grid at the points xs, of any shape.
 
-    Returns the terms ``w_j / (x - x_j)``, their row sums and the (point,
-    node) indices where a point is a node.  One build serves every function
-    on the n-grid evaluated at xs.
+    Returns the terms ``w_j / (x - x_j)``, shape ``xs.shape + (n + 1,)``,
+    their sums over the nodes and the indices, point's then node's, where a
+    point is a node.  One build serves every function on the n-grid
+    evaluated at xs.
     """
     nodes, weights = _barycentric(n)
     # one temporary, divided in place: on the residual search's 903 points
     # it is a fresh page-faulted allocation, so it is built once per point set
-    terms = xs[:, None] - nodes[None, :]
+    terms = xs[..., None] - nodes
     # a point at a node, or nearer to it than the smallest normal float
-    # (where w_j / (x - x_j) overflows), gets a zero row with unit sum
+    # (where w_j / (x - x_j) overflows), gets zero terms with unit sum
     # instead of inf / inf; the node's own value replaces its result.  Two
     # comparisons, as np.abs would make a second page-faulted temporary
-    exact_i, exact_j = np.nonzero((terms > -_TINY) & (terms < _TINY))
-    terms[exact_i] = np.inf
+    exact = np.nonzero((terms > -_TINY) & (terms < _TINY))
+    terms[exact[:-1]] = np.inf
     np.divide(weights, terms, out=terms)
-    den = terms.sum(axis=1)
-    den[exact_i] = 1.0
-    return terms, den, (exact_i, exact_j)
+    den = terms.sum(axis=-1)
+    den[exact[:-1]] = 1.0
+    return terms, den, exact
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,11 +260,11 @@ def _interpolate(matrix, values: np.ndarray, out: np.ndarray) -> None:
     Runs under ``np.errstate(over="ignore", invalid="ignore")``: a product
     that overflows is left non-finite, for :func:`_rescale`.
     """
-    terms, den, (exact_i, exact_j) = matrix
-    # one matrix-vector product per function: a stacked matmul may round
-    # differently from the per-vector products
+    terms, den, exact = matrix
+    # one matrix-vector product per function and point set: a product of
+    # more rows, or with a matrix of values, may round a row differently
     np.divide(terms @ values, den, out=out)
-    out[exact_i] = values[exact_j]
+    out[exact[:-1]] = values[exact[-1]]
 
 
 def _rescale(matrix, values: np.ndarray, out: np.ndarray) -> None:
@@ -271,13 +272,15 @@ def _rescale(matrix, values: np.ndarray, out: np.ndarray) -> None:
 
     A point just farther than tiny from a node has a term near the largest
     float, whose product with large values overflows.  Such a point's terms
-    are divided by their largest; every other point keeps its bits.
+    are divided by their largest, one point set at a time as a set of its
+    own would be; every other point keeps its bits.
     """
-    terms, _, (exact_i, exact_j) = matrix
-    redo = np.flatnonzero(~np.isfinite(out))
-    scaled = terms[redo] / np.abs(terms[redo]).max(axis=1, keepdims=True)
-    out[redo] = (scaled @ values) / scaled.sum(axis=1)
-    out[exact_i] = values[exact_j]
+    terms, _, exact = matrix
+    for s in np.ndindex(out.shape[:-1]):
+        redo = np.flatnonzero(~np.isfinite(out[s]))
+        scaled = terms[s][redo] / np.abs(terms[s][redo]).max(axis=1, keepdims=True)
+        out[s][redo] = (scaled @ values) / scaled.sum(axis=1)
+    out[exact[:-1]] = values[exact[-1]]
 
 
 def _value_at(values: np.ndarray, x: float) -> float:
@@ -312,31 +315,35 @@ def _horner(coeffs: list, xs: np.ndarray) -> np.ndarray:
     table = np.zeros((max(c.size for c in coeffs), len(coeffs)))
     for j, c in enumerate(coeffs):
         table[: c.size, j] = c
-    out = np.multiply(xs, 0, out=np.empty((len(coeffs), xs.size)))
+    flat = xs.ravel()
+    out = np.multiply(flat, 0, out=np.empty((len(coeffs), flat.size)))
     out += table[-1][:, None]
     for ck in table[-2::-1]:
-        out *= xs
+        out *= flat
         out += ck[:, None]
-    return out
+    return out.reshape((len(coeffs),) + xs.shape)
 
 
 def values_at(funcs, xs) -> np.ndarray:
-    """The rows ``f(xs)`` of the functions funcs, shape ``(len(funcs), len(xs))``.
+    """The values ``f(xs)`` of the functions funcs, shape ``(len(funcs),) + xs.shape``.
 
-    The funcs are Polynomials and GridFunctions.  The polynomials are
-    evaluated together by one stacked Horner pass; grid functions of one
-    grid size share one barycentric matrix, with one matrix-vector product
-    each (a stacked product may round a row differently).  Each row is
-    bitwise the function's own call at xs.  At :data:`DENSE_POINTS` itself,
-    told by identity as ``kernels.kernel_apply`` tells the grid's nodes, the
-    matrix is the cached one.
+    The funcs are Polynomials and GridFunctions, and xs is an array of
+    points of any shape, a number counting as one point: a stack of point
+    sets, shape ``(k, m)``, is evaluated in one call.  The polynomials are
+    evaluated together by one stacked Horner pass over all the points; grid
+    functions of one grid size share one barycentric matrix, with one
+    matrix-vector product per function and point set (a product of more
+    rows may round a row differently).  Each point set's values are
+    bitwise the function's own call at that set.  At :data:`DENSE_POINTS`
+    itself, told by identity as ``kernels.kernel_apply`` tells the grid's
+    nodes, the matrix is the cached one.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     is_grid = [isinstance(f, GridFunction) for f in funcs]
     polys = [f.coeffs for f, g in zip(funcs, is_grid) if not g]
     if polys and len(polys) == len(funcs):
         return _horner(polys, xs)
-    out = np.empty((len(funcs), xs.size))
+    out = np.empty((len(funcs),) + xs.shape)
     if polys:
         out[np.logical_not(is_grid)] = _horner(polys, xs)
     grid = [(row, f.values) for row, f, g in zip(out, funcs, is_grid) if g]

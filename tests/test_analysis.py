@@ -33,7 +33,7 @@ from gfadm import (
 )
 from gfadm import analysis, expr, grids, series
 from gfadm.errors import EvaluationError
-from gfadm.expr import STEP, Joint
+from gfadm.expr import STEP
 import reference_residual as reference
 
 ABSCISSAE = [0.1 * i for i in range(1, 10)]
@@ -177,32 +177,83 @@ def test_residual_abscissae_check(xs):
         residual(p, sol, 4, xs)
 
 
+# per method, a problem whose grid search at n = 6 has zoom rounds of one
+# component alone, and that component's index
+SOLO_ROUNDS = {SPECTRAL: (catalytic_problem, 1),
+               ADOMIAN_IDENTITY: (lambda: oxygen_problem(2.0), 0)}
+
+
 @pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
 def test_both_components_take_one_joined_evaluation(method, monkeypatch):
     """f1 and f2 are evaluated by one call of their join where both are needed.
 
-    The pointwise report, the dense stage of the search and the bound's
-    max |f(x, y10, y20)| each make one call; a refinement round evaluates
-    the f of the component it refines alone.
+    The pointwise report, the dense stage of the search, every zoom round
+    while both components refine (their two point sets stacked) and the
+    bound's max |f(x, y10, y20)| each make one call; a component left
+    refining alone evaluates its own f.
     """
-    p = catalytic_problem()
+    make, alone = SOLO_ROUNDS[method]
+    p = make()
     sol = gfadm_solve(p, 6, backend=GRID)
     assert p.rhs is p.rhs and len(p.rhs.roots) == 2  # joined once per problem
     calls = []
 
-    def counted(e, *args):
-        calls.append(isinstance(e, Joint))
-        return eval_scalar(e, *args)
+    def counted(e, x, *args):
+        calls.append((e, np.shape(x)))
+        return eval_scalar(e, x, *args)
 
     monkeypatch.setattr(analysis, "eval_scalar", counted)
     residual(p, sol, 6, ABSCISSAE, method)
-    assert calls == [True]
+    assert calls == [(p.rhs, (9,))]
     calls.clear()
     max_residual(p, sol, 6, method)
-    assert calls[0] and len(calls) > 2 and not any(calls[1:])
+    both = [shape for e, shape in calls if e is p.rhs]
+    assert both[0] == grids.DENSE_POINTS.shape
+    assert len(both) > 2 and set(both[1:]) == {(2, 41)}
+    # the rounds of the component left alone come last, each with its own f
+    assert calls[len(both):] and calls[len(both):] == [
+        (p.components[alone].rhs, (1, 41))] * (len(calls) - len(both))
     calls.clear()
     convergence_estimate(p, sol, [1])
-    assert calls == [True]
+    assert calls == [(p.rhs, (201,))]
+
+
+def _record_calls(monkeypatch, module):
+    """The components asked of each call of the module's residual functions."""
+    seen, make_fn = [], module._residual_fn
+
+    def counted_fn(*args, **kwargs):
+        fn = make_fn(*args, **kwargs)
+
+        def residual_at(x, components=(0, 1)):
+            seen.append(components)
+            return fn(x, components)
+
+        return residual_at
+
+    monkeypatch.setattr(module, "_residual_fn", counted_fn)
+    return seen
+
+
+@pytest.mark.parametrize("backend", [EXACT, GRID])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
+def test_search_makes_one_call_per_zoom_round(backend, weighted, method, monkeypatch):
+    """1 + max(r_1, r_2) residual-function calls, r_i the zoom rounds of
+    component i, which the per-component reference search takes in
+    1 + r_1 + r_2: weighted catalytic at n = 11 makes 7 against 13.
+    """
+    p = catalytic_problem()
+    sol = gfadm_solve(p, 11, backend=backend)
+    calls = _record_calls(monkeypatch, analysis)
+    slow_calls = _record_calls(monkeypatch, reference)
+    got = max_residual(p, sol, 11, method=method, weighted=weighted)
+    assert got == reference.max_residual(p, sol, 11, method, weighted, stored=True)
+    rounds = [slow_calls[1:].count((i,)) for i in range(2)]
+    assert len(slow_calls) == 1 + sum(rounds)
+    assert len(calls) == 1 + max(rounds)
+    if weighted:
+        assert rounds == [6, 6] and len(calls) == 7
 
 
 @pytest.mark.parametrize("name", BUNDLED)

@@ -193,6 +193,31 @@ class TestBound:
         assert "gamma >= 1" in res.output
 
 
+def test_repeated_orders_are_reported_once(runner, tmp_path, monkeypatch):
+    """``--n-list`` with an order given twice reports and computes it once."""
+    calls = []
+    search = gfadm.analysis.max_residual
+
+    def counted(p, sol, n, **kwargs):
+        calls.append(n)
+        return search(p, sol, n, **kwargs)
+
+    monkeypatch.setattr(gfadm.analysis, "max_residual", counted)
+    problem = _problem("example1_symmetric.ini")
+    res = runner.invoke(main, ["bound", problem, "--n-list", "4,4,2"])
+    assert res.exit_code == 0, res.output
+    assert [line.split(" =")[0] for line in res.output.splitlines()
+            if line.startswith("bound[")] == ["bound[n=2]", "bound[n=4]"]
+    res = runner.invoke(main, ["residual", problem, "--n-list", "4,4",
+                               "--out", str(tmp_path / "r")])
+    assert res.exit_code == 0, res.output
+    assert calls == [4]
+    summary = (tmp_path / "r_summary.csv").read_text().strip().splitlines()
+    assert len(summary) == 2 and summary[1].startswith("4,")
+    points = (tmp_path / "r_points.csv").read_text().strip().splitlines()
+    assert len(points) == 1 + 9
+
+
 class TestCompare:
     def test_symmetric_deviation(self, runner):
         res = runner.invoke(main, ["compare", _problem("example1_symmetric.ini"),

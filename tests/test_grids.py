@@ -259,3 +259,45 @@ def test_values_at_does_not_call_polynomials(monkeypatch):
     monkeypatch.setattr(Polynomial, "__call__", own_call)
     for funcs in (polys, polys + [GridFunction(np.ones(9))]):
         assert np.array_equal(values_at(funcs, np.linspace(0, 1, 9))[:2], want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [8, 64])
+def test_values_at_on_stacked_point_sets_is_each_sets_own_call(n):
+    """A (k, m) stack of point sets gives, per set, bitwise the 1-D call;
+    a function's own call on the stack gives the same.
+
+    Grid functions, polynomials and the two mixed; sets with a point on a
+    node, and with one within tiny of a node where values near 1e300 make
+    the products overflow and the terms are rescaled.
+    """
+    rng = np.random.default_rng(n + 1)
+    nodes = chebyshev_lobatto(n)
+    tiny = np.finfo(float).tiny
+    grid = [GridFunction(rng.standard_normal(n + 1)) for _ in range(2)] + [
+        GridFunction(rng.standard_normal(n + 4))]
+    big = GridFunction(1e300 * rng.uniform(0.5, 1.0, n + 1))
+    polys = [Polynomial(rng.standard_normal(k)) for k in (1, 5, 12)] + [
+        Polynomial([-0.0, 1.0, -0.0, 2.0])]
+    mixed = [polys[1], grid[0], polys[3], grid[2], big, polys[0]]
+    stacks = [rng.random((2, 41)), rng.random((3, 7)), rng.random((1, 5)),
+              np.stack([rng.random(9), np.concatenate([rng.random(8), nodes[n // 2:][:1]])]),
+              np.stack([np.append(rng.random(6), 2 * tiny), np.append(rng.random(6), 1.0)]),
+              np.stack([rng.random(4), [3e-308, 0.5, 1.0 - 1e-16, nodes[1] + 4 * tiny]])]
+    rescaled = 0
+    for funcs in (grid, polys, mixed, [big]):
+        for xs in stacks:
+            got = values_at(funcs, xs)
+            assert got.shape == (len(funcs),) + xs.shape
+            for f, values in zip(funcs, got):  # a call on the stack is values_at's
+                assert values.tobytes() == np.asarray(f(xs), dtype=float).tobytes()
+            for k, points in enumerate(xs):
+                own = values_at(funcs, points.copy())
+                assert got[:, k].tobytes() == own.tobytes()
+                for f, row in zip(funcs, own):
+                    assert row.tobytes() == np.asarray(f(points), dtype=float).tobytes()
+            if big in funcs:
+                terms, den, _ = _barycentric_matrix(n, xs)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rescaled += np.sum(~np.isfinite((terms @ big.values) / den))
+    assert rescaled > 0
