@@ -18,12 +18,13 @@ Two residual methods cross-validate each other:
   sums S_n = sum_{j<n} A_j stored on the solution and expand no f; the
   tests hold them to a fresh expansion of the rows.
 
-Both evaluate all the functions they need at a set of points in one
-:func:`~gfadm.grids.values_at` call, so grid functions share one
-barycentric matrix per point set and polynomials one stacked Horner pass.
-The search's dense point set is :data:`~gfadm.grids.DENSE_POINTS`, whose
-matrix is built once per grid size, and each of its zoom rounds refines
-both components by one call on their two point sets stacked.
+Both are one function of the points, which gives the two components'
+residuals from one :func:`~gfadm.grids.values_at` call, so grid functions
+share one barycentric matrix per point set and polynomials one stacked
+Horner pass, and from one evaluation of the joined f, ``p.rhs``.  The
+search's dense point set is :data:`~gfadm.grids.DENSE_POINTS`, whose
+matrix is built once per grid size, and each of its zoom rounds is one
+call on the point sets of the components still refining, stacked.
 
 Near the singular point the operator value uses the regularity limit
 ``(1 + alpha) psi''(0)``; elsewhere it forms ``alpha (psi'(x) - psi'(0))/x``,
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import adomian
 from .errors import BoundInapplicableError, EvaluationError, UsageError
-from .expr import STEP, Expression, Joint, eval_scalar, evaluate, join
+from .expr import STEP, Expression, Joint, eval_scalar, evaluate
 from .grids import DENSE_POINTS, value_at_zero, values_at
 from .kernels import kernel_bound_m
 from .solver import ProblemSpec, SolutionSeries, build_baseline
@@ -73,56 +74,36 @@ def _operator_value(comp, d1, d2, d1_0, d2_0, x: np.ndarray) -> np.ndarray:
     return np.where(near0, (1.0 + comp.alpha) * d2_0, regular)
 
 
-def _residual_from_operator(p: ProblemSpec, psi, parts, operator):
-    """|L psi_i - f_i(x, psi_1n, psi_2n)| as a function of the points.
-
-    L psi_i at x is ``operator(i, x, values)`` from the values there of
-    the functions ``parts[i]``; psi and the parts the call needs are
-    evaluated in one :func:`~gfadm.grids.values_at` call.  The points may
-    be a stack of point sets, each component's residual then a stack too.
-    """
-    def residual_at(x: np.ndarray, components=(0, 1)):
-        psi1, psi2, *vals = values_at(psi + [g for i in components for g in parts[i]], x)
-        k = len(parts[0])
-        # both components by one evaluation of their joined f, one by its own f
-        fs = eval_scalar(p.rhs, x, psi1, psi2) if components == (0, 1) else \
-            [eval_scalar(p.components[i].rhs, x, psi1, psi2) for i in components]
-        return tuple(np.abs(operator(i, x, vals[k * m : k * m + k]) - f)
-                     for m, (i, f) in enumerate(zip(components, fs)))
-
-    return residual_at
-
-
-def _spectral_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
-    psi = [sol.psi(1, n), sol.psi(2, n)]
-    derivs = [(d1, d1.derivative()) for d1 in (f.derivative() for f in psi)]
-    at0 = [[value_at_zero(d) for d in pair] for pair in derivs]
-    return _residual_from_operator(p, psi, derivs, lambda i, x, d: _operator_value(
-        p.components[i], *d, *at0[i], x))
-
-
-def _stored_row_residual_fns(p: ProblemSpec, sol: SolutionSeries, n: int):
-    """The identity from the stored rows: L psi_{i,n} is S_{i,n}, their sum."""
-    psi = [sol.psi(1, n), sol.psi(2, n)]
-    sums = [(sol.row_sum(1, n),), (sol.row_sum(2, n),)]
-    return _residual_from_operator(p, psi, sums, lambda i, x, s: s[0])
-
-
 def _residual_fn(p, sol, n, method):
-    """The residuals as a function of an array of points.
+    """|L psi_i - f_i(x, psi_1n, psi_2n)|, i = 1, 2, as one function of the points.
 
-    The function takes the points and the indices of the components to
-    return (both by default) and returns their residuals, one array each.
+    ``residual_at(x)`` takes points of any shape, a stack of point sets
+    included, and evaluates psi_1n, psi_2n and the parts of L psi_1n and
+    L psi_2n in one :func:`~gfadm.grids.values_at` call, and f_1 and f_2 in
+    one evaluation of their join ``p.rhs``.
     """
     if n > sol.n_terms:
         raise UsageError(f"order {n} exceeds stored terms {sol.n_terms}")
-    if method == SPECTRAL:
-        return _spectral_residual_fns(p, sol, n)
-    if method == ADOMIAN_IDENTITY:
+    if method == SPECTRAL:  # L psi from psi', psi'' and their values at 0
+        psi = [sol.psi(1, n), sol.psi(2, n)]
+        parts = [(d1, d1.derivative()) for d1 in (f.derivative() for f in psi)]
+        at0 = [[value_at_zero(d) for d in pair] for pair in parts]
+        L = lambda i, x, d: _operator_value(p.components[i], *d[2 * i : 2 * i + 2],
+                                            *at0[i], x)
+    elif method == ADOMIAN_IDENTITY:  # L psi_{i,n} is S_{i,n}, the stored row sum
         if n < 1:
             raise UsageError("adomian_identity needs n >= 1")
-        return _stored_row_residual_fns(p, sol, n)
-    raise UsageError(f"unknown residual method {method!r}")
+        psi = [sol.psi(1, n), sol.psi(2, n)]
+        parts, L = [(sol.row_sum(1, n),), (sol.row_sum(2, n),)], lambda i, x, s: s[i]
+    else:
+        raise UsageError(f"unknown residual method {method!r}")
+
+    def residual_at(x: np.ndarray):
+        psi1, psi2, *vals = values_at(psi + [*parts[0], *parts[1]], x)
+        return tuple(np.abs(L(i, x, vals) - f)
+                     for i, f in enumerate(eval_scalar(p.rhs, x, psi1, psi2)))
+
+    return residual_at
 
 
 def residual(
@@ -160,11 +141,10 @@ def max_residual(
     in [0.001, 0.999] and 1; the refinement zooms in on the bracket around
     each component's maximizer, 41 points a round, until the bracket is
     narrower than 1e-10.  A round stacks the point sets of the components
-    still refining and makes one call of the residual function on them,
-    each component reading its own set: while both refine, shape (2, 41)
-    and one evaluation of the joined f; a component still refining after
-    the other has stopped goes on alone, with its own f.  Every call
-    evaluates what it needs in one :func:`~gfadm.grids.values_at` call.
+    still refining, shape (2, 41) or, for a component left alone after the
+    other has stopped, (1, 41), and makes one call of the residual function
+    on them, each component reading its own set.  Every call is one
+    :func:`~gfadm.grids.values_at` call and one evaluation of ``p.rhs``.
     By the Adomian identity that is psi_1n, psi_2n and the row sums
     S_{i,n} stored on the solution, since L psi_{i,n} = S_{i,n}: the
     search expands no f.
@@ -194,23 +174,20 @@ def max_residual(
             return tuple(float(np.max(pk)) for pk in peaks)
         # the m-th refining component reads its residual at the m-th set
         points = np.stack(list(zooms.values()))
-        rs = fn(points, tuple(zooms))
-        brackets = {i: (points[m], weigh(points[m], i, rs[m][m]))
+        rs = fn(points)
+        brackets = {i: (points[m], weigh(points[m], i, rs[i][m]))
                     for m, i in enumerate(zooms)}
 
 
-def lipschitz_estimate(
-    f1: Expression | Joint,
-    f2: Expression | None,
-    box,
-) -> tuple[float, float]:
-    """(l1, l2): max sampled |df_i/dy_j| over the box, inflated by 10%.
+def lipschitz_estimate(f: Expression | Joint, box) -> tuple[float, float]:
+    """(l1, l2): max sampled |df/dy_j| over the box, inflated by 10%.
 
+    f is one program, an expression or a join such as ``ProblemSpec.rhs``,
+    and l_j is the maximum over its roots, f1 and f2 for the join.
     ``box`` is ((x_lo, x_hi), (y1_lo, y1_hi), (y2_lo, y2_hi)); the partials
     are exact to rounding, the complex step ``Im f(y + i STEP e_j) / STEP``.
     A divisor of f that takes both signs, or 0, at the samples raises
     :class:`EvaluationError`: the box is connected, so f has a pole in it.
-    With f2 None, f1 is the two already joined, as ``ProblemSpec.rhs``.
     """
     (x0, x1), (a0, a1), (b0, b1) = box
     if x1 < x0 or a1 < a0 or b1 < b0:
@@ -225,10 +202,9 @@ def lipschitz_estimate(
             raise EvaluationError("a divisor vanishes or changes sign in the box")
         return a / b
 
-    both = f1 if f2 is None else join([f1, f2])
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-        vals = [[v[r] for r in both.roots]
-                for v in (evaluate(both.steps, gx, y1, y2, float, divide)
+        vals = [[v[r] for r in f.roots]
+                for v in (evaluate(f.steps, gx, y1, y2, float, divide)
                           for y1, y2 in ((gy1 + 1j * STEP, gy2), (gy1, gy2 + 1j * STEP)))]
     if not all(np.all(np.isfinite(v)) for row in vals for v in row):
         raise EvaluationError("non-finite value while evaluating expression")
@@ -283,7 +259,7 @@ def convergence_estimate(
     m = max(kernel_bound_m(c.kernel()) for c in p.components)
     box = solution_box(sol)
     try:
-        l1, l2 = lipschitz_estimate(p.rhs, None, box)
+        l1, l2 = lipschitz_estimate(p.rhs, box)
     except EvaluationError as exc:
         raise EvaluationError(f"pole inside Lipschitz box {box}: {exc}") from exc
     gamma = 2.0 * m * max(l1, l2)

@@ -8,10 +8,11 @@ the order (``--n`` or ``--n-list``), ``--backend`` and ``--grid-size``
 come from the flag, else the file's ``[run]`` section, else the defaults
 n_terms 5, backend grid, grid_size 64.
 
-Exit codes: 0 success, 1 input error (click's usage errors included),
-2 numeric error, 3 oracle error.  Without ``--out``, output files go to
-``GFADM_OUT_DIR`` (or the working directory).  Values print with fixed
-digits (7 decimals, residuals to 6 significant), so files are bit-stable.
+Exit codes: 0 success, 1 input error (click's usage errors and output
+paths that cannot be written included), 2 numeric error, 3 oracle error.
+Without ``--out``, output files go to ``GFADM_OUT_DIR`` (or the working
+directory).  Values print with fixed digits (7 decimals, residuals to 6
+significant), so files are bit-stable.
 """
 
 from __future__ import annotations
@@ -162,7 +163,10 @@ def _parse_list(text: str, name: str) -> list:
 
 def _resolve_out(out, default_name: str) -> Path:
     path = Path(out) if out else Path(os.environ.get("GFADM_OUT_DIR", ".")) / default_name
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
     return path
 
 
@@ -252,8 +256,7 @@ def cmd_solve(s: _Solved, out):
     for x in s.xs:
         p1, p2 = evaluate_partial_sum(s.sol, n, x)
         lines.append(f"{_fmt_sol(x)},{_fmt_sol(p1)},{_fmt_sol(p2)}")
-    path.write_text("\n".join(lines) + "\n")
-    click.echo(f"wrote {path}")
+    outputs = [(path, "\n".join(lines) + "\n")]
     if s.backend == EXACT:
         payload = {
             "n": n,
@@ -262,9 +265,14 @@ def cmd_solve(s: _Solved, out):
             "terms1": [t.coeffs.tolist() for t in s.sol.terms1],
             "terms2": [t.coeffs.tolist() for t in s.sol.terms2],
         }
-        jpath = path.with_suffix(".coeffs.json")
-        jpath.write_text(json.dumps(payload, indent=2) + "\n")
-        click.echo(f"wrote {jpath}")
+        outputs.append((path.with_suffix(".coeffs.json"),
+                        json.dumps(payload, indent=2) + "\n"))
+    for path, text in outputs:
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from None
+        click.echo(f"wrote {path}")
 
 
 @_command("residual", n_list=True)
@@ -289,7 +297,10 @@ def cmd_residual(s: _Solved, method, weighted, out):
         summary_lines.append(f"{n},{_fmt_res(m1)},{_fmt_res(m2)}")
     for kind, lines in (("points", point_lines), ("summary", summary_lines)):
         path = base.parent / f"{base.name}_{kind}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        try:
+            path.write_text("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from None
         click.echo(f"wrote {path}")
 
 

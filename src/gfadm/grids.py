@@ -5,9 +5,9 @@ monomial-coefficient polynomials, and values on a Chebyshev-Lobatto grid
 with barycentric interpolation and spectral differentiation.  Both are
 called on points, added with ``+`` and differentiated with ``derivative()``,
 so the solver and the analysis treat them alike.  :func:`values_at`
-evaluates many of them at one set of points: all the polynomials by one
-stacked Horner pass, and the grid functions through one barycentric matrix
-per grid size, every row bitwise the function's own call.  At the residual
+evaluates many functions of one kind at one set of points: polynomials by
+one stacked Horner pass, grid functions on one grid through one barycentric
+matrix, every row bitwise the function's own call.  At the residual
 search's fixed point set, :data:`DENSE_POINTS`, that matrix is built once
 per grid size and cached.
 
@@ -327,11 +327,11 @@ def _horner(coeffs: list, xs: np.ndarray) -> np.ndarray:
 def values_at(funcs, xs) -> np.ndarray:
     """The values ``f(xs)`` of the functions funcs, shape ``(len(funcs),) + xs.shape``.
 
-    The funcs are Polynomials and GridFunctions, and xs is an array of
-    points of any shape, a number counting as one point: a stack of point
-    sets, shape ``(k, m)``, is evaluated in one call.  The polynomials are
-    evaluated together by one stacked Horner pass over all the points; grid
-    functions of one grid size share one barycentric matrix, with one
+    The funcs are all Polynomials or all GridFunctions on one grid, and xs
+    is an array of points of any shape, a number counting as one point: a
+    stack of point sets, shape ``(k, m)``, is evaluated in one call.
+    Polynomials are evaluated together by one stacked Horner pass over all
+    the points; grid functions share one barycentric matrix, with one
     matrix-vector product per function and point set (a product of more
     rows may round a row differently).  Each point set's values are
     bitwise the function's own call at that set.  At :data:`DENSE_POINTS`
@@ -339,26 +339,18 @@ def values_at(funcs, xs) -> np.ndarray:
     nodes, the matrix is the cached one.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    is_grid = [isinstance(f, GridFunction) for f in funcs]
-    polys = [f.coeffs for f, g in zip(funcs, is_grid) if not g]
-    if polys and len(polys) == len(funcs):
-        return _horner(polys, xs)
+    if not isinstance(funcs[0], GridFunction):
+        return _horner([f.coeffs for f in funcs], xs)
+    n = funcs[0].values.size - 1
+    matrix = _dense_matrix(n) if xs is DENSE_POINTS else _barycentric_matrix(n, xs)
     out = np.empty((len(funcs),) + xs.shape)
-    if polys:
-        out[np.logical_not(is_grid)] = _horner(polys, xs)
-    grid = [(row, f.values) for row, f, g in zip(out, funcs, is_grid) if g]
-    matrices = {}
-    # one errstate and one finiteness check for all the grid functions
+    # one errstate and one finiteness check for all the functions
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, v in grid:
-            if v.size not in matrices:
-                n = v.size - 1
-                matrices[v.size] = (_dense_matrix(n) if xs is DENSE_POINTS
-                                    else _barycentric_matrix(n, xs))
-            _interpolate(matrices[v.size], v, row)
+        for row, f in zip(out, funcs):
+            _interpolate(matrix, f.values, row)
         if not np.isfinite(out).all():
-            for row, v in grid:
-                _rescale(matrices[v.size], v, row)
+            for row, f in zip(out, funcs):
+                _rescale(matrix, f.values, row)
     return out
 
 

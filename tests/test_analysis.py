@@ -33,7 +33,7 @@ from gfadm import (
 )
 from gfadm import analysis, expr, grids, series
 from gfadm.errors import EvaluationError
-from gfadm.expr import STEP
+from gfadm.expr import STEP, join
 import reference_residual as reference
 
 ABSCISSAE = [0.1 * i for i in range(1, 10)]
@@ -185,15 +185,14 @@ SOLO_ROUNDS = {SPECTRAL: (catalytic_problem, 1),
 
 @pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
 def test_both_components_take_one_joined_evaluation(method, monkeypatch):
-    """f1 and f2 are evaluated by one call of their join where both are needed.
+    """Every evaluation of f in analysis is one call of the join ``p.rhs``.
 
     The pointwise report, the dense stage of the search, every zoom round
-    while both components refine (their two point sets stacked) and the
-    bound's max |f(x, y10, y20)| each make one call; a component left
-    refining alone evaluates its own f.
+    while both components refine (their two point sets stacked, (2, 41)),
+    every round of a component left refining alone ((1, 41)) and the
+    bound's max |f(x, y10, y20)| each make one call.
     """
-    make, alone = SOLO_ROUNDS[method]
-    p = make()
+    p = SOLO_ROUNDS[method][0]()
     sol = gfadm_solve(p, 6, backend=GRID)
     assert p.rhs is p.rhs and len(p.rhs.roots) == 2  # joined once per problem
     calls = []
@@ -207,19 +206,23 @@ def test_both_components_take_one_joined_evaluation(method, monkeypatch):
     assert calls == [(p.rhs, (9,))]
     calls.clear()
     max_residual(p, sol, 6, method)
-    both = [shape for e, shape in calls if e is p.rhs]
-    assert both[0] == grids.DENSE_POINTS.shape
-    assert len(both) > 2 and set(both[1:]) == {(2, 41)}
-    # the rounds of the component left alone come last, each with its own f
-    assert calls[len(both):] and calls[len(both):] == [
-        (p.components[alone].rhs, (1, 41))] * (len(calls) - len(both))
+    assert all(e is p.rhs for e, _ in calls)
+    shapes = [shape for _, shape in calls]
+    both = shapes.count((2, 41))
+    assert shapes[0] == grids.DENSE_POINTS.shape and both > 1
+    # the rounds of the component left alone come last
+    alone = shapes[1 + both:]
+    assert shapes[1 : 1 + both] == [(2, 41)] * both and alone == [(1, 41)] * len(alone)
+    assert alone
     calls.clear()
     convergence_estimate(p, sol, [1])
     assert calls == [(p.rhs, (201,))]
 
 
 def _record_calls(monkeypatch, module):
-    """The components asked of each call of the module's residual functions."""
+    """Each call of the module's residual functions: the shape of its
+    points for ``analysis``, the components it asks for in the reference.
+    """
     seen, make_fn = [], module._residual_fn
 
     def counted_fn(*args, **kwargs):
@@ -229,7 +232,11 @@ def _record_calls(monkeypatch, module):
             seen.append(components)
             return fn(x, components)
 
-        return residual_at
+        def joined_residual_at(x):
+            seen.append(np.shape(x))
+            return fn(x)
+
+        return residual_at if module is reference else joined_residual_at
 
     monkeypatch.setattr(module, "_residual_fn", counted_fn)
     return seen
@@ -256,24 +263,45 @@ def test_search_makes_one_call_per_zoom_round(backend, weighted, method, monkeyp
         assert rounds == [6, 6] and len(calls) == 7
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("method", [ADOMIAN_IDENTITY, SPECTRAL])
+def test_lone_rounds_are_bitwise_the_per_component_search(method, weighted, monkeypatch):
+    """A search whose component left alone refines through the join, one
+    (1, 41) call a round, is bitwise the reference's search component by
+    component, each with its own f.  Unweighted, it has such rounds.
+    """
+    make, alone = SOLO_ROUNDS[method]
+    p = make()
+    sol = gfadm_solve(p, 6, backend=GRID)
+    calls = _record_calls(monkeypatch, analysis)
+    slow_calls = _record_calls(monkeypatch, reference)
+    got = max_residual(p, sol, 6, method=method, weighted=weighted)
+    assert got == reference.max_residual(p, sol, 6, method, weighted, stored=True)
+    rounds = [slow_calls[1:].count((i,)) for i in range(2)]
+    assert calls.count((1, 41)) == rounds[alone] - rounds[1 - alone]
+    if not weighted:  # weighted, both components take 6 rounds
+        assert rounds[alone] > rounds[1 - alone]
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_f1_and_f2_are_joined_once_per_problem(name, monkeypatch):
     """Solves on both backends, residuals and the bound use ``p.rhs``.
 
     Nothing joins f1 and f2 again, and the Lipschitz sample of the join
-    is bitwise that of the two expressions given apart.
+    is bitwise that of a fresh join, and of the two expressions given apart.
     """
     p = BUNDLED[name]()
     both = p.rhs
     box = ((0.0, 1.0), (0.5, 1.5), (0.5, 2.5))
-    apart = lipschitz_estimate(p.component1.rhs, p.component2.rhs, box)
+    fresh = lipschitz_estimate(expr.join([p.component1.rhs, p.component2.rhs]), box)
+    apart = [lipschitz_estimate(c.rhs, box) for c in p.components]
 
     def forbidden(exprs):
         raise AssertionError("f1 and f2 joined again")
 
     monkeypatch.setattr(expr, "join", forbidden)
-    monkeypatch.setattr(analysis, "join", forbidden)
-    assert lipschitz_estimate(both, None, box) == apart
+    assert not hasattr(analysis, "join")
+    assert lipschitz_estimate(both, box) == fresh == tuple(map(max, *apart))
     for backend in [GRID, EXACT] if name in ("catalytic", "symmetric") else [GRID]:
         sol = gfadm_solve(p, 4, backend=backend)
         residual(p, sol, 4, ABSCISSAE)
@@ -488,8 +516,8 @@ def test_residual_report_expands_no_rows(make, backend, monkeypatch):
 
 class TestLipschitz:
     def test_linear(self):
-        l1, l2 = lipschitz_estimate(parse_expression("2*y1"),
-                                    parse_expression("2*y1"),
+        l1, l2 = lipschitz_estimate(join([parse_expression("2*y1"),
+                                          parse_expression("2*y1")]),
                                     ((0, 1), (0, 1), (0, 1)))
         # the estimate carries a deliberate 10% safety inflation of the
         # exact partial, which no difference quotient blurs
@@ -497,8 +525,8 @@ class TestLipschitz:
         assert l2 == 0.0
 
     def test_other_variable(self):
-        l1, l2 = lipschitz_estimate(parse_expression("y2"),
-                                    parse_expression("y2"),
+        l1, l2 = lipschitz_estimate(join([parse_expression("y2"),
+                                          parse_expression("y2")]),
                                     ((0, 1), (0, 1), (0, 1)))
         assert l1 == 0.0
         assert l2 == pytest.approx(1.1, rel=1e-15)
@@ -507,7 +535,7 @@ class TestLipschitz:
         # y1 = 0 is the first sample of y1; the partial in y2 meets 1/0 there
         f = parse_expression("1/y1^2")
         with pytest.raises(EvaluationError):
-            lipschitz_estimate(f, f, ((0, 1), (0, 2), (0, 1)))
+            lipschitz_estimate(join([f, f]), ((0, 1), (0, 2), (0, 1)))
 
     def test_pole_between_samples_raises(self):
         # the samples of y1 are 0, 0.1, ..., 1: the pole at 0.55 falls
@@ -515,26 +543,27 @@ class TestLipschitz:
         for text in ("1/(y1 - 0.55)", "y2/(x - 0.55)", "y1/(1/(y2 - 0.55))"):
             f = parse_expression(text)
             with pytest.raises(EvaluationError, match="changes sign"):
-                lipschitz_estimate(f, parse_expression("y1"), ((0, 1), (0, 1), (0, 1)))
+                lipschitz_estimate(join([f, parse_expression("y1")]),
+                                   ((0, 1), (0, 1), (0, 1)))
 
     def test_divisor_of_one_sign(self):
         # divisors of either sign: |df/dy1| = 1/(2 - y1)^2 is largest at
         # y1 = 1, and |dg/dy2| = 0.5/(y2 + 1)^2 at y2 = 0
-        l1, l2 = lipschitz_estimate(parse_expression("1/(y1 - 2)"),
-                                    parse_expression("0.5/(y2 + 1)"),
+        l1, l2 = lipschitz_estimate(join([parse_expression("1/(y1 - 2)"),
+                                          parse_expression("0.5/(y2 + 1)")]),
                                     ((0, 1), (0, 1), (0, 1)))
         assert l1 == pytest.approx(1.1, rel=1e-15)
         assert l2 == pytest.approx(1.1 * 0.5, rel=1e-15)
 
     def test_quadratic_box(self):
         f = parse_expression("-0.5*y1^2 - 0.5*y1*y2")
-        l1, _ = lipschitz_estimate(f, f, ((0, 1), (0.8, 2.0), (0.8, 2.0)))
+        l1, _ = lipschitz_estimate(join([f, f]), ((0, 1), (0.8, 2.0), (0.8, 2.0)))
         # max |df/dy1| = |-y1 - 0.5 y2| = 3.0 at the (2, 2) corner
         assert 3.0 <= l1 <= 3.0 * 1.1 + 1e-9
 
     def test_empty_box(self):
         with pytest.raises(UsageError):
-            lipschitz_estimate(parse_expression("y1"), parse_expression("y1"),
+            lipschitz_estimate(join([parse_expression("y1"), parse_expression("y1")]),
                                ((0, 1), (2, 1), (0, 1)))
 
 

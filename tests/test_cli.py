@@ -64,12 +64,15 @@ def _solve_in_subprocess(tmp_path, rhs):
 
 def _solve_file_in_subprocess(tmp_path, text):
     """``gfadm solve`` in a fresh process on a problem file of this text."""
-    bad = _write(tmp_path, text)
+    return _run_in_subprocess("solve", _write(tmp_path, text), "--out", str(tmp_path / "s.csv"))
+
+
+def _run_in_subprocess(*args, **env):
+    """``gfadm`` with these arguments in a fresh process, env added to its environment."""
     src = str(Path(gfadm.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "gfadm.cli", "solve", bad,
-                           "--out", str(tmp_path / "s.csv")],
-                          env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run([sys.executable, "-m", "gfadm.cli", *args],
+                          env={**os.environ, **env, "PYTHONPATH": path},
                           capture_output=True, text=True)
 
 
@@ -294,6 +297,33 @@ class TestErrors:
         assert res.returncode == 1
         assert res.stderr.splitlines() == ["error: unknown backend 'foo'"]
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("case", ["out-under-a-file", "out-a-directory",
+                                      "env-a-file", "residual-csv-a-directory",
+                                      "coeffs-json-a-directory"])
+    def test_unwritable_output_exit_1(self, tmp_path, case):
+        """An output path that cannot be written is an input error, in one line."""
+        problem = _write(tmp_path, ZERO_RHS)
+        a_file = tmp_path / "a-file"
+        a_file.write_text("")
+        for name in ("x_residual_points.csv", "y.coeffs.json"):
+            (tmp_path / name).mkdir()
+        # the path the error names, the subcommand and its options, the environment
+        target, (cmd, *opts), env = {
+            "out-under-a-file": (a_file / "x.csv", ["solve", "--out", a_file / "x.csv"], {}),
+            "out-a-directory": (tmp_path, ["solve", "--out", tmp_path], {}),
+            "env-a-file": (a_file / "problem_residual", ["residual"],
+                           {"GFADM_OUT_DIR": str(a_file)}),
+            "residual-csv-a-directory": (tmp_path / "x_residual_points.csv",
+                                         ["residual", "--out", tmp_path / "x_residual"], {}),
+            "coeffs-json-a-directory": (tmp_path / "y.coeffs.json",
+                                        ["solve", "--backend", "poly", "--out",
+                                         tmp_path / "y.csv"], {}),
+        }[case]
+        res = _run_in_subprocess(cmd, problem, *map(str, opts), **env)
+        assert res.returncode == 1
+        [line] = res.stderr.splitlines()
+        assert line.startswith(f"error: cannot write {target}: "), line
 
     def test_long_sum_solves(self, runner, tmp_path):
         rhs = " + ".join(f"{k}e-8*y1*y2" for k in range(1, 3001))
