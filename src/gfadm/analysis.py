@@ -179,13 +179,18 @@ def max_residual(
                     for m, i in enumerate(zooms)}
 
 
-def lipschitz_estimate(f: Expression | Joint, box) -> tuple[float, float]:
-    """(l1, l2): max sampled |df/dy_j| over the box, inflated by 10%.
+def partials_sup(f: Expression | Joint, box) -> np.ndarray:
+    """Sampled sups of |df_i/dy_j| over the box: one row per root, one column per y_j.
 
     f is one program, an expression or a join such as ``ProblemSpec.rhs``,
-    and l_j is the maximum over its roots, f1 and f2 for the join.
-    ``box`` is ((x_lo, x_hi), (y1_lo, y1_hi), (y2_lo, y2_hi)); the partials
-    are exact to rounding, the complex step ``Im f(y + i STEP e_j) / STEP``.
+    whose roots f_i are the rows; for ``p.rhs`` this is the 2x2 matrix.
+    ``box`` is ((x_lo, x_hi), (y1_lo, y1_hi), (y2_lo, y2_hi)), sampled at 11
+    values per coordinate as an open grid, shapes (11,1,1), (1,11,1) and
+    (1,1,11), so each step is evaluated at the shape its operands span: a
+    step that reads no x runs on the 121 (y1, y2) pairs.  The partials are
+    exact to rounding, the complex step ``Im f(y + i STEP e_j) / STEP``, but
+    the sups are taken over the samples only, so they are estimates, not
+    enclosures: a rigorous bound must enclose them.
     A divisor of f that takes both signs, or 0, at the samples raises
     :class:`EvaluationError`: the box is connected, so f has a pole in it.
     """
@@ -195,7 +200,7 @@ def lipschitz_estimate(f: Expression | Joint, box) -> tuple[float, float]:
     xs = np.linspace(x0, x1, _LIPSCHITZ_SAMPLES)
     ys1 = np.linspace(a0, a1, _LIPSCHITZ_SAMPLES)
     ys2 = np.linspace(b0, b1, _LIPSCHITZ_SAMPLES)
-    gx, gy1, gy2 = np.meshgrid(xs, ys1, ys2, indexing="ij")
+    gx, gy1, gy2 = np.meshgrid(xs, ys1, ys2, indexing="ij", sparse=True)
 
     def divide(a, b):
         if not (np.all(np.real(b) > 0) or np.all(np.real(b) < 0)):
@@ -208,17 +213,34 @@ def lipschitz_estimate(f: Expression | Joint, box) -> tuple[float, float]:
                           for y1, y2 in ((gy1 + 1j * STEP, gy2), (gy1, gy2 + 1j * STEP)))]
     if not all(np.all(np.isfinite(v)) for row in vals for v in row):
         raise EvaluationError("non-finite value while evaluating expression")
-    l1, l2 = (max(np.max(np.abs(np.imag(v))) for v in row) for row in vals)
-    return 1.1 * float(l1) / STEP, 1.1 * float(l2) / STEP
+    # STEP is a power of two, so dividing by it is exact
+    return np.array([[np.max(np.abs(np.imag(v))) for v in row] for row in vals]).T / STEP
+
+
+def lipschitz_estimate(f: Expression | Joint, box) -> tuple[float, float]:
+    """(l1, l2): the column maxima of :func:`partials_sup`, inflated by 10%.
+
+    l_j is the largest sampled |df_i/dy_j| over the roots f_i of f, f1 and
+    f2 for the join ``ProblemSpec.rhs``, and raises as
+    :func:`partials_sup` does.
+    """
+    l1, l2 = 1.1 * partials_sup(f, box).max(axis=0)
+    return float(l1), float(l2)
 
 
 def solution_box(sol: SolutionSeries):
-    """Rectangle spanned by the computed partial sums, padded."""
+    """Rectangle spanned by the computed partial sums, padded.
+
+    Both components' partial sums psi_{i,0..n} are evaluated at 101 points
+    in one :func:`~gfadm.grids.values_at` call, and each component's range
+    is read from its own rows.
+    """
     xs = np.linspace(0.0, 1.0, 101)
+    k = sol.n_terms + 1
+    vals = values_at([sol.psi(i, n) for i in (1, 2) for n in range(k)], xs)
     ranges = []
-    for i in (1, 2):
-        vals = values_at([sol.psi(i, n) for n in range(sol.n_terms + 1)], xs)
-        lo, hi = float(vals.min()), float(vals.max())
+    for rows in (vals[:k], vals[k:]):
+        lo, hi = float(rows.min()), float(rows.max())
         pad = _BOX_PADDING * max(hi - lo, 1e-12)
         ranges.append((lo - pad, hi + pad))
     return ((0.0, 1.0), ranges[0], ranges[1])
@@ -255,7 +277,13 @@ def convergence_estimate(
     sol: SolutionSeries,
     n_values,
 ) -> ConvergenceEstimate:
-    """Kernel bound, Lipschitz constants, contraction factor and bounds."""
+    """Kernel bound, Lipschitz constants, contraction factor and bounds.
+
+    Each quantity is sampled once: the box of both components' partial sums
+    from one evaluation (:func:`solution_box`), (l1, l2) from one open-grid
+    sample of the joined f ``p.rhs`` on that box (:func:`lipschitz_estimate`)
+    and max |f(x, y10, y20)| from one evaluation at 201 points.
+    """
     m = max(kernel_bound_m(c.kernel()) for c in p.components)
     box = solution_box(sol)
     try:

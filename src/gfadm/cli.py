@@ -18,6 +18,7 @@ significant), so files are bit-stable.
 from __future__ import annotations
 
 import configparser
+import errno
 import functools
 import json
 import os
@@ -170,6 +171,26 @@ def _resolve_out(out, default_name: str) -> Path:
     return path
 
 
+def _solution_paths(name: str, out, backend: str) -> list:
+    """``solve``'s CSV and, on the exact backend, its ``.coeffs.json``."""
+    path = _resolve_out(out, f"{name}_solution.csv")
+    return [path, path.with_suffix(".coeffs.json")] if backend == EXACT else [path]
+
+
+def _residual_paths(name: str, out, backend: str) -> list:
+    """``residual``'s pointwise and summary CSVs."""
+    base = _resolve_out(out, f"{name}_residual")
+    return [base.parent / f"{base.name}_{kind}.csv" for kind in ("points", "summary")]
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+    click.echo(f"wrote {path}")
+
+
 class _Group(click.Group):
     def parse_args(self, ctx, args):
         """Parse the group's own arguments; their usage errors exit 1 too."""
@@ -207,13 +228,18 @@ class _Solved(NamedTuple):
     ns: list  # truncation orders, ascending; the series has the last
     xs: list  # abscissae
     seconds: float  # wall time of the series solve
+    paths: list  # the files it writes, checked before the solve
 
 
-def _command(name: str, n_list: bool = False, n_help: str | None = None):
+def _command(name: str, n_list: bool = False, n_help: str | None = None,
+             outputs=None):
     """Register subcommand ``name``; it is called with a :class:`_Solved`.
 
     Adds FILE, ``--n`` (``--n-list`` when ``n_list``), ``--backend`` and
     ``--grid-size`` ahead of its own options; validates ``--abscissae``.
+    ``outputs(problem name, --out, backend)`` lists the files the command
+    writes: their directories are made, and a directory where a file goes
+    is an error, before the solve.
     """
     order = (click.option("--n-list", default=None,
                           help="comma-separated truncation orders") if n_list
@@ -229,11 +255,16 @@ def _command(name: str, n_list: bool = False, n_help: str | None = None):
             run.update((key, v) for key, v in flags.items() if v is not None)
             ns = sorted(set(_parse_list(n_list, "n"))) if n_list else [run["n_terms"]]
             xs = _parse_list(abscissae, "abscissae") if abscissae else DEFAULT_ABSCISSAE
+            paths = outputs(problem.name, opts.pop("out"), run["backend"]) if outputs else []
+            for path in paths:
+                if path.is_dir():  # the message that writing to it gives
+                    exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+                    raise UsageError(f"cannot write {path}: {exc}")
             t0 = time.perf_counter()
             sol = gfadm_solve(problem, ns[-1], backend=run["backend"],
                               grid_size=run["grid_size"])
             fn(_Solved(problem, sol, run["backend"], ns, xs,
-                       time.perf_counter() - t0), **opts)
+                       time.perf_counter() - t0, paths), **opts)
 
         for option in (click.option("--grid-size", type=int, default=None),
                        click.option("--backend", type=click.Choice(list(_BACKENDS)),
@@ -245,18 +276,17 @@ def _command(name: str, n_list: bool = False, n_help: str | None = None):
     return decorate
 
 
-@_command("solve", n_help="number of series terms")
+@_command("solve", n_help="number of series terms", outputs=_solution_paths)
 @click.option("--out", type=click.Path(), default=None, help="output CSV path")
 @click.option("--abscissae", default=None, help="comma-separated x values")
-def cmd_solve(s: _Solved, out):
+def cmd_solve(s: _Solved):
     """Write a CSV of (x, psi1, psi2) at the requested abscissae."""
     n = s.ns[-1]
-    path = _resolve_out(out, f"{s.problem.name}_solution.csv")
     lines = ["x,psi1,psi2"]
     for x in s.xs:
         p1, p2 = evaluate_partial_sum(s.sol, n, x)
         lines.append(f"{_fmt_sol(x)},{_fmt_sol(p1)},{_fmt_sol(p2)}")
-    outputs = [(path, "\n".join(lines) + "\n")]
+    texts = ["\n".join(lines) + "\n"]
     if s.backend == EXACT:
         payload = {
             "n": n,
@@ -265,17 +295,12 @@ def cmd_solve(s: _Solved, out):
             "terms1": [t.coeffs.tolist() for t in s.sol.terms1],
             "terms2": [t.coeffs.tolist() for t in s.sol.terms2],
         }
-        outputs.append((path.with_suffix(".coeffs.json"),
-                        json.dumps(payload, indent=2) + "\n"))
-    for path, text in outputs:
-        try:
-            path.write_text(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc}") from None
-        click.echo(f"wrote {path}")
+        texts.append(json.dumps(payload, indent=2) + "\n")
+    for path, text in zip(s.paths, texts):
+        _write(path, text)
 
 
-@_command("residual", n_list=True)
+@_command("residual", n_list=True, outputs=_residual_paths)
 @click.option("--method", type=click.Choice([analysis.ADOMIAN_IDENTITY,
                                              analysis.SPECTRAL]),
               default=analysis.ADOMIAN_IDENTITY)
@@ -283,9 +308,8 @@ def cmd_solve(s: _Solved, out):
               help="report the self-adjoint-form maxima (x^alpha weighting)")
 @click.option("--out", type=click.Path(), default=None, help="output base path")
 @click.option("--abscissae", default=None)
-def cmd_residual(s: _Solved, method, weighted, out):
+def cmd_residual(s: _Solved, method, weighted):
     """Write per-point and per-order maximum residual CSV reports."""
-    base = _resolve_out(out, f"{s.problem.name}_residual")
     point_lines = ["n,x,r1,r2"]
     summary_lines = ["n,maxr1,maxr2"]
     for n in s.ns:
@@ -295,13 +319,8 @@ def cmd_residual(s: _Solved, method, weighted, out):
         m1, m2 = analysis.max_residual(s.problem, s.sol, n, method=method,
                                        weighted=weighted)
         summary_lines.append(f"{n},{_fmt_res(m1)},{_fmt_res(m2)}")
-    for kind, lines in (("points", point_lines), ("summary", summary_lines)):
-        path = base.parent / f"{base.name}_{kind}.csv"
-        try:
-            path.write_text("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc}") from None
-        click.echo(f"wrote {path}")
+    for path, lines in zip(s.paths, (point_lines, summary_lines)):
+        _write(path, "\n".join(lines) + "\n")
 
 
 @_command("bound", n_list=True)

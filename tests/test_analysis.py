@@ -1,3 +1,9 @@
+import importlib.util
+import itertools
+import random
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -27,13 +33,16 @@ from gfadm import (
     max_residual,
     oxygen_problem,
     parse_expression,
+    partials_sup,
     residual,
     solution_box,
     to_text,
 )
 from gfadm import analysis, expr, grids, series
-from gfadm.errors import EvaluationError
+from gfadm.cli import parse_problem_file
+from gfadm.errors import EvaluationError, GfadmError
 from gfadm.expr import STEP, join
+import reference_bound
 import reference_residual as reference
 
 ABSCISSAE = [0.1 * i for i in range(1, 10)]
@@ -667,6 +676,183 @@ def test_convergence_estimate_reports_a_pole_between_samples():
                               b=0.0, c=2.0, rhs=f"0.5*y1^2 + y1*y2 + 1e-6/(y1 - {at!r})")
     with pytest.raises(EvaluationError, match="pole inside Lipschitz box"):
         convergence_estimate(ProblemSpec(c1, pole), sol, [2, 4])
+
+
+BENCH_INPUTS = Path(__file__).parents[1] / "bench" / "inputs.py"
+
+
+def _benchmark_problems(seed, tmp_path):
+    """The benchmark's six problems at this seed, parsed from their problem files."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclasses look their module up
+    spec.loader.exec_module(inputs)
+    rng = random.Random(seed)
+    problems = {}
+    for name in inputs.CATALOGUE:  # drawn in the benchmark's order, from one rng
+        path = tmp_path / f"{name}.ini"
+        path.write_text(inputs.make_problem(name, rng).ini())
+        problems[name] = parse_problem_file(path)[0]
+    return problems
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the GfadmError it raises."""
+    try:
+        return fn(*args)
+    except GfadmError as exc:
+        return type(exc), str(exc)
+
+
+# right-hand sides for the sample against the full grid: x-dependent,
+# constant and pure-x roots, divisions and powers, poles on and between
+# samples, divisors that change sign, and values that overflow
+BOUND_PROGRAMS = ["x*y1^2 + y2", "2", "x^3 - x", "-0.5*y1^2 - 0.5*y1*y2", "1/y1^2",
+                  "1/(y1 - 0.55)", "y2/(x - 0.55)", "y1/(1/(y2 - 0.55))",
+                  "1/(y1 - 2) + x/(y2 + 1)", "1e300*y1^2*y2"]
+BOUND_BOXES = [((0, 1), (0, 1), (0, 1)), ((0, 1), (0, 2), (0, 1)),
+               ((0.2, 0.9), (0.8, 2.0), (1.0, 1.5)), ((0, 1), (0, 1e5), (0, 1)),
+               ((0, 1), (2, 1), (0, 1))]
+
+
+class TestBoundSamples:
+    """The open-grid sample and the one-call box against the full-grid reference."""
+
+    @pytest.mark.parametrize("first", BOUND_PROGRAMS)
+    def test_programs_match_the_full_grid(self, first):
+        for second, box in itertools.product(BOUND_PROGRAMS, BOUND_BOXES):
+            f = join([parse_expression(first), parse_expression(second)])
+            want = _outcome(reference_bound.lipschitz_estimate, f, box)
+            # repr tells every float apart, -0.0 from 0.0 included
+            assert repr(_outcome(lipschitz_estimate, f, box)) == repr(want), (second, box)
+
+    def test_every_outcome_is_taken(self):
+        # the programs above reach every error and finite values
+        outcomes = {_outcome(lipschitz_estimate,
+                             join([parse_expression(a), parse_expression("y1")]), box)[1]
+                    for a in BOUND_PROGRAMS for box in BOUND_BOXES}
+        assert {"a divisor vanishes or changes sign in the box",
+                "non-finite value while evaluating expression",
+                "empty Lipschitz box"} < outcomes
+        assert any(isinstance(o, float) for o in outcomes)
+
+    @pytest.mark.parametrize("name, backend", [(name, GRID) for name in BUNDLED]
+                             + [("catalytic", EXACT), ("symmetric", EXACT)])
+    def test_bundled_problems_match_the_full_grid(self, name, backend):
+        p = BUNDLED[name]()
+        for n in (1, 4, 11):
+            sol = gfadm_solve(p, n, backend=backend)
+            box = solution_box(sol)
+            assert box == reference_bound.solution_box(sol)
+            l1, l2 = reference_bound.lipschitz_estimate(p.rhs, box)
+            assert lipschitz_estimate(p.rhs, box) == (l1, l2)
+            est = convergence_estimate(p, sol, [n])
+            assert (est.l1, est.l2) == (l1, l2)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_benchmark_problems_match_the_full_grid(self, seed, tmp_path):
+        for name, p in _benchmark_problems(seed, tmp_path).items():
+            exact = name.startswith("catalytic")
+            for backend in [GRID, EXACT] if exact else [GRID]:
+                sol = gfadm_solve(p, 11, backend=backend)
+                box = solution_box(sol)
+                assert box == reference_bound.solution_box(sol), (name, backend)
+                assert lipschitz_estimate(p.rhs, box) == \
+                    reference_bound.lipschitz_estimate(p.rhs, box), (name, backend)
+
+    @pytest.mark.parametrize("text, largest", [("0.5*y1^2 + y1*y2", 121),
+                                               ("x*y1^2 + y2", 1331)])
+    def test_sample_is_an_open_grid(self, text, largest, monkeypatch):
+        """x, y1 and y2 span one axis each; a step that reads no x spans 121 pairs."""
+        calls = []
+
+        def recording(steps, x, y1, y2, *args):
+            vals = expr.evaluate(steps, x, y1, y2, *args)
+            calls.append(([np.shape(v) for v in (x, y1, y2)], [np.size(v) for v in vals]))
+            return vals
+
+        monkeypatch.setattr(analysis, "evaluate", recording)
+        f = parse_expression(text)
+        lipschitz_estimate(join([f, f]), ((0, 1), (0, 1), (0, 1)))
+        assert len(calls) == 2
+        for shapes, sizes in calls:
+            assert shapes == [(11, 1, 1), (1, 11, 1), (1, 1, 11)]
+            assert max(sizes) == largest
+
+    def test_bundled_right_hand_sides_read_no_x(self, monkeypatch):
+        sizes = []
+
+        def recording(steps, *args):
+            vals = expr.evaluate(steps, *args)
+            sizes.extend(np.size(v) for v in vals)
+            return vals
+
+        monkeypatch.setattr(analysis, "evaluate", recording)
+        for make in BUNDLED.values():
+            lipschitz_estimate(make().rhs, ((0, 1), (0.5, 1.5), (0.5, 2.5)))
+        assert max(sizes) == 121
+
+    @pytest.mark.parametrize("backend", [GRID, EXACT])
+    def test_solution_box_makes_one_values_at_call(self, backend, monkeypatch):
+        sol = gfadm_solve(catalytic_problem(), 6, backend=backend)
+        calls = []
+
+        def counted(funcs, xs):
+            calls.append(len(funcs))
+            return grids.values_at(funcs, xs)
+
+        monkeypatch.setattr(analysis, "values_at", counted)
+        box = solution_box(sol)
+        assert calls == [14]
+        assert box == reference_bound.solution_box(sol)
+
+
+class TestPartialsSup:
+    def test_linear_partials(self):
+        f = join([parse_expression("2*y1 + y2"), parse_expression("-3*y2 + x")])
+        sup = partials_sup(f, ((0, 1), (0, 1), (0, 1)))
+        # no inflation: the complex step of a linear f is exact
+        assert sup.tolist() == [[2.0, 1.0], [0.0, 3.0]]
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_one_row_per_root(self, name):
+        p = BUNDLED[name]()
+        box = ((0.0, 1.0), (0.5, 1.5), (0.5, 2.5))
+        sup = partials_sup(p.rhs, box)
+        assert sup.shape == (2, 2)
+        for row, c in zip(sup, p.components):
+            own = partials_sup(c.rhs, box)
+            assert own.shape == (1, 2)
+            assert row.tolist() == own[0].tolist()
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_lipschitz_estimate_is_its_collapse(self, name):
+        box = ((0.0, 1.0), (0.5, 1.5), (0.5, 2.5))
+        f = BUNDLED[name]().rhs
+        l1, l2 = 1.1 * partials_sup(f, box).max(axis=0)
+        assert lipschitz_estimate(f, box) == (float(l1), float(l2))
+
+    def test_raises_as_lipschitz_estimate(self):
+        for text, box in (("1/(y1 - 0.55)", ((0, 1), (0, 1), (0, 1))),
+                          ("y1", ((0, 1), (2, 1), (0, 1)))):
+            f = parse_expression(text)
+            assert _outcome(partials_sup, f, box) == _outcome(lipschitz_estimate, f, box)
+
+    def test_a_subnormal_complex_step_is_scaled_before_the_inflation(self):
+        """The one place the estimate may differ from the full-grid reference.
+
+        A partial below 2^-958 has a subnormal imaginary part at the step,
+        which the reference inflated by 10% before scaling by 1 / STEP, and
+        so rounded twice; the estimate scales first, then inflates.
+        """
+        f = parse_expression("1e-300*y1*x")
+        box = ((0, 1), (0, 1), (0, 1))
+        [[sup, _]] = partials_sup(f, box)
+        assert sup * STEP < np.finfo(float).tiny
+        got, want = lipschitz_estimate(f, box)[0], reference_bound.lipschitz_estimate(f, box)[0]
+        assert got == 1.1 * sup
+        # half a subnormal spacing, 2^-1075, scaled by 1 / STEP = 2^64
+        assert abs(got - want) <= 2.0**-1011 + np.spacing(got)
 
 
 def test_bound_validity_desk_scale():

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import gfadm
 import gfadm.solver
+from gfadm import cli
 from gfadm.adomian import adomian_coefficients, adomian_polynomial_rows
 from gfadm.cli import main
 from gfadm.expr import MAX_NESTING
@@ -324,6 +325,49 @@ class TestErrors:
         assert res.returncode == 1
         [line] = res.stderr.splitlines()
         assert line.startswith(f"error: cannot write {target}: "), line
+
+    @pytest.mark.parametrize("case", ["solve-out-under-a-file", "solve-out-a-directory",
+                                      "solve-coeffs-json-a-directory",
+                                      "residual-out-under-a-file", "residual-env-a-file",
+                                      "residual-points-csv-a-directory",
+                                      "residual-summary-csv-a-directory"])
+    def test_unwritable_output_fails_before_the_solve(self, runner, tmp_path,
+                                                      monkeypatch, case):
+        """Every path a command writes is checked before the series is solved."""
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before checking the output paths")
+
+        monkeypatch.setattr(cli, "gfadm_solve", solve)
+        problem = _write(tmp_path, ZERO_RHS)
+        a_file = tmp_path / "a-file"
+        a_file.write_text("")
+        for name in ("x_points.csv", "y_summary.csv", "z.coeffs.json"):
+            (tmp_path / name).mkdir()
+        # the path the error names, the subcommand and its options, the environment
+        target, (cmd, *opts), env = {
+            "solve-out-under-a-file": (a_file / "x.csv",
+                                       ["solve", "--out", a_file / "x.csv"], {}),
+            "solve-out-a-directory": (tmp_path, ["solve", "--out", tmp_path], {}),
+            "solve-coeffs-json-a-directory": (tmp_path / "z.coeffs.json",
+                                              ["solve", "--backend", "poly", "--out",
+                                               tmp_path / "z.csv"], {}),
+            "residual-out-under-a-file": (a_file / "x", ["residual", "--out", a_file / "x"],
+                                          {}),
+            "residual-env-a-file": (a_file / "problem_residual", ["residual"],
+                                    {"GFADM_OUT_DIR": str(a_file)}),
+            "residual-points-csv-a-directory": (tmp_path / "x_points.csv",
+                                                ["residual", "--out", tmp_path / "x"], {}),
+            "residual-summary-csv-a-directory": (tmp_path / "y_summary.csv",
+                                                 ["residual", "--out", tmp_path / "y"], {}),
+        }[case]
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        res = runner.invoke(main, [cmd, problem, *map(str, opts)])
+        assert res.exit_code == 1, res.output
+        [line] = res.stderr.splitlines()
+        assert line.startswith(f"error: cannot write {target}: "), line
+        if target.is_dir():  # the message that writing to it gives
+            assert line.endswith(f"Is a directory: {str(target)!r}"), line
 
     def test_long_sum_solves(self, runner, tmp_path):
         rhs = " + ".join(f"{k}e-8*y1*y2" for k in range(1, 3001))
