@@ -1,118 +1,50 @@
-"""Green's-function decomposition solver for coupled singular BVPs."""
+"""Green's-function decomposition solver for coupled singular BVPs.
 
-from .adomian import adomian_coefficients, adomian_polynomial_rows
-from .analysis import (
-    ADOMIAN_IDENTITY,
-    SPECTRAL,
-    ConvergenceEstimate,
-    ResidualReport,
-    convergence_estimate,
-    error_bound,
-    lipschitz_estimate,
-    max_residual,
-    partials_sup,
-    residual,
-    solution_box,
-)
-from .benchmarks import (
-    catalytic_problem,
-    catalytic_symmetric_problem,
-    co2_pge_problem,
-    oxygen_problem,
-)
-from .errors import (
-    BoundInapplicableError,
-    DegreeCapError,
-    EvaluationError,
-    ExpressionError,
-    GfadmError,
-    NoConvergenceError,
-    NumericError,
-    OrderMismatchError,
-    ProblemFileError,
-    SingularDivisionError,
-    UnsupportedBackendError,
-    UsageError,
-)
-from .expr import eval_scalar, eval_series, parse_expression, to_text
-from .grids import GridFunction, Polynomial, chebyshev_lobatto
-from .kernels import (
-    DIRICHLET_DIRICHLET,
-    LANE_EMDEN,
-    KernelSpec,
-    kernel_apply,
-    kernel_bound_m,
-    kernel_monomial_image,
-)
-from .oracle import OracleSolution, fd_solve
-from .solver import (
-    DIRICHLET,
-    EXACT,
-    GRID,
-    NEUMANN_ZERO,
-    ComponentSpec,
-    ProblemSpec,
-    SolutionSeries,
-    build_baseline,
-    evaluate_partial_sum,
-    gfadm_solve,
-)
+The public names are loaded on first use.  ``_SOURCES`` maps each one to
+the module that defines it; the module's ``__getattr__`` (PEP 562) imports
+that module on the first read of one of its names and keeps the name here,
+so later reads are plain attribute reads.  ``import gfadm`` loads no
+submodule, and a program, the ``gfadm`` CLI included, loads and compiles
+only the modules whose names it reads.  ``__all__`` and ``dir(gfadm)`` are
+the table's names; ``from gfadm import analysis`` still gives the
+submodule.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADOMIAN_IDENTITY",
-    "SPECTRAL",
-    "DIRICHLET",
-    "DIRICHLET_DIRICHLET",
-    "EXACT",
-    "GRID",
-    "LANE_EMDEN",
-    "NEUMANN_ZERO",
-    "BoundInapplicableError",
-    "ComponentSpec",
-    "ConvergenceEstimate",
-    "DegreeCapError",
-    "EvaluationError",
-    "ExpressionError",
-    "GfadmError",
-    "GridFunction",
-    "KernelSpec",
-    "NoConvergenceError",
-    "NumericError",
-    "OracleSolution",
-    "OrderMismatchError",
-    "Polynomial",
-    "ProblemFileError",
-    "ProblemSpec",
-    "ResidualReport",
-    "SingularDivisionError",
-    "SolutionSeries",
-    "UnsupportedBackendError",
-    "UsageError",
-    "adomian_coefficients",
-    "adomian_polynomial_rows",
-    "build_baseline",
-    "catalytic_problem",
-    "catalytic_symmetric_problem",
-    "chebyshev_lobatto",
-    "co2_pge_problem",
-    "convergence_estimate",
-    "error_bound",
-    "eval_scalar",
-    "eval_series",
-    "evaluate_partial_sum",
-    "fd_solve",
-    "gfadm_solve",
-    "kernel_apply",
-    "kernel_bound_m",
-    "kernel_monomial_image",
-    "lipschitz_estimate",
-    "max_residual",
-    "oxygen_problem",
-    "parse_expression",
-    "partials_sup",
-    "residual",
-    "solution_box",
-    "to_text",
-]
+# public name -> the module that defines it
+_SOURCES = {name: module for module, names in (
+    ("adomian", "adomian_coefficients adomian_polynomial_rows"),
+    ("analysis", "ConvergenceEstimate ResidualReport convergence_estimate error_bound"
+                 " lipschitz_estimate max_residual partials_sup residual solution_box"),
+    ("benchmarks", "catalytic_problem catalytic_symmetric_problem co2_pge_problem"
+                   " oxygen_problem"),
+    ("errors", "BoundInapplicableError DegreeCapError EvaluationError ExpressionError"
+               " GfadmError NoConvergenceError NumericError OrderMismatchError"
+               " ProblemFileError SingularDivisionError UnsupportedBackendError"
+               " UsageError"),
+    ("expr", "eval_scalar eval_series parse_expression to_text"),
+    ("grids", "GridFunction Polynomial chebyshev_lobatto"),
+    ("kernels", "DIRICHLET_DIRICHLET LANE_EMDEN KernelSpec kernel_apply kernel_bound_m"
+                " kernel_monomial_image"),
+    ("oracle", "OracleSolution fd_solve"),
+    ("solver", "ADOMIAN_IDENTITY SPECTRAL DIRICHLET EXACT GRID NEUMANN_ZERO"
+               " ComponentSpec ProblemSpec SolutionSeries build_baseline"
+               " evaluate_partial_sum gfadm_solve"),
+) for name in names.split()}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

@@ -41,12 +41,10 @@ import numpy as np
 from . import adomian
 from .errors import BoundInapplicableError, EvaluationError, UsageError
 from .expr import STEP, Expression, Joint, eval_scalar, evaluate
-from .grids import DENSE_POINTS, value_at_zero, values_at
+from .grids import BOX_POINTS, DENSE_POINTS, value_at_zero, values_at
 from .kernels import kernel_bound_m
-from .solver import ProblemSpec, SolutionSeries, build_baseline
-
-SPECTRAL = "spectral"
-ADOMIAN_IDENTITY = "adomian_identity"
+from .solver import ADOMIAN_IDENTITY, SPECTRAL, ProblemSpec, SolutionSeries, \
+    build_baseline
 
 # nothing here calls it; the benchmark's tracer binds the name (ROADMAP item 10)
 adomian_coefficients = adomian.adomian_coefficients
@@ -231,13 +229,13 @@ def lipschitz_estimate(f: Expression | Joint, box) -> tuple[float, float]:
 def solution_box(sol: SolutionSeries):
     """Rectangle spanned by the computed partial sums, padded.
 
-    Both components' partial sums psi_{i,0..n} are evaluated at 101 points
-    in one :func:`~gfadm.grids.values_at` call, and each component's range
-    is read from its own rows.
+    Both components' partial sums psi_{i,0..n} are evaluated at the 101
+    :data:`~gfadm.grids.BOX_POINTS` in one :func:`~gfadm.grids.values_at`
+    call, through the barycentric matrix cached for them on the grid
+    backend, and each component's range is read from its own rows.
     """
-    xs = np.linspace(0.0, 1.0, 101)
     k = sol.n_terms + 1
-    vals = values_at([sol.psi(i, n) for i in (1, 2) for n in range(k)], xs)
+    vals = values_at([sol.psi(i, n) for i in (1, 2) for n in range(k)], BOX_POINTS)
     ranges = []
     for rows in (vals[:k], vals[k:]):
         lo, hi = float(rows.min()), float(rows.max())

@@ -8,11 +8,16 @@ the order (``--n`` or ``--n-list``), ``--backend`` and ``--grid-size``
 come from the flag, else the file's ``[run]`` section, else the defaults
 n_terms 5, backend grid, grid_size 64.
 
-Exit codes: 0 success, 1 input error (click's usage errors and output
-paths that cannot be written included), 2 numeric error, 3 oracle error.
-Without ``--out``, output files go to ``GFADM_OUT_DIR`` (or the working
-directory).  Values print with fixed digits (7 decimals, residuals to 6
-significant), so files are bit-stable.
+Exit codes: 0 success, 1 input error (click's usage errors, output paths
+that cannot be written and a grid size or ``--fd-points`` above its limit
+included), 2 numeric error, 3 a series that diverges or an oracle that does
+not converge.  Without ``--out``, output files go to ``GFADM_OUT_DIR`` (or
+the working directory).  Values print with fixed digits (7 decimals,
+residuals to 6 significant), so files are bit-stable.
+
+Each command imports only the modules it runs, so a fresh process loads
+and compiles no more: ``analysis`` in ``residual`` and ``bound``,
+``oracle`` in ``compare``, ``json`` in ``solve`` on the exact backend.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import configparser
 import errno
 import functools
-import json
 import os
 import sys
 import time
@@ -29,11 +33,10 @@ from typing import NamedTuple
 
 import click
 
-from . import analysis, oracle
 from .errors import ExpressionError, GfadmError, NoConvergenceError, ProblemFileError, \
     UnsupportedBackendError, UsageError
-from .solver import DIRICHLET, EXACT, GRID, NEUMANN_ZERO, ComponentSpec, ProblemSpec, \
-    SolutionSeries, evaluate_partial_sum, gfadm_solve
+from .solver import ADOMIAN_IDENTITY, DIRICHLET, EXACT, GRID, NEUMANN_ZERO, SPECTRAL, \
+    ComponentSpec, ProblemSpec, SolutionSeries, evaluate_partial_sum, gfadm_solve
 
 _BACKENDS = {"grid": GRID, "poly": EXACT}
 DEFAULT_ABSCISSAE = [round(0.1 * i, 1) for i in range(1, 10)]
@@ -288,6 +291,8 @@ def cmd_solve(s: _Solved):
         lines.append(f"{_fmt_sol(x)},{_fmt_sol(p1)},{_fmt_sol(p2)}")
     texts = ["\n".join(lines) + "\n"]
     if s.backend == EXACT:
+        import json
+
         payload = {
             "n": n,
             "psi1": s.sol.psi(1, n).coeffs.tolist(),
@@ -301,15 +306,16 @@ def cmd_solve(s: _Solved):
 
 
 @_command("residual", n_list=True, outputs=_residual_paths)
-@click.option("--method", type=click.Choice([analysis.ADOMIAN_IDENTITY,
-                                             analysis.SPECTRAL]),
-              default=analysis.ADOMIAN_IDENTITY)
+@click.option("--method", type=click.Choice([ADOMIAN_IDENTITY, SPECTRAL]),
+              default=ADOMIAN_IDENTITY)
 @click.option("--weighted", is_flag=True,
               help="report the self-adjoint-form maxima (x^alpha weighting)")
 @click.option("--out", type=click.Path(), default=None, help="output base path")
 @click.option("--abscissae", default=None)
 def cmd_residual(s: _Solved, method, weighted):
     """Write per-point and per-order maximum residual CSV reports."""
+    from . import analysis
+
     point_lines = ["n,x,r1,r2"]
     summary_lines = ["n,maxr1,maxr2"]
     for n in s.ns:
@@ -326,6 +332,8 @@ def cmd_residual(s: _Solved, method, weighted):
 @_command("bound", n_list=True)
 def cmd_bound(s: _Solved):
     """Print the kernel bound, Lipschitz constants and truncation bounds."""
+    from . import analysis
+
     est = analysis.convergence_estimate(s.problem, s.sol, s.ns)
     for key in ("m", "l1", "l2", "gamma"):
         click.echo(f"{key:6} = {getattr(est, key):.6f}")
@@ -343,6 +351,8 @@ def cmd_bound(s: _Solved):
 @click.option("--abscissae", default=None)
 def cmd_compare(s: _Solved, M):
     """Print the deviation between the series solution and the oracle."""
+    from . import oracle
+
     t0 = time.perf_counter()
     ora = oracle.fd_solve(s.problem, M=M)
     t_oracle = time.perf_counter() - t0

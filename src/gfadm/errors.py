@@ -64,7 +64,7 @@ class BoundInapplicableError(GfadmError):
 
 
 class NoConvergenceError(NumericError):
-    """Newton iteration of the finite-difference oracle did not converge."""
+    """A series diverged, or the finite-difference oracle's Newton iteration did not."""
 
     def __init__(self, message, last_residual=None):
         super().__init__(message)

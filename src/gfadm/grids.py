@@ -8,8 +8,9 @@ so the solver and the analysis treat them alike.  :func:`values_at`
 evaluates many functions of one kind at one set of points: polynomials by
 one stacked Horner pass, grid functions on one grid through one barycentric
 matrix, every row bitwise the function's own call.  At the residual
-search's fixed point set, :data:`DENSE_POINTS`, that matrix is built once
-per grid size and cached.
+search's and the solution box's fixed point sets, :data:`DENSE_POINTS`
+and :data:`BOX_POINTS`, that matrix is built once per grid size and
+cached.
 
 Polynomial arithmetic runs on plain coefficient arrays, bitwise equal to
 ``numpy.polynomial.polynomial`` without its per-call conversions and checks.
@@ -215,6 +216,13 @@ _TINY = np.finfo(float).tiny
 # the residual search's dense point set: 0, 901 points in [0.001, 0.999] and 1
 DENSE_POINTS = np.concatenate(([0.0], np.linspace(0.001, 0.999, 901), [1.0]))
 DENSE_POINTS.flags.writeable = False
+# the solution box's point set (``analysis.solution_box``)
+BOX_POINTS = np.linspace(0.0, 1.0, 101)
+BOX_POINTS.flags.writeable = False
+# the fixed point sets, told by identity, whose matrices are cached; they
+# live as long as the module, so no other array shares their ids
+_FIXED_POINTS = (DENSE_POINTS, BOX_POINTS)
+_FIXED_INDEX = {id(points): k for k, points in enumerate(_FIXED_POINTS)}
 
 
 def _barycentric_matrix(n: int, xs: np.ndarray):
@@ -242,13 +250,14 @@ def _barycentric_matrix(n: int, xs: np.ndarray):
 
 
 @functools.lru_cache(maxsize=None)
-def _dense_matrix(n: int):
-    """The barycentric matrix of the n-grid at :data:`DENSE_POINTS`, read-only.
+def _fixed_matrix(n: int, k: int):
+    """The barycentric matrix of the n-grid at ``_FIXED_POINTS[k]``, read-only.
 
-    Every residual search starts with these 903 points, whose build costs
-    about 14 times a 41-point zoom round's.
+    Every residual search starts with the 903 :data:`DENSE_POINTS`, whose
+    build costs about 14 times a 41-point zoom round's, and every bound
+    evaluates the partial sums at the 101 :data:`BOX_POINTS`.
     """
-    matrix = _barycentric_matrix(n, DENSE_POINTS)
+    matrix = _barycentric_matrix(n, _FIXED_POINTS[k])
     for a in (matrix[0], matrix[1], *matrix[2]):
         a.flags.writeable = False
     return matrix
@@ -304,6 +313,14 @@ def _value_at(values: np.ndarray, x: float) -> float:
     return float(out)
 
 
+def _coefficient_table(coeffs: list) -> np.ndarray:
+    """The coefficient arrays as the columns of one table, zero-padded."""
+    table = np.zeros((max(c.size for c in coeffs), len(coeffs)))
+    for j, c in enumerate(coeffs):
+        table[: c.size, j] = c
+    return table
+
+
 def _horner(coeffs: list, xs: np.ndarray) -> np.ndarray:
     """The values at xs of the polynomials with these coefficients, one row each.
 
@@ -312,9 +329,7 @@ def _horner(coeffs: list, xs: np.ndarray) -> np.ndarray:
     keeps the row +0.0 until the leading coefficient c_d, and c_d + 0 x is
     c_d, as the call's ``c[-1] + x*0`` is.
     """
-    table = np.zeros((max(c.size for c in coeffs), len(coeffs)))
-    for j, c in enumerate(coeffs):
-        table[: c.size, j] = c
+    table = _coefficient_table(coeffs)
     flat = xs.ravel()
     out = np.multiply(flat, 0, out=np.empty((len(coeffs), flat.size)))
     out += table[-1][:, None]
@@ -335,14 +350,16 @@ def values_at(funcs, xs) -> np.ndarray:
     matrix-vector product per function and point set (a product of more
     rows may round a row differently).  Each point set's values are
     bitwise the function's own call at that set.  At :data:`DENSE_POINTS`
-    itself, told by identity as ``kernels.kernel_apply`` tells the grid's
-    nodes, the matrix is the cached one.
+    or :data:`BOX_POINTS` itself, told by identity as
+    ``kernels.kernel_apply`` tells the grid's nodes, the matrix is the
+    cached one.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not isinstance(funcs[0], GridFunction):
         return _horner([f.coeffs for f in funcs], xs)
     n = funcs[0].values.size - 1
-    matrix = _dense_matrix(n) if xs is DENSE_POINTS else _barycentric_matrix(n, xs)
+    k = _FIXED_INDEX.get(id(xs))
+    matrix = _barycentric_matrix(n, xs) if k is None else _fixed_matrix(n, k)
     out = np.empty((len(funcs),) + xs.shape)
     # one errstate and one finiteness check for all the functions
     with np.errstate(over="ignore", invalid="ignore"):

@@ -24,7 +24,9 @@ product with a cached (n+1) x (n+1) node matrix, the Chebyshev
 Vandermonde matrix of the nodes times the coefficient map; at any other
 points the coefficients are summed by Clenshaw, which keeps the polynomial
 exact between nodes.  Any other callable is integrated by composite
-quadrature, the independent reference.
+quadrature, the independent reference.  ``numpy.polynomial`` is imported
+by the grid path alone, and the quadrature's nodes are made on its first
+use, so a solve on the exact backend loads neither.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .errors import UsageError
 from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, grid_nodes
@@ -41,7 +42,6 @@ from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, grid_
 LANE_EMDEN = "lane_emden"
 DIRICHLET_DIRICHLET = "dirichlet_dirichlet"
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # geometric subdivision levels for the panel touching s = 0 (tames the
 # ln s / s^alpha endpoint behaviour under the weight)
 _GEOM_LEVELS = 24
@@ -100,15 +100,24 @@ def _panels(k: KernelSpec, x: float) -> list[tuple[float, float]]:
     return refined
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 32-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    from numpy.polynomial import legendre
+
+    return legendre.leggauss(32)
+
+
 def _quad(k: KernelSpec, g, x: float) -> float:
     total = 0.0
     alpha = k.weight_exponent
+    nodes, weights = _gauss_legendre()
     for a, b in _panels(k, x):
         h = 0.5 * (b - a)
-        s = a + h * (_GL_NODES + 1.0)
+        s = a + h * (nodes + 1.0)
         vals = np.asarray(g(s), dtype=float)
         integrand = _kernel_values(k, x, s) * s**alpha * vals
-        total += h * float(_GL_WEIGHTS @ integrand)
+        total += h * float(weights @ integrand)
     return total
 
 
@@ -121,6 +130,8 @@ def _image_coeffs(k: KernelSpec, n: int) -> np.ndarray:
     the diagonal for T_j, then ``y(1) + robin_shift w(1) = 0``.  A
     dirichlet_dirichlet image solves ``y'' = g``, ``y(0) = y(1) = 0``.
     """
+    from numpy.polynomial import chebyshev
+
     g = chebyshev_coefficient_matrix(n)  # one column per node value
     if k.family == DIRICHLET_DIRICHLET:
         y = chebyshev.chebint(g, 2, lbnd=-1, scl=0.5, axis=0)
@@ -149,6 +160,8 @@ def _image_coeffs(k: KernelSpec, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _node_image(k: KernelSpec, n: int) -> np.ndarray:
     """Map from values on the n-grid to the image's values at the same nodes."""
+    from numpy.polynomial import chebyshev
+
     t = 2.0 * grid_nodes(n) - 1.0
     out = chebyshev.chebvander(t, n + 2) @ _image_coeffs(k, n)
     out.flags.writeable = False
@@ -175,6 +188,8 @@ def kernel_apply(k: KernelSpec, g, x):
     if not np.all((0.0 <= xs) & (xs <= 1.0)):
         raise UsageError("kernel_apply wants x in [0, 1]")
     if isinstance(g, GridFunction):
+        from numpy.polynomial import chebyshev
+
         coeffs = _image_coeffs(k, g.values.size - 1) @ g.values
         out = chebyshev.chebval(2.0 * xs - 1.0, coeffs)
     else:

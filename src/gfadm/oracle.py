@@ -32,6 +32,8 @@ from .solver import NEUMANN_ZERO, ProblemSpec, build_baseline
 
 NEWTON_TOL = 1e-10
 MAX_ITERS = 50
+# largest M: a solve holds about 1 kB per node at once, 0.5 GB at M = 2^19
+MAX_POINTS = 2**19
 # per unknown j, the multiple of eps_j added in each perturbed column
 _PERTURB = np.array([[1.0, -1.0, 0.0, -0.0], [0.0, -0.0, 1.0, -1.0]])
 
@@ -188,6 +190,8 @@ def fd_solve(p: ProblemSpec, M: int = 256) -> OracleSolution:
     """Damped-Newton finite-difference solve on a uniform grid of M+1 nodes."""
     if M < 16:
         raise UsageError("oracle grid needs M >= 16")
+    if M > MAX_POINTS:  # before any array is built
+        raise UsageError(f"oracle grid M = {M} exceeds the largest, {MAX_POINTS}")
 
     # the discrete defect amplifies rounding by 1/h^2, so the reachable
     # residual floor grows with the grid; converge to whichever is larger

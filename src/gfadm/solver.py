@@ -25,29 +25,45 @@ raises ``DegreeCapError`` before the table grows.  Both run the same
 recursion; they differ in how a row is computed and imaged.  A solve
 records f1 and f2 on one series tape, a subexpression they share once,
 and extends it once per step: one rows call gives both components' rows.
+
+Convergence is checked at run time, not assumed: a solve records each
+term's size at the nodes and fits their trend over the later terms
+(:attr:`SolutionSeries.observed_ratio`); a series that grows warns, and
+one that has outgrown its first term raises :class:`NoConvergenceError`.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from .adomian import adomian_coefficients, adomian_expansion, adomian_polynomial_rows
-from .errors import DegreeCapError, NumericError, UsageError
+from .errors import DegreeCapError, NoConvergenceError, NumericError, UsageError
 from .expr import Expression, Joint, join, parse_expression
-from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, grid_nodes
+from .grids import GridFunction, Polynomial, _coefficient_table, \
+    chebyshev_coefficient_matrix, grid_nodes
 from .kernels import DIRICHLET_DIRICHLET, LANE_EMDEN, KernelSpec, kernel_apply, \
     kernel_monomial_image
 
 GRID = "grid"
 EXACT = "exact_polynomial"
+# the residual methods of ``analysis``, named here so that choosing one
+# imports no analysis
+SPECTRAL = "spectral"
+ADOMIAN_IDENTITY = "adomian_identity"
 DEGREE_CAP = 60
 # largest relative size of a grid row's last two Chebyshev coefficients
 RESOLVED = 1e-6
+# largest grid size: a grid solve holds about eleven (N+1) x (N+1) float
+# matrices at once, some 90 N^2 bytes, 0.38 GB at N = 2048
+MAX_GRID_SIZE = 2048
+# the exact backend measures its terms at the nodes of this grid
+_PEAK_GRID = 64
 
 NEUMANN_ZERO = "neumann0"
 DIRICHLET = "dirichlet"
@@ -139,7 +155,9 @@ class SolutionSeries:
     Terms and rows are Polynomials (exact backend) or GridFunctions (grid
     backend); the partial sums psi_{i,n} and the row sums
     S_{i,n} = sum_{j<n} A_{i,j}, which are L psi_{i,n}, are formed once, in
-    the same type.
+    the same type.  A solve also records the increments
+    d_j = max_i max |y_{i,j}| at the nodes, j = 1..n (the exact backend's
+    at the nodes of the 64-grid), behind :attr:`observed_ratio`.
     """
 
     problem: ProblemSpec
@@ -147,6 +165,7 @@ class SolutionSeries:
     terms2: list
     rows1: list  # A_{1,j}, j = 0..n-1
     rows2: list
+    increments: tuple = ()  # d_1..d_n, as floats
     _sums: tuple = field(init=False, repr=False)
     _row_sums: tuple = field(init=False, repr=False)
 
@@ -160,6 +179,25 @@ class SolutionSeries:
     @property
     def n_terms(self) -> int:
         return len(self.terms1) - 1
+
+    @property
+    def observed_ratio(self) -> float:
+        """rho-hat: exp of the least-squares slope of log d_j over j > n // 2.
+
+        A fit over the later half of the increments, since single ratios of
+        a convergent series can pass 1 (co2_pge's reach 1.61).  It is 0 when
+        one of those increments is 0 (the series stopped) and NaN with fewer
+        than two of them.
+        """
+        tail = self.increments[self.n_terms // 2:]
+        if len(tail) < 2:
+            return math.nan
+        if not all(tail):
+            return 0.0
+        mid = (len(tail) - 1) / 2
+        slope = (sum((j - mid) * math.log(d) for j, d in enumerate(tail))
+                 / sum((j - mid) ** 2 for j in range(len(tail))))
+        return math.exp(slope)
 
     def psi(self, component: int, n: int):
         """The partial sum psi_{component,n}, in the type of the terms."""
@@ -184,18 +222,41 @@ def evaluate_partial_sum(sol: SolutionSeries, n: int, x: float):
     return (sol.partial_sum(1, n, x), sol.partial_sum(2, n, x))
 
 
-def _finite(data: np.ndarray, j: int, component: int) -> None:
-    if not np.all(np.isfinite(data)):
+def _finite(data: np.ndarray, j: int, component: int) -> float:
+    """The largest |value| of term j + 1's data, in the pass that checks them finite."""
+    peak = np.abs(data).max()  # NaN if one is NaN
+    if not math.isfinite(peak):
         raise NumericError(f"term {j + 1} of component {component} is not finite")
+    return float(peak)
 
 
-def _recurse(p: ProblemSpec, n_terms: int, base, x, rows, image) -> SolutionSeries:
+@cache
+def _node_powers() -> np.ndarray:
+    """x^k at the nodes of the 64-grid, one row per k = 0..DEGREE_CAP."""
+    return grid_nodes(_PEAK_GRID) ** np.arange(DEGREE_CAP + 1)[:, None]
+
+
+def _polynomial_peaks(terms1: list, terms2: list) -> tuple:
+    """d_j = max_i max |y_{i,j}| at the nodes of the 64-grid, j = 1..n.
+
+    One product of the nodes' powers with the terms' coefficient table: a
+    stacked Horner pass (``grids.values_at``) would cost five times as much
+    for this diagnostic, which needs no bitwise values.
+    """
+    table = _coefficient_table([t.coeffs for t in terms1[1:] + terms2[1:]])
+    peaks = np.abs(table.T @ _node_powers()[: len(table)]).max(axis=1)
+    n = len(terms1) - 1
+    return tuple(np.maximum(peaks[:n], peaks[n:]).tolist())
+
+
+def _recurse(p: ProblemSpec, n_terms: int, base, x, rows, image,
+             peaks) -> SolutionSeries:
     """y_{i,j} = image(G_i, A_{i,j-1}) for j = 1..n_terms from the terms ``base``.
 
     ``rows(fs, terms1, terms2, expansion)`` is the last Adomian row of f1
     and of f2 over the terms so far, through their one running expansion
     at ``x``; ``image(kernel, row, j, i)`` is the next term of component i
-    from its row j.
+    from its row j; ``peaks(terms1, terms2)`` the increments d_1..d_n.
     """
     kern = [c.kernel() for c in p.components]
     fs = [c.rhs for c in p.components]
@@ -210,11 +271,13 @@ def _recurse(p: ProblemSpec, n_terms: int, base, x, rows, image) -> SolutionSeri
             # finiteness check, so numpy's warnings would only repeat it
             with np.errstate(over="ignore", invalid="ignore"):
                 terms[i].append(image(kern[i], new[i], j, i + 1))
-    return SolutionSeries(p, terms[0], terms[1], adomian[0], adomian[1])
+    return SolutionSeries(p, terms[0], terms[1], adomian[0], adomian[1],
+                          peaks(*terms))
 
 
 def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
     nodes = grid_nodes(grid_size)
+    term_peaks = ([], [])  # max |y_{i,j}|, from the finiteness check
 
     def rows(fs, terms1, terms2, expansion):
         blocks = adomian_coefficients(fs, nodes, [t.values for t in terms1],
@@ -231,11 +294,12 @@ def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
                 " use a larger grid"
             )
         values = kernel_apply(kern, row, nodes)
-        _finite(values, j, component)
+        term_peaks[component - 1].append(_finite(values, j, component))
         return GridFunction(values)
 
     base = [GridFunction(b(nodes)) for b in build_baseline(p)]
-    return _recurse(p, n_terms, base, nodes, rows, image)
+    return _recurse(p, n_terms, base, nodes, rows, image,
+                    lambda *terms: tuple(map(max, *term_peaks)))
 
 
 class _MonomialImages:
@@ -288,7 +352,23 @@ def _solve_exact(p: ProblemSpec, n_terms: int) -> SolutionSeries:
         _finite(out.coeffs, j, component)
         return out
 
-    return _recurse(p, n_terms, build_baseline(p), Polynomial.identity(), rows, image)
+    return _recurse(p, n_terms, build_baseline(p), Polynomial.identity(), rows, image,
+                    _polynomial_peaks)
+
+
+def _check_convergence(sol: SolutionSeries) -> None:
+    """Warn of a series whose increments grow; raise when they outgrow the first."""
+    n, rho = sol.n_terms, sol.observed_ratio
+    if n < 4 or not rho >= 1.0:
+        return
+    trend = (f"the increments of terms {n // 2 + 1}..{n} grow by a factor"
+             f" {rho:.3g} per term")
+    first = next(d for d in sol.increments if d > 0.0)
+    if sol.increments[-1] > first:
+        raise NoConvergenceError(
+            f"the series diverges: {trend}, and term {n} is"
+            f" {sol.increments[-1] / first:.3g} times the first non-zero one")
+    warnings.warn(f"the series may diverge: {trend}", stacklevel=3)
 
 
 def gfadm_solve(
@@ -297,11 +377,25 @@ def gfadm_solve(
     backend: str = GRID,
     grid_size: int = 64,
 ) -> SolutionSeries:
-    """Run the recursion for ``n_terms`` iterations (n_terms + 1 terms)."""
+    """Run the recursion for ``n_terms`` iterations (n_terms + 1 terms).
+
+    The series is checked at run time: with n_terms >= 4 and an observed
+    ratio (:attr:`SolutionSeries.observed_ratio`) of 1 or more it warns,
+    and when, besides, its last increment exceeds its first non-zero one,
+    the series is growing in absolute terms and the solve raises
+    :class:`NoConvergenceError`.  A ratio below 1 is evidence, not proof,
+    of convergence.
+    """
     if n_terms < 1:
         raise UsageError("n_terms must be >= 1")
     if backend == GRID:
-        return _solve_grid(p, n_terms, grid_size)
-    if backend == EXACT:
-        return _solve_exact(p, n_terms)
-    raise UsageError(f"unknown backend {backend!r}")
+        if grid_size > MAX_GRID_SIZE:  # before any array is built
+            raise UsageError(f"grid size {grid_size} exceeds the largest,"
+                             f" {MAX_GRID_SIZE}")
+        sol = _solve_grid(p, n_terms, grid_size)
+    elif backend == EXACT:
+        sol = _solve_exact(p, n_terms)
+    else:
+        raise UsageError(f"unknown backend {backend!r}")
+    _check_convergence(sol)
+    return sol

@@ -347,7 +347,7 @@ def test_max_residual_builds_one_matrix_per_point_set(method, monkeypatch):
 
     monkeypatch.setattr(grids, "_barycentric_matrix", counted_build)
     monkeypatch.setattr(analysis, "_residual_fn", counted_fn)
-    grids._dense_matrix.cache_clear()
+    grids._fixed_matrix.cache_clear()
     for sol in sols:
         for call, n in enumerate((11, 7, 11)):
             builds.clear()

@@ -19,6 +19,7 @@ from gfadm.expr import MAX_NESTING
 PROBLEMS = importlib.resources.files("gfadm") / "problems"
 # default solve, bound and residual-summary outputs of the bundled problems
 GOLDEN = Path(__file__).parent / "golden"
+DIVERGENT = Path(__file__).parent / "data" / "divergent_series.ini"
 BUNDLED = ["example1_catalytic", "example1_symmetric", "example2_oxygen",
            "example3_co2_pge"]
 
@@ -258,6 +259,33 @@ def test_golden_outputs(runner, tmp_path, name):
 
 
 class TestErrors:
+    @pytest.mark.parametrize("backend", ["grid", "poly"])
+    def test_divergent_series_exit_3(self, runner, tmp_path, backend):
+        """A series that grows is an error on both backends, and no file is written."""
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, ["solve", str(DIVERGENT), "--backend", backend,
+                                   "--out", str(out)])
+        assert res.exit_code == 3
+        assert res.output.startswith("error: the series diverges: the increments"
+                                     " of terms 6..11 grow by a factor 1.5 per term")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd, flag, message", [
+        ("solve", "--grid-size", "grid size 2049 exceeds the largest, 2048"),
+        ("compare", "--fd-points", "oracle grid M = 524289 exceeds the largest, 524288"),
+    ])
+    def test_oversized_input_exit_1(self, runner, tmp_path, monkeypatch, cmd, flag,
+                                    message):
+        """Past its limit a grid size or --fd-points is an input error; only
+        the limit + 1 is tried."""
+        monkeypatch.setenv("GFADM_OUT_DIR", str(tmp_path))
+        limit = int(message.rpartition(" ")[2])
+        res = runner.invoke(main, [cmd, _problem("example2_oxygen.ini"), flag,
+                                   str(limit + 1)])
+        assert res.exit_code == 1
+        assert res.output == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file(self, runner):
         res = runner.invoke(main, ["solve", "/nonexistent.ini"])
         assert res.exit_code == 1

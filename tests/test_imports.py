@@ -1,9 +1,14 @@
 """Every module-level import of the gfadm modules is read by its module; none
 of them imports scipy, at module level or inside a function; none uses
 numpy.polynomial beyond its Chebyshev and Legendre modules; and the oracle
-imports none of the series solver's machinery."""
+imports none of the series solver's machinery.  The package loads its public
+names on first use, and each CLI command loads only the modules it runs."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +106,103 @@ def test_oracle_imports_no_series_machinery():
                  "import gfadm.series", "from gfadm import adomian",
                  "def f():\n    from .series import SeriesTape"):
         assert _gfadm_modules(ast.parse(line)) & ORACLE_FORBIDDEN, line
+
+
+# the public names, as the package listed them when it imported every module
+PUBLIC = """
+ADOMIAN_IDENTITY BoundInapplicableError ComponentSpec ConvergenceEstimate DIRICHLET
+DIRICHLET_DIRICHLET DegreeCapError EXACT EvaluationError ExpressionError GRID
+GfadmError GridFunction KernelSpec LANE_EMDEN NEUMANN_ZERO NoConvergenceError
+NumericError OracleSolution OrderMismatchError Polynomial ProblemFileError
+ProblemSpec ResidualReport SPECTRAL SingularDivisionError SolutionSeries
+UnsupportedBackendError UsageError adomian_coefficients adomian_polynomial_rows
+build_baseline catalytic_problem catalytic_symmetric_problem chebyshev_lobatto
+co2_pge_problem convergence_estimate error_bound eval_scalar eval_series
+evaluate_partial_sum fd_solve gfadm_solve kernel_apply kernel_bound_m
+kernel_monomial_image lipschitz_estimate max_residual oxygen_problem
+parse_expression partials_sup residual solution_box to_text
+""".split()
+
+
+class TestPublicNames:
+    def test_star_import_and_dir_list_the_public_names(self):
+        namespace = {}
+        exec("from gfadm import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC)
+        assert dir(gfadm) == sorted(PUBLIC)
+        assert len(gfadm.__all__) == len(PUBLIC)
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_each_name_is_its_module_s_object(self, name):
+        module = importlib.import_module(f"gfadm.{gfadm._SOURCES[name]}")
+        value = getattr(gfadm, name)
+        assert value is getattr(module, name)
+        if callable(value):  # classes and functions name the module that defines them
+            assert value.__module__ == module.__name__
+        assert vars(gfadm)[name] is value  # kept: later reads are attribute reads
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            gfadm.no_such_name
+        with pytest.raises(ImportError):
+            exec("from gfadm import no_such_name", {})
+
+
+# what a command may not load: the modules of the other commands, the grid
+# path's numpy.polynomial, the exact solve's json and the logging package
+WATCHED = ("gfadm.analysis", "gfadm.oracle", "gfadm.benchmarks", "numpy.polynomial",
+           "json", "logging")
+
+
+def _loaded_after(code, tmp_path):
+    """The WATCHED modules a fresh interpreter has loaded after running code."""
+    src = str(Path(gfadm.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    report = f"\nimport sys\nprint(sorted(m for m in sys.modules if m in {WATCHED!r}))"
+    out = subprocess.run([sys.executable, "-c", code + report], capture_output=True,
+                         env={**os.environ, "PYTHONPATH": path,
+                              "GFADM_OUT_DIR": str(tmp_path)},
+                         text=True, check=True).stdout
+    return set(ast.literal_eval(out.splitlines()[-1]))
+
+
+def _command(*args):
+    problem = Path(gfadm.__file__).parent / "problems" / args[1]
+    return "\n".join([
+        "import gfadm.cli", "try:",
+        f"    gfadm.cli.main({[args[0], str(problem), *args[2:]]!r})",
+        "except SystemExit as exc:", "    assert not exc.code, exc.code"])
+
+
+class TestImportBudget:
+    """Each CLI process loads, and so compiles, only the code its command runs."""
+
+    def test_package_and_cli_load_no_command_module(self, tmp_path):
+        assert _loaded_after("import gfadm", tmp_path) == set()
+        assert _loaded_after("import gfadm.cli", tmp_path) == set()
+
+    def test_poly_solve_loads_no_numpy_polynomial(self, tmp_path):
+        loaded = _loaded_after(_command("solve", "example1_catalytic.ini",
+                                        "--backend", "poly"), tmp_path)
+        assert loaded == {"json"}  # for the .coeffs.json
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "example1_catalytic_solution.coeffs.json", "example1_catalytic_solution.csv"]
+
+    def test_grid_solve_loads_numpy_polynomial_only(self, tmp_path):
+        loaded = _loaded_after(_command("solve", "example2_oxygen.ini"), tmp_path)
+        assert loaded == {"numpy.polynomial"}
+
+    def test_compare_loads_no_analysis(self, tmp_path):
+        loaded = _loaded_after(_command("compare", "example1_symmetric.ini"), tmp_path)
+        assert loaded == {"gfadm.oracle"}
+
+    @pytest.mark.parametrize("cmd", ["residual", "bound"])
+    def test_residual_and_bound_load_no_oracle(self, cmd, tmp_path):
+        loaded = _loaded_after(_command(cmd, "example1_catalytic.ini"), tmp_path)
+        assert loaded == {"gfadm.analysis"}
+
+    def test_submodule_import_still_gives_the_module(self, tmp_path):
+        code = ("from gfadm import analysis\nimport sys\n"
+                "assert analysis is sys.modules['gfadm.analysis']\n"
+                "assert analysis.residual.__module__ == 'gfadm.analysis'")
+        assert _loaded_after(code, tmp_path) == {"gfadm.analysis"}

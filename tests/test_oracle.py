@@ -77,6 +77,17 @@ def test_min_grid():
         fd_solve(catalytic_problem(), M=8)
 
 
+def test_max_grid_raises_before_building(monkeypatch):
+    """M past the limit is a usage error before any array is built; only
+    the limit + 1 is tried."""
+    def forbidden(*args):
+        raise AssertionError("built the system")
+
+    monkeypatch.setattr(oracle, "_system", forbidden)
+    with pytest.raises(UsageError, match=f"exceeds the largest, {2**19}"):
+        fd_solve(catalytic_problem(), M=oracle.MAX_POINTS + 1)
+
+
 def _robin():
     # a Robin right end (b != 0) on the log kernel, coupled to a Dirichlet flat
     # component

@@ -1,5 +1,8 @@
 import gc
+import math
+import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from gfadm import (
     NEUMANN_ZERO,
     ComponentSpec,
     DegreeCapError,
+    NoConvergenceError,
     NumericError,
     ProblemSpec,
     SingularDivisionError,
@@ -29,10 +33,12 @@ from gfadm import (
     oxygen_problem,
 )
 import gfadm.solver
+from gfadm.cli import parse_problem_file
 from gfadm.adomian import adomian_coefficients, adomian_polynomial_rows
 from gfadm.grids import GridFunction, Polynomial, grid_nodes
 from gfadm.kernels import DIRICHLET_DIRICHLET, LANE_EMDEN, KernelSpec, _node_image
 from gfadm.series import SeriesTape
+from gfadm.solver import MAX_GRID_SIZE
 
 
 class TestComponentSpec:
@@ -580,3 +586,118 @@ def test_solve_frees_its_expansions_without_the_cyclic_collector(make, backend,
     finally:
         gc.enable()
     assert sol.n_terms == 6
+
+
+DIVERGENT = Path(__file__).parent / "data" / "divergent_series.ini"
+PROBLEMS = Path(gfadm.__file__).parent / "problems"
+SIX_BUNDLED = [catalytic_problem, catalytic_symmetric_problem, co2_pge_problem,
+               lambda: oxygen_problem(1.0), lambda: oxygen_problem(2.0),
+               lambda: oxygen_problem(3.0)]
+
+
+class TestDivergence:
+    """A series whose increments grow is reported, not returned as an answer."""
+
+    @pytest.mark.parametrize("backend, n", [(GRID, 4), (GRID, 11), (GRID, 40),
+                                            (EXACT, 5), (EXACT, 11)])
+    def test_divergent_series_raises(self, backend, n):
+        p, _ = parse_problem_file(DIVERGENT)
+        with pytest.raises(NoConvergenceError, match="the series diverges"):
+            gfadm_solve(p, n, backend=backend)
+
+    def test_divergent_series_below_four_terms_is_returned(self):
+        """The check needs n >= 4: at n = 3 the trend rests on two terms."""
+        p, _ = parse_problem_file(DIVERGENT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = gfadm_solve(p, 3)
+        assert sol.observed_ratio > 1.0
+
+    def test_growth_below_the_first_increment_warns(self):
+        """A ratio >= 1 whose last increment is still below the first warns only."""
+        c1 = ComponentSpec.make("lane_emden", alpha=1.0, left=NEUMANN_ZERO,
+                                a=1, b=0.5, c=1, rhs="y1^2 - 0.5*x*y2")
+        c2 = ComponentSpec.make("lane_emden", alpha=1.0, left=NEUMANN_ZERO,
+                                a=1, b=0.5, c=2, rhs="0.3*y1*y2")
+        for backend in (GRID, EXACT):
+            with pytest.warns(UserWarning, match="the series may diverge"):
+                sol = gfadm_solve(ProblemSpec(c1, c2), 20, backend=backend)
+            assert sol.observed_ratio >= 1.0
+            assert 0.0 < sol.increments[-1] < sol.increments[0]
+
+    @pytest.mark.parametrize("n", [11, 20])
+    @pytest.mark.parametrize("make", SIX_BUNDLED)
+    def test_bundled_problems_are_silent(self, make, n):
+        backends = [GRID] + [EXACT] * (make in (catalytic_problem,
+                                                catalytic_symmetric_problem))
+        for backend in backends:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sol = gfadm_solve(make(), n, backend=backend)
+            assert sol.observed_ratio < 1.0
+
+    def test_bundled_files_are_silent_at_their_order(self):
+        for path in sorted(PROBLEMS.glob("*.ini")):
+            p, run = parse_problem_file(path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gfadm_solve(p, run["n_terms"], backend=run["backend"],
+                            grid_size=run["grid_size"])
+
+    @pytest.mark.parametrize("n", [9, 40])
+    def test_erratic_single_ratios_do_not_trip_the_check(self, n):
+        """co2_pge converges, yet one of its single ratios is 1.61."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = gfadm_solve(co2_pge_problem(), n)
+        d = sol.increments
+        assert max(b / a for a, b in zip(d, d[1:])) > 1.6
+        assert sol.observed_ratio < 0.2
+
+    @pytest.mark.parametrize("make", [catalytic_problem, catalytic_symmetric_problem])
+    def test_increments_are_the_node_maxima(self, make):
+        """Each backend's d_j is max_i max |y_{i,j}| at the nodes; the exact
+        backend's at the 64-grid's nodes, through a product with their powers
+        instead of Horner's rule."""
+        p = make()
+        grid = gfadm_solve(p, 11)
+        assert grid.increments == tuple(
+            max(np.abs(t1.values).max(), np.abs(t2.values).max())
+            for t1, t2 in zip(grid.terms1[1:], grid.terms2[1:]))
+        exact = gfadm_solve(p, 11, backend=EXACT)
+        nodes = grid_nodes(64)
+        expected = [max(np.abs(t1(nodes)).max(), np.abs(t2(nodes)).max())
+                    for t1, t2 in zip(exact.terms1[1:], exact.terms2[1:])]
+        assert np.allclose(exact.increments, expected, rtol=1e-13, atol=0.0)
+        assert np.allclose(exact.increments, grid.increments, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("increments, ratio", [
+        ((1.0, 5.0, 2.0, 4.0, 8.0), 2.0),  # the first two terms are left out
+        ((9.0, 1.0, 0.5, 0.25), 0.5),
+        ((1.0, 2.0, 0.0, 3.0), 0.0),  # a zero increment: the series stopped
+        ((1.0, 2.0), math.nan),  # one term in the later half
+    ])
+    def test_observed_ratio_fits_the_later_half(self, increments, ratio):
+        n = len(increments)
+        zero = [Polynomial.zero()] * (n + 1)
+        sol = SolutionSeries(catalytic_problem(), zero, zero, zero[:n], zero[:n],
+                             increments)
+        assert sol.observed_ratio == pytest.approx(ratio, rel=1e-14, nan_ok=True)
+
+    def test_observed_ratio_is_the_least_squares_slope(self):
+        d = tuple(np.random.default_rng(3).uniform(0.1, 2.0, 9))
+        zero = [Polynomial.zero()] * 10
+        sol = SolutionSeries(catalytic_problem(), zero, zero, zero[:9], zero[:9], d)
+        slope = np.polyfit(np.arange(4, 9), np.log(d[4:]), 1)[0]
+        assert sol.observed_ratio == pytest.approx(math.exp(slope), rel=1e-12)
+
+
+def test_oversized_grid_raises_before_building(monkeypatch):
+    """A grid size past the limit is a usage error before any array is
+    built; only the limit + 1 is tried."""
+    def forbidden(*args):
+        raise AssertionError("built the grid")
+
+    monkeypatch.setattr(gfadm.solver, "grid_nodes", forbidden)
+    with pytest.raises(UsageError, match="exceeds the largest, 2048"):
+        gfadm_solve(catalytic_problem(), 5, grid_size=MAX_GRID_SIZE + 1)
