@@ -3,10 +3,16 @@
 Subcommands: ``solve`` (series solution tables), ``residual`` (pointwise
 and maximum residual reports), ``bound`` (contraction factor and
 truncation bounds), ``compare`` (cross-check against the finite-difference
-oracle).  Each reads an INI-style problem file (see ``gfadm/problems``);
-the order (``--n`` or ``--n-list``), ``--backend`` and ``--grid-size``
-come from the flag, else the file's ``[run]`` section, else the defaults
+oracle).  Each reads an INI-style problem file (see ``gfadm/problems``)
+with :func:`parse_problem_file`, in one pass and without configparser: the
+grammar is configparser's with ``#`` inline comments, less ``%``
+interpolation and the DEFAULT section (see :func:`_read_sections`).  The
+order (``--n`` or ``--n-list``), ``--backend`` and ``--grid-size`` come
+from the flag, else the file's ``[run]`` section, else the defaults
 n_terms 5, backend grid, grid_size 64.
+
+Warnings raised during the solve (a series that may diverge) print as
+one ``warning: <message>`` line each on stderr.
 
 Exit codes: 0 success, 1 input error (click's usage errors, output paths
 that cannot be written and a grid size or ``--fd-points`` above its limit
@@ -22,12 +28,12 @@ and compiles no more: ``analysis`` in ``residual`` and ``bound``,
 
 from __future__ import annotations
 
-import configparser
 import errno
 import functools
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -62,6 +68,7 @@ def _backend(word: str) -> str:
 
 # [run] key -> converter; int raises ValueError on a bad value
 _RUN = {"n_terms": int, "backend": _backend, "grid_size": int}
+_KEYS = ("operator", "left", "right", "rhs")  # a component's keys, all required
 
 
 def _parse_kv(text: str, keys, context: str) -> dict:
@@ -96,14 +103,13 @@ def _parse_word(section, line: str) -> tuple[str, float]:
     return word, value
 
 
-def _parse_component(section) -> ComponentSpec:
-    allowed = {"operator", "left", "right", "rhs"}
-    unknown = set(section) - allowed
+def _parse_component(name: str, section: dict) -> ComponentSpec:
+    unknown = set(section) - set(_KEYS)
     if unknown:
-        raise ProblemFileError(f"unknown keys {sorted(unknown)} in [{section.name}]")
-    for key in allowed:
+        raise ProblemFileError(f"unknown keys {sorted(unknown)} in [{name}]")
+    for key in _KEYS:
         if key not in section:
-            raise ProblemFileError(f"missing key {key!r} in [{section.name}]")
+            raise ProblemFileError(f"missing key {key!r} in [{name}]")
 
     operator, alpha = _parse_word(section, "operator")
     left, left_value = _parse_word(section, "left")
@@ -117,32 +123,81 @@ def _parse_component(section) -> ComponentSpec:
             a=right["a"], b=right["b"], c=right["c"], rhs=section["rhs"],
         )
     except (ExpressionError, UsageError) as exc:
-        raise ProblemFileError(f"[{section.name}]: {exc}") from exc
+        raise ProblemFileError(f"[{name}]: {exc}") from exc
+
+
+def _read_sections(path) -> dict:
+    """The file's sections as ``{name: {key: value}}``, read in one pass.
+
+    The grammar is that of ``configparser.ConfigParser(
+    inline_comment_prefixes=("#",))`` without interpolation or a DEFAULT
+    section; a line before the first section, a header with no name or no
+    ']', a line with no key or delimiter and a repeated section or key are
+    errors that name their line.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemFileError(f"cannot read {path}: {exc}") from exc
+    sections, section, key, indent = {}, None, None, 0
+    for number, line in enumerate(text.split("\n"), 1):
+        cut = line.find("#")  # an inline comment: a '#' after whitespace
+        while cut > 0 and not line[cut - 1].isspace():
+            cut = line.find("#", cut + 1)
+        value = line[:cut].strip() if cut >= 0 else line.strip()
+        if not value or value[0] == ";":  # blank, or a whole-line comment
+            if key and not value and cut < 0:
+                section[key].append("")  # a blank line inside a value
+            continue
+        level = len(line) - len(line.lstrip())
+        if key and level > indent:  # a continuation line
+            section[key].append(value)
+            continue
+        indent = level
+        if value[0] == "[":
+            close = value.rfind("]")  # the header ends at the last ']'
+            if close < 2:
+                raise _line_error(path, number, f"expected [section], got {value!r}")
+            name, key = value[1:close], None
+            if name in sections:
+                raise _line_error(path, number, f"repeated section [{name}]")
+            section = sections[name] = {}
+            continue
+        if section is None:
+            raise _line_error(path, number, f"{value!r} comes before the first section")
+        key, sep, rest = value.partition("=")
+        if not sep or ":" in key:
+            key, sep, rest = value.partition(":")
+        key = key.rstrip().lower()
+        if not (sep and key):
+            raise _line_error(path, number, f"expected key = value, got {value!r}")
+        if key in section:
+            raise _line_error(path, number, f"repeated key {key!r} in [{name}]")
+        section[key] = [rest.strip()]
+    return {name: {key: "\n".join(lines).rstrip() for key, lines in section.items()}
+            for name, section in sections.items()}
+
+
+def _line_error(path, number: int, message: str) -> ProblemFileError:
+    return ProblemFileError(f"bad problem file {path}, line {number}: {message}")
 
 
 def parse_problem_file(path) -> tuple[ProblemSpec, dict]:
     """Read a problem file; returns the spec and the [run] defaults."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ProblemFileError(f"cannot read {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ProblemFileError(f"bad problem file {path}: {exc}") from exc
-
-    unknown = set(parser.sections()) - {"component.1", "component.2", "run"}
+    sections = _read_sections(path)
+    unknown = set(sections) - {"component.1", "component.2", "run"}
     if unknown:
         raise ProblemFileError(f"unknown sections {sorted(unknown)}")
     for name in ("component.1", "component.2"):
-        if name not in parser:
+        if name not in sections:
             raise ProblemFileError(f"missing section [{name}]")
 
-    c1 = _parse_component(parser["component.1"])
-    c2 = _parse_component(parser["component.2"])
+    c1 = _parse_component("component.1", sections["component.1"])
+    c2 = _parse_component("component.2", sections["component.2"])
 
     run = {"n_terms": 5, "backend": GRID, "grid_size": 64}
-    section = parser["run"] if "run" in parser else {}
+    section = sections.get("run", {})
     unknown = set(section) - set(_RUN)
     if unknown:
         raise ProblemFileError(f"unknown keys {sorted(unknown)} in [run]")
@@ -263,11 +318,14 @@ def _command(name: str, n_list: bool = False, n_help: str | None = None,
                 if path.is_dir():  # the message that writing to it gives
                     exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
                     raise UsageError(f"cannot write {path}: {exc}")
-            t0 = time.perf_counter()
-            sol = gfadm_solve(problem, ns[-1], backend=run["backend"],
-                              grid_size=run["grid_size"])
-            fn(_Solved(problem, sol, run["backend"], ns, xs,
-                       time.perf_counter() - t0, paths), **opts)
+            with warnings.catch_warnings(record=True) as caught:
+                t0 = time.perf_counter()
+                sol = gfadm_solve(problem, ns[-1], backend=run["backend"],
+                                  grid_size=run["grid_size"])
+                seconds = time.perf_counter() - t0
+            for warning in caught:
+                click.echo(f"warning: {warning.message}", err=True)
+            fn(_Solved(problem, sol, run["backend"], ns, xs, seconds, paths), **opts)
 
         for option in (click.option("--grid-size", type=int, default=None),
                        click.option("--backend", type=click.Choice(list(_BACKENDS)),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,22 @@ rhs = 0
 n_terms = 3
 backend = grid
 grid_size = 32
+"""
+
+# a Robin problem whose increments grow slowly from term 11 on, while its
+# last increment stays below its first: at n = 20 the solve warns
+ROBIN_ALPHA1 = """
+[component.1]
+operator = lane_emden alpha=1
+left = neumann0
+right = a=1 b=0.5 c=1
+rhs = y1^2 - 0.5*x*y2
+
+[component.2]
+operator = lane_emden alpha=1
+left = neumann0
+right = a=1 b=0.5 c=2
+rhs = 0.3*y1*y2
 """
 
 
@@ -152,6 +169,23 @@ class TestSolve:
         assert res.exit_code == 0, res.output
         payload = json.loads(out.with_suffix(".coeffs.json").read_text())
         assert payload["n"] == 5 and len(payload["terms1"]) == 6
+
+    def test_divergence_warning_is_one_line(self, runner, tmp_path):
+        """A series that may diverge prints one warning line; its CSV is unchanged."""
+        problem = _write(tmp_path, ROBIN_ALPHA1)
+        res = runner.invoke(main, ["solve", problem, "--n", "20",
+                                   "--out", str(tmp_path / "warned.csv")])
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ("warning: the series may diverge: the increments of"
+                              " terms 11..20 grow by a factor 1.1 per term\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = runner.invoke(main, ["solve", problem, "--n", "20",
+                                         "--out", str(tmp_path / "quiet.csv")])
+        assert quiet.exit_code == 0 and quiet.stderr == ""
+        written = (tmp_path / "warned.csv").read_bytes()
+        assert written.startswith(b"x,psi1,psi2\n0.1000000,")
+        assert written == (tmp_path / "quiet.csv").read_bytes()
 
     def test_out_dir_env(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("GFADM_OUT_DIR", str(tmp_path))
@@ -325,6 +359,19 @@ class TestErrors:
             "backend = grid", "backend = foo"))
         assert res.returncode == 1
         assert res.stderr.splitlines() == ["error: unknown backend 'foo'"]
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_percent_sign_exit_1(self, runner, tmp_path):
+        """A '%' is an ordinary character, which the rhs parser rejects in one line."""
+        text = (PROBLEMS / "example1_catalytic.ini").read_text()
+        bad = text.replace("rhs = 1*y1^2 + 0.4*y1*y2", "rhs = 1*y1^2 + 0.4*y1*y2 % 2", 1)
+        assert bad != text
+        res = runner.invoke(main, ["solve", _write(tmp_path, bad),
+                                   "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 1
+        assert res.exc_info[0] is SystemExit  # raised by the CLI, not by the reader
+        assert res.output == "error: [component.1]: unexpected character '%' (at position 19)\n"
+        assert "Traceback" not in res.stderr
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("case", ["out-under-a-file", "out-a-directory",

@@ -149,9 +149,10 @@ class TestPublicNames:
 
 
 # what a command may not load: the modules of the other commands, the grid
-# path's numpy.polynomial, the exact solve's json and the logging package
+# path's numpy.polynomial, the exact solve's json, the logging package and
+# configparser (problem files are read by the CLI's own reader)
 WATCHED = ("gfadm.analysis", "gfadm.oracle", "gfadm.benchmarks", "numpy.polynomial",
-           "json", "logging")
+           "json", "logging", "configparser")
 
 
 def _loaded_after(code, tmp_path):
