@@ -3,8 +3,10 @@
 Subcommands: ``solve`` (series solution tables), ``residual`` (pointwise
 and maximum residual reports), ``bound`` (contraction factor and
 truncation bounds), ``compare`` (cross-check against the finite-difference
-oracle).  Each reads an INI-style problem file (see ``gfadm/problems``)
-with :func:`parse_problem_file`, in one pass and without configparser: the
+oracle).  One ``argparse`` parser reads the command line, with a subparser
+per command built from the table :data:`_COMMANDS`.  Each command reads an
+INI-style problem file (see ``gfadm/problems``) with
+:func:`parse_problem_file`, in one pass and without configparser: the
 grammar is configparser's with ``#`` inline comments, less ``%``
 interpolation and the DEFAULT section (see :func:`_read_sections`).  The
 order (``--n`` or ``--n-list``), ``--backend`` and ``--grid-size`` come
@@ -14,12 +16,15 @@ n_terms 5, backend grid, grid_size 64.
 Warnings raised during the solve (a series that may diverge) print as
 one ``warning: <message>`` line each on stderr.
 
-Exit codes: 0 success, 1 input error (click's usage errors, output paths
-that cannot be written and a grid size or ``--fd-points`` above its limit
-included), 2 numeric error, 3 a series that diverges or an oracle that does
-not converge.  Without ``--out``, output files go to ``GFADM_OUT_DIR`` (or
-the working directory).  Values print with fixed digits (7 decimals,
-residuals to 6 significant), so files are bit-stable.
+Every error prints one ``error: <message>`` line on stderr; a usage error
+(a bad or unknown option, no FILE, no command) prints the usage line
+before it.  Exit codes: 0 success, 1 input error (usage errors, an empty
+``--n-list`` or ``--abscissae``, output paths that cannot be written and a
+grid size or ``--fd-points`` above its limit included), 2 numeric error, 3
+a series that diverges or an oracle that does not converge.  Without
+``--out``, output files go to ``GFADM_OUT_DIR`` (or the working
+directory).  Values print with fixed digits (7 decimals, residuals to 6
+significant), so files are bit-stable.
 
 Each command imports only the modules it runs, so a fresh process loads
 and compiles no more: ``analysis`` in ``residual`` and ``bound``,
@@ -28,6 +33,7 @@ and compiles no more: ``analysis`` in ``residual`` and ``bound``,
 
 from __future__ import annotations
 
+import argparse
 import errno
 import functools
 import os
@@ -36,8 +42,6 @@ import time
 import warnings
 from pathlib import Path
 from typing import NamedTuple
-
-import click
 
 from .errors import ExpressionError, GfadmError, NoConvergenceError, ProblemFileError, \
     UnsupportedBackendError, UsageError
@@ -71,7 +75,9 @@ _RUN = {"n_terms": int, "backend": _backend, "grid_size": int}
 _KEYS = ("operator", "left", "right", "rhs")  # a component's keys, all required
 
 
-def _parse_kv(text: str, keys, context: str) -> dict:
+def _parse_kv(text: str, keys, context: str, line_error=ProblemFileError) -> dict:
+    """The ``key=number`` pairs of a line; ``line_error(message)`` is the
+    error of a repeated key, which names the line in a problem file."""
     out = {}
     for part in text.split():
         if "=" not in part:
@@ -79,6 +85,8 @@ def _parse_kv(text: str, keys, context: str) -> dict:
         key, _, val = part.partition("=")
         if key not in keys:
             raise ProblemFileError(f"unknown key {key!r} in {context}")
+        if key in out:
+            raise line_error(f"repeated key {key!r} in {context}")
         try:
             out[key] = float(val)
         except ValueError:
@@ -86,7 +94,7 @@ def _parse_kv(text: str, keys, context: str) -> dict:
     return out
 
 
-def _parse_word(section, line: str) -> tuple[str, float]:
+def _parse_word(section, line: str, line_error=ProblemFileError) -> tuple[str, float]:
     """The word of an operator or left line and its parameter (0 if none)."""
     label, table = _WORDS[line]
     word, *rest = section[line].split(None, 1) or [""]  # an empty line: word ''
@@ -97,13 +105,15 @@ def _parse_word(section, line: str) -> tuple[str, float]:
         if rest:
             raise ProblemFileError(f"{word} {label} takes no parameters")
         return word, 0.0
-    value = _parse_kv(rest[0], {key}, line).get(key) if rest else None
+    value = _parse_kv(rest[0], {key}, line, line_error).get(key) if rest else None
     if value is None:
         raise ProblemFileError(f"{word} {label} needs {key}=<value>")
     return word, value
 
 
-def _parse_component(name: str, section: dict) -> ComponentSpec:
+def _parse_component(name: str, section: dict, path, numbers: dict) -> ComponentSpec:
+    """The component of section ``[name]`` of ``path``, whose key lines have
+    the numbers ``numbers[name, key]``."""
     unknown = set(section) - set(_KEYS)
     if unknown:
         raise ProblemFileError(f"unknown keys {sorted(unknown)} in [{name}]")
@@ -111,9 +121,12 @@ def _parse_component(name: str, section: dict) -> ComponentSpec:
         if key not in section:
             raise ProblemFileError(f"missing key {key!r} in [{name}]")
 
-    operator, alpha = _parse_word(section, "operator")
-    left, left_value = _parse_word(section, "left")
-    right = _parse_kv(section["right"], {"a", "b", "c"}, "right")
+    def line_error(key):  # the error that names the line of key
+        return functools.partial(_line_error, path, numbers[name, key])
+
+    operator, alpha = _parse_word(section, "operator", line_error("operator"))
+    left, left_value = _parse_word(section, "left", line_error("left"))
+    right = _parse_kv(section["right"], {"a", "b", "c"}, "right", line_error("right"))
     if set(right) != {"a", "b", "c"}:
         raise ProblemFileError("right condition needs a=, b= and c=")
 
@@ -126,15 +139,17 @@ def _parse_component(name: str, section: dict) -> ComponentSpec:
         raise ProblemFileError(f"[{name}]: {exc}") from exc
 
 
-def _read_sections(path) -> dict:
+def _read_sections(path, numbers=None) -> dict:
     """The file's sections as ``{name: {key: value}}``, read in one pass.
 
     The grammar is that of ``configparser.ConfigParser(
     inline_comment_prefixes=("#",))`` without interpolation or a DEFAULT
     section; a line before the first section, a header with no name or no
     ']', a line with no key or delimiter and a repeated section or key are
-    errors that name their line.
+    errors that name their line.  ``numbers``, when given, gets the number
+    of each key's first line by ``(section, key)``.
     """
+    numbers = {} if numbers is None else numbers
     try:
         with open(path) as fh:
             text = fh.read()
@@ -175,6 +190,7 @@ def _read_sections(path) -> dict:
         if key in section:
             raise _line_error(path, number, f"repeated key {key!r} in [{name}]")
         section[key] = [rest.strip()]
+        numbers[name, key] = number
     return {name: {key: "\n".join(lines).rstrip() for key, lines in section.items()}
             for name, section in sections.items()}
 
@@ -185,7 +201,8 @@ def _line_error(path, number: int, message: str) -> ProblemFileError:
 
 def parse_problem_file(path) -> tuple[ProblemSpec, dict]:
     """Read a problem file; returns the spec and the [run] defaults."""
-    sections = _read_sections(path)
+    numbers = {}
+    sections = _read_sections(path, numbers)
     unknown = set(sections) - {"component.1", "component.2", "run"}
     if unknown:
         raise ProblemFileError(f"unknown sections {sorted(unknown)}")
@@ -193,8 +210,8 @@ def parse_problem_file(path) -> tuple[ProblemSpec, dict]:
         if name not in sections:
             raise ProblemFileError(f"missing section [{name}]")
 
-    c1 = _parse_component("component.1", sections["component.1"])
-    c2 = _parse_component("component.2", sections["component.2"])
+    c1 = _parse_component("component.1", sections["component.1"], path, numbers)
+    c2 = _parse_component("component.2", sections["component.2"], path, numbers)
 
     run = {"n_terms": 5, "backend": GRID, "grid_size": 64}
     section = sections.get("run", {})
@@ -215,7 +232,9 @@ def _parse_list(text: str, name: str) -> list:
         values = [convert(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise UsageError(f"bad {name} list: {exc}") from None
-    if not values or not all(map(valid, values)):
+    if not values:
+        raise UsageError(f"the {name} list is empty")
+    if not all(map(valid, values)):
         raise UsageError(rule)
     return values
 
@@ -246,39 +265,11 @@ def _write(path: Path, text: str) -> None:
         path.write_text(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from None
-    click.echo(f"wrote {path}")
-
-
-class _Group(click.Group):
-    def parse_args(self, ctx, args):
-        """Parse the group's own arguments; their usage errors exit 1 too."""
-        try:
-            return super().parse_args(ctx, args)
-        except click.UsageError as exc:
-            exc.exit_code = 1
-            raise
-
-    def invoke(self, ctx):
-        """Run a subcommand; every failure exits 1 (input), 2 or 3 (oracle)."""
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            exc.exit_code = 1  # click's own 2 is the code of numeric errors
-            raise
-        except GfadmError as exc:
-            click.echo(f"error: {exc}", err=True)
-            inputs = (UsageError, ExpressionError, UnsupportedBackendError)
-            sys.exit(3 if isinstance(exc, NoConvergenceError)
-                     else 1 if isinstance(exc, inputs) else 2)
-
-
-@click.group(cls=_Group)
-def main():
-    """Series solver for coupled singular boundary value problems."""
+    print(f"wrote {path}", flush=True)
 
 
 class _Solved(NamedTuple):
-    """A problem file solved at the orders its subcommand asked for."""
+    """A problem file solved at the orders its command asked for."""
 
     problem: ProblemSpec
     sol: SolutionSeries
@@ -289,57 +280,35 @@ class _Solved(NamedTuple):
     paths: list  # the files it writes, checked before the solve
 
 
-def _command(name: str, n_list: bool = False, n_help: str | None = None,
-             outputs=None):
-    """Register subcommand ``name``; it is called with a :class:`_Solved`.
+def _execute(command, file, backend, grid_size, n=None, n_list=None, abscissae=None, **opts):
+    """Run ``command`` on FILE solved at the orders it asked for.
 
-    Adds FILE, ``--n`` (``--n-list`` when ``n_list``), ``--backend`` and
-    ``--grid-size`` ahead of its own options; validates ``--abscissae``.
-    ``outputs(problem name, --out, backend)`` lists the files the command
-    writes: their directories are made, and a directory where a file goes
-    is an error, before the solve.
+    The order, backend and grid size come from the flags, else from FILE's
+    [run] section.  The files the command writes (its ``outputs`` in
+    :data:`_COMMANDS`) have their directories made, and a directory where a
+    file goes is an error, before the solve.
     """
-    order = (click.option("--n-list", default=None,
-                          help="comma-separated truncation orders") if n_list
-             else click.option("--n", "n_terms", type=int, default=None, help=n_help))
-
-    def decorate(fn):
-        @functools.wraps(fn)  # keeps fn's docstring (the help) and its options
-        def solved(file, backend, grid_size, n_terms=None, n_list=None,
-                   abscissae=None, **opts):
-            problem, run = parse_problem_file(file)
-            flags = {"n_terms": n_terms, "backend": _BACKENDS.get(backend),
-                     "grid_size": grid_size}
-            run.update((key, v) for key, v in flags.items() if v is not None)
-            ns = sorted(set(_parse_list(n_list, "n"))) if n_list else [run["n_terms"]]
-            xs = _parse_list(abscissae, "abscissae") if abscissae else DEFAULT_ABSCISSAE
-            paths = outputs(problem.name, opts.pop("out"), run["backend"]) if outputs else []
-            for path in paths:
-                if path.is_dir():  # the message that writing to it gives
-                    exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-                    raise UsageError(f"cannot write {path}: {exc}")
-            with warnings.catch_warnings(record=True) as caught:
-                t0 = time.perf_counter()
-                sol = gfadm_solve(problem, ns[-1], backend=run["backend"],
-                                  grid_size=run["grid_size"])
-                seconds = time.perf_counter() - t0
-            for warning in caught:
-                click.echo(f"warning: {warning.message}", err=True)
-            fn(_Solved(problem, sol, run["backend"], ns, xs, seconds, paths), **opts)
-
-        for option in (click.option("--grid-size", type=int, default=None),
-                       click.option("--backend", type=click.Choice(list(_BACKENDS)),
-                                    default=None),
-                       order, click.argument("file", type=click.Path())):
-            solved = option(solved)
-        return main.command(name)(solved)
-
-    return decorate
+    fn, outputs, _ = _COMMANDS[command]
+    problem, run = parse_problem_file(file)
+    flags = {"n_terms": n, "backend": _BACKENDS.get(backend), "grid_size": grid_size}
+    run.update((key, v) for key, v in flags.items() if v is not None)
+    ns = sorted(set(_parse_list(n_list, "n"))) if n_list is not None else [run["n_terms"]]
+    xs = _parse_list(abscissae, "abscissae") if abscissae is not None else DEFAULT_ABSCISSAE
+    paths = outputs(problem.name, opts.pop("out"), run["backend"]) if outputs else []
+    for path in paths:
+        if path.is_dir():  # the message that writing to it gives
+            exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            raise UsageError(f"cannot write {path}: {exc}")
+    with warnings.catch_warnings(record=True) as caught:
+        t0 = time.perf_counter()
+        sol = gfadm_solve(problem, ns[-1], backend=run["backend"],
+                          grid_size=run["grid_size"])
+        seconds = time.perf_counter() - t0
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    fn(_Solved(problem, sol, run["backend"], ns, xs, seconds, paths), **opts)
 
 
-@_command("solve", n_help="number of series terms", outputs=_solution_paths)
-@click.option("--out", type=click.Path(), default=None, help="output CSV path")
-@click.option("--abscissae", default=None, help="comma-separated x values")
 def cmd_solve(s: _Solved):
     """Write a CSV of (x, psi1, psi2) at the requested abscissae."""
     n = s.ns[-1]
@@ -363,13 +332,6 @@ def cmd_solve(s: _Solved):
         _write(path, text)
 
 
-@_command("residual", n_list=True, outputs=_residual_paths)
-@click.option("--method", type=click.Choice([ADOMIAN_IDENTITY, SPECTRAL]),
-              default=ADOMIAN_IDENTITY)
-@click.option("--weighted", is_flag=True,
-              help="report the self-adjoint-form maxima (x^alpha weighting)")
-@click.option("--out", type=click.Path(), default=None, help="output base path")
-@click.option("--abscissae", default=None)
 def cmd_residual(s: _Solved, method, weighted):
     """Write per-point and per-order maximum residual CSV reports."""
     from . import analysis
@@ -387,39 +349,101 @@ def cmd_residual(s: _Solved, method, weighted):
         _write(path, "\n".join(lines) + "\n")
 
 
-@_command("bound", n_list=True)
 def cmd_bound(s: _Solved):
     """Print the kernel bound, Lipschitz constants and truncation bounds."""
     from . import analysis
 
     est = analysis.convergence_estimate(s.problem, s.sol, s.ns)
     for key in ("m", "l1", "l2", "gamma"):
-        click.echo(f"{key:6} = {getattr(est, key):.6f}")
+        print(f"{key:6} = {getattr(est, key):.6f}", flush=True)
     if est.gamma >= 1.0:
-        click.echo("warning: gamma >= 1, the truncation bound does not apply",
-                   err=True)
+        print("warning: gamma >= 1, the truncation bound does not apply", file=sys.stderr)
     else:
         for n in s.ns:
-            click.echo(f"bound[n={n}] = {_fmt_res(est.bounds[n])}")
+            print(f"bound[n={n}] = {_fmt_res(est.bounds[n])}", flush=True)
 
 
-@_command("compare")
-@click.option("--fd-points", "M", type=int, default=512,
-              help="oracle grid intervals")
-@click.option("--abscissae", default=None)
-def cmd_compare(s: _Solved, M):
+def cmd_compare(s: _Solved, fd_points):
     """Print the deviation between the series solution and the oracle."""
     from . import oracle
 
     t0 = time.perf_counter()
-    ora = oracle.fd_solve(s.problem, M=M)
+    ora = oracle.fd_solve(s.problem, M=fd_points)
     t_oracle = time.perf_counter() - t0
 
     dev = max(abs(s.sol.partial_sum(i, s.ns[-1], x) - v)
               for i in (1, 2) for x, v in zip(s.xs, ora.interpolate(i, s.xs)))
-    click.echo(f"max deviation = {_fmt_res(dev)}")
-    click.echo(f"series solve  = {s.seconds:.3f} s")
-    click.echo(f"oracle solve  = {t_oracle:.3f} s ({ora.iterations} Newton steps)")
+    print(f"max deviation = {_fmt_res(dev)}", flush=True)
+    print(f"series solve  = {s.seconds:.3f} s", flush=True)
+    print(f"oracle solve  = {t_oracle:.3f} s ({ora.iterations} Newton steps)", flush=True)
+
+
+_ABSCISSAE = ("--abscissae", {})
+_N_LIST = ("--n-list", {"help": "comma-separated truncation orders"})
+# command -> (its function, the files it writes, its options besides FILE,
+# --help and _SHARED)
+_COMMANDS = {
+    "solve": (cmd_solve, _solution_paths, [
+        ("--n", {"type": int, "help": "number of series terms"}),
+        ("--out", {"help": "output CSV path"}),
+        ("--abscissae", {"help": "comma-separated x values"})]),
+    "residual": (cmd_residual, _residual_paths, [
+        _N_LIST,
+        ("--method", {"choices": [ADOMIAN_IDENTITY, SPECTRAL], "default": ADOMIAN_IDENTITY}),
+        ("--weighted", {"action": "store_true",
+                        "help": "report the self-adjoint-form maxima (x^alpha weighting)"}),
+        ("--out", {"help": "output base path"}), _ABSCISSAE]),
+    "bound": (cmd_bound, None, [_N_LIST]),
+    "compare": (cmd_compare, None, [
+        ("--n", {"type": int}),
+        ("--fd-points", {"type": int, "default": 512, "help": "oracle grid intervals"}),
+        _ABSCISSAE]),
+}
+_SHARED = [("--backend", {"choices": list(_BACKENDS)}), ("--grid-size", {"type": int})]
+_HELP = {"action": "help", "help": "Show this message and exit."}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error: the usage line, then one ``error:`` line; exit 1."""
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+def _parse(args, prog: str) -> dict:
+    """The command and its options, from one parser with a subparser per command."""
+    parser = _Parser(prog=prog, description=main.__doc__.split("\n")[0], add_help=False,
+                     allow_abbrev=False)
+    parser.add_argument("--help", **_HELP)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, _, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__,
+                                  add_help=False, allow_abbrev=False)
+        sub.add_argument("file", metavar="FILE")
+        sub.add_argument("--help", **_HELP)
+        for flag, kwargs in options + _SHARED:
+            sub.add_argument(flag, **kwargs)
+    opts, extra = parser.parse_known_args(args)
+    if extra:  # reported by the command's parser, with its usage
+        commands.choices[opts.command].error(f"unrecognized arguments: {' '.join(extra)}")
+    return vars(opts)
+
+
+def main(args=None, prog_name=None):
+    """Series solver for coupled singular boundary value problems.
+
+    Runs the command in ``args`` (``sys.argv[1:]`` when None) and raises
+    SystemExit with its exit code: 0, or 1 (input), 2 (numeric) or 3
+    (divergence, oracle) after an ``error:`` line.
+    """
+    try:
+        _execute(**_parse(args, prog_name or "gfadm"))
+    except GfadmError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        inputs = (UsageError, ExpressionError, UnsupportedBackendError)
+        raise SystemExit(3 if isinstance(exc, NoConvergenceError)
+                         else 1 if isinstance(exc, inputs) else 2) from None
+    raise SystemExit(0)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 import gfadm
 import gfadm.solver
@@ -608,28 +608,86 @@ class TestSharedPath:
             summary = (tmp_path / "out" / "problem_residual_summary.csv").read_text()
             assert summary.splitlines()[1].startswith("1,")
 
-    @pytest.mark.parametrize("args", [["FILE", "--n", "abc"],
-                                      ["FILE", "--backend", "foo"],
-                                      []], ids=["bad-n", "bad-backend", "no-file"])
-    def test_click_usage_errors_exit_1(self, runner, cmd, args):
+    @pytest.mark.parametrize("args, named", [(["FILE", "--n", "abc"], "--n"),
+                                             (["FILE", "--backend", "foo"], "--backend"),
+                                             ([], "FILE")],
+                             ids=["bad-n", "bad-backend", "no-file"])
+    def test_click_usage_errors_exit_1(self, runner, cmd, args, named, tmp_path,
+                                       monkeypatch):
+        """A bad option or no FILE prints the command's usage and one error
+        line naming it, exits 1 and writes nothing."""
+        monkeypatch.setenv("GFADM_OUT_DIR", str(tmp_path))
         args = [_problem("example1_catalytic.ini") if a == "FILE" else a for a in args]
         res = runner.invoke(main, [cmd, *args])
         assert res.exit_code == 1
-        assert "Usage:" in res.output and "Error:" in res.output
+        assert res.stdout == ""
+        _assert_usage_error(res.stderr, f"gfadm {cmd} ", named)
+        assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("args", [["--bogus"], []], ids=["bad-option", "no-command"])
-def test_group_usage_errors_exit_1(runner, args):
-    # raised while the group parses its own arguments, before any subcommand
+def _assert_usage_error(stderr, usage, named):
+    """stderr is the usage, from ``usage: <usage>``, then one ``error:`` line
+    that names ``named``."""
+    *usage_lines, error = stderr.splitlines()
+    assert usage_lines and usage_lines[0].startswith(f"usage: {usage}"), stderr
+    assert not any(line.startswith("error") for line in usage_lines), stderr
+    assert error.startswith("error: ") and named in error, stderr
+
+
+@pytest.mark.parametrize("args, usage, named", [
+    (["--bogus"], "gfadm ", "command"),
+    ([], "gfadm ", "command"),
+    (["--bogus", "solve", _problem("example1_catalytic.ini")], "gfadm solve ", "--bogus"),
+], ids=["bad-option", "no-command", "bad-option-before-command"])
+def test_group_usage_errors_exit_1(runner, args, usage, named):
+    # raised while the parser reads the arguments, before any command runs
     res = runner.invoke(main, args)
     assert res.exit_code == 1
-    assert "Usage:" in res.output
+    assert res.stdout == ""
+    _assert_usage_error(res.stderr, usage, named)
+
+
+@pytest.mark.parametrize("cmd, option, given", [
+    ("solve", "--abscissae", ""), ("solve", "--abscissae", " , "),
+    ("residual", "--abscissae", ","), ("compare", "--abscissae", ""),
+    ("residual", "--n-list", ""), ("bound", "--n-list", ""), ("bound", "--n-list", " ,"),
+])
+def test_empty_list_is_an_input_error(runner, tmp_path, monkeypatch, cmd, option, given):
+    """An explicitly empty list is an error, not the default list."""
+    monkeypatch.setenv("GFADM_OUT_DIR", str(tmp_path))
+    name = "n" if option == "--n-list" else "abscissae"
+    res = runner.invoke(main, [cmd, _problem("example1_symmetric.ini"), option, given])
+    assert res.exit_code == 1
+    assert res.output == f"error: the {name} list is empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_group_help_exits_0(runner):
     res = runner.invoke(main, ["--help"])
     assert res.exit_code == 0
     assert "compare" in res.output
+
+
+@pytest.mark.parametrize("args, code", [
+    (["solve", _problem("example1_catalytic.ini")], 0),
+    (["solve", _problem("example1_catalytic.ini"), "--n", "abc"], 1),
+    (["solve", "RHS_POLE", "--backend", "grid"], 2),
+    (["solve", str(DIVERGENT)], 3),
+], ids=["solve", "usage-error", "numeric-error", "divergent"])
+def test_main_raises_system_exit_with_the_code(tmp_path, monkeypatch, capsys, args, code):
+    """``main(args=..., prog_name=...)`` as the benchmark's child process calls
+    it: every run ends in SystemExit with its exit code."""
+    monkeypatch.setenv("GFADM_OUT_DIR", str(tmp_path))
+    pole = _write(tmp_path, ZERO_RHS.replace("rhs = 0", "rhs = 1/(y1 - 1)", 1))
+    args = [pole if a == "RHS_POLE" else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args=args, prog_name="gfadm")
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.splitlines()[-1].startswith("error: ")
+    else:
+        assert out.startswith("wrote ") and err == ""
 
 
 def test_import_loads_no_scipy():

@@ -149,10 +149,11 @@ class TestPublicNames:
 
 
 # what a command may not load: the modules of the other commands, the grid
-# path's numpy.polynomial, the exact solve's json, the logging package and
-# configparser (problem files are read by the CLI's own reader)
+# path's numpy.polynomial, the exact solve's json, the logging package,
+# configparser (problem files are read by the CLI's own reader) and click
+# (argparse reads the command line)
 WATCHED = ("gfadm.analysis", "gfadm.oracle", "gfadm.benchmarks", "numpy.polynomial",
-           "json", "logging", "configparser")
+           "json", "logging", "configparser", "click")
 
 
 def _loaded_after(code, tmp_path):

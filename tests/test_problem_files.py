@@ -15,11 +15,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ini
+from cli_runner import CliRunner
 from gfadm import cli
 from gfadm.errors import ProblemFileError
 
@@ -169,6 +169,12 @@ rhs = 0
     (ZERO_RHS + "[run]\n= 4\n", 12, "expected key = value, got '= 4'"),
     (ZERO_RHS + "[component.1]\n", 11, "repeated section [component.1]"),
     (ZERO_RHS + "RHS: 1\n", 11, "repeated key 'rhs' in [component.2]"),
+    (ZERO_RHS.replace("lane_emden alpha=2", "lane_emden alpha=2 alpha=3", 1), 2,
+     "repeated key 'alpha' in operator"),
+    (ZERO_RHS.replace("c=1", "c=1 c=5", 1), 4, "repeated key 'c' in right"),
+    # a repeat on a continuation line names the key's first line
+    (ZERO_RHS.replace("a=1 b=0 c=2", "a=1 b=0\n  c=2 c=5", 1), 9,
+     "repeated key 'c' in right"),
 ])
 def test_rejected_forms_name_their_line(text, line, message, tmp_path):
     path = tmp_path / "problem.ini"
