@@ -18,13 +18,15 @@ one ``warning: <message>`` line each on stderr.
 
 Every error prints one ``error: <message>`` line on stderr; a usage error
 (a bad or unknown option, no FILE, no command) prints the usage line
-before it.  Exit codes: 0 success, 1 input error (usage errors, an empty
-``--n-list`` or ``--abscissae``, output paths that cannot be written and a
-grid size or ``--fd-points`` above its limit included), 2 numeric error, 3
-a series that diverges or an oracle that does not converge.  Without
-``--out``, output files go to ``GFADM_OUT_DIR`` (or the working
-directory).  Values print with fixed digits (7 decimals, residuals to 6
-significant), so files are bit-stable.
+before it.  An error in a component's operator, left or right line names
+the file and the line.  Exit codes: 0 success, 1 input error (usage
+errors, an empty ``--n-list`` or ``--abscissae``, output paths that cannot
+be written, a grid size above its limit and an ``--fd-points`` outside the
+oracle's range included, the last checked before the series is solved), 2
+numeric error, 3 a series that diverges or an oracle that does not
+converge.  Without ``--out``, output files go to ``GFADM_OUT_DIR`` (or the
+working directory).  Values print with fixed digits (7 decimals,
+residuals to 6 significant), so files are bit-stable.
 
 Each command imports only the modules it runs, so a fresh process loads
 and compiles no more: ``analysis`` in ``residual`` and ``bound``,
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import functools
 import os
 import sys
 import time
@@ -51,11 +52,13 @@ from .solver import ADOMIAN_IDENTITY, DIRICHLET, EXACT, GRID, NEUMANN_ZERO, SPEC
 _BACKENDS = {"grid": GRID, "poly": EXACT}
 DEFAULT_ABSCISSAE = [round(0.1 * i, 1) for i in range(1, 10)]
 _fmt_sol, _fmt_res = "{:.7f}".format, "{:.5E}".format  # solutions, residuals
-# operator and left lines: line -> (its name in messages, {word: the key
-# its parameters must give, or None when it takes none})
-_WORDS = {
-    "operator": ("operator", {"flat": None, "lane_emden": "alpha"}),
-    "left": ("left condition", {NEUMANN_ZERO: None, DIRICHLET: "value"}),
+# a component's operator, left and right lines: line -> (its name in
+# messages, {its first word: the keys its parameters must give}); a right
+# line has no word, only parameters
+_LINES = {
+    "operator": ("operator", {"flat": (), "lane_emden": ("alpha",)}),
+    "left": ("left condition", {NEUMANN_ZERO: (), DIRICHLET: ("value",)}),
+    "right": ("right condition", {"": ("a", "b", "c")}),
 }
 # list options: name -> (converter, test of one value, message when one fails)
 _LISTS = {
@@ -75,40 +78,33 @@ _RUN = {"n_terms": int, "backend": _backend, "grid_size": int}
 _KEYS = ("operator", "left", "right", "rhs")  # a component's keys, all required
 
 
-def _parse_kv(text: str, keys, context: str, line_error=ProblemFileError) -> dict:
-    """The ``key=number`` pairs of a line; ``line_error(message)`` is the
-    error of a repeated key, which names the line in a problem file."""
-    out = {}
-    for part in text.split():
-        if "=" not in part:
-            raise ProblemFileError(f"expected key=value in {context}: {part!r}")
-        key, _, val = part.partition("=")
-        if key not in keys:
-            raise ProblemFileError(f"unknown key {key!r} in {context}")
-        if key in out:
-            raise line_error(f"repeated key {key!r} in {context}")
-        try:
-            out[key] = float(val)
-        except ValueError:
-            raise ProblemFileError(f"bad number {val!r} in {context}") from None
-    return out
-
-
-def _parse_word(section, line: str, line_error=ProblemFileError) -> tuple[str, float]:
-    """The word of an operator or left line and its parameter (0 if none)."""
-    label, table = _WORDS[line]
-    word, *rest = section[line].split(None, 1) or [""]  # an empty line: word ''
-    if word not in table:
+def _parse_line(line: str, text: str) -> tuple[str, dict]:
+    """The word of an operator, left or right line and its ``key=number`` parameters."""
+    label, words = _LINES[line]
+    parts = text.split()
+    word = "" if "" in words or not parts else parts.pop(0)
+    if word not in words:
         raise ProblemFileError(f"unknown {label} {word!r}")
-    key = table[word]
-    if key is None:
-        if rest:
-            raise ProblemFileError(f"{word} {label} takes no parameters")
-        return word, 0.0
-    value = _parse_kv(rest[0], {key}, line, line_error).get(key) if rest else None
-    if value is None:
-        raise ProblemFileError(f"{word} {label} needs {key}=<value>")
-    return word, value
+    keys, name = words[word], f"{word} {label}".lstrip()
+    if parts and not keys:
+        raise ProblemFileError(f"{name} takes no parameters")
+    params = {}
+    for part in parts:
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ProblemFileError(f"expected key=value in {line}: {part!r}")
+        if key not in keys:
+            raise ProblemFileError(f"unknown key {key!r} in {line}")
+        if key in params:
+            raise ProblemFileError(f"repeated key {key!r} in {line}")
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise ProblemFileError(f"bad number {value!r} in {line}") from None
+    for key in keys:
+        if key not in params:
+            raise ProblemFileError(f"{name} needs {key}=<value>")
+    return word, params
 
 
 def _parse_component(name: str, section: dict, path, numbers: dict) -> ComponentSpec:
@@ -120,20 +116,17 @@ def _parse_component(name: str, section: dict, path, numbers: dict) -> Component
     for key in _KEYS:
         if key not in section:
             raise ProblemFileError(f"missing key {key!r} in [{name}]")
-
-    def line_error(key):  # the error that names the line of key
-        return functools.partial(_line_error, path, numbers[name, key])
-
-    operator, alpha = _parse_word(section, "operator", line_error("operator"))
-    left, left_value = _parse_word(section, "left", line_error("left"))
-    right = _parse_kv(section["right"], {"a", "b", "c"}, "right", line_error("right"))
-    if set(right) != {"a", "b", "c"}:
-        raise ProblemFileError("right condition needs a=, b= and c=")
-
+    parsed = []
+    for line in _LINES:
+        try:
+            parsed.append(_parse_line(line, section[line]))
+        except ProblemFileError as exc:
+            raise _line_error(path, numbers[name, line], str(exc)) from None
+    (operator, shape), (left, value), (_, right) = parsed
     try:
         return ComponentSpec.make(
-            operator, alpha=alpha, left=left, left_value=left_value,
-            a=right["a"], b=right["b"], c=right["c"], rhs=section["rhs"],
+            operator, left=left, left_value=value.get("value", 0.0), **shape, **right,
+            rhs=section["rhs"],
         )
     except (ExpressionError, UsageError) as exc:
         raise ProblemFileError(f"[{name}]: {exc}") from exc
@@ -286,7 +279,7 @@ def _execute(command, file, backend, grid_size, n=None, n_list=None, abscissae=N
     The order, backend and grid size come from the flags, else from FILE's
     [run] section.  The files the command writes (its ``outputs`` in
     :data:`_COMMANDS`) have their directories made, and a directory where a
-    file goes is an error, before the solve.
+    file goes is an error, before the solve; so is a bad ``--fd-points``.
     """
     fn, outputs, _ = _COMMANDS[command]
     problem, run = parse_problem_file(file)
@@ -299,6 +292,10 @@ def _execute(command, file, backend, grid_size, n=None, n_list=None, abscissae=N
         if path.is_dir():  # the message that writing to it gives
             exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             raise UsageError(f"cannot write {path}: {exc}")
+    if "fd_points" in opts:  # compare's oracle grid, before the series is solved
+        from .oracle import _check_points
+
+        _check_points(opts["fd_points"])
     with warnings.catch_warnings(record=True) as caught:
         t0 = time.perf_counter()
         sol = gfadm_solve(problem, ns[-1], backend=run["backend"],

@@ -206,9 +206,8 @@ def kernel_monomial_image(k: KernelSpec, m: int) -> Polynomial:
     For dirichlet_dirichlet, ``J'' = x^m`` with ``J(0) = J(1) = 0`` gives
     ``(x^(m+2) - x) / ((m+1)(m+2))``.
 
-    The exact solver calls it once per exponent, component and solve, and
-    keeps the images as the rows of a table; nothing caches them across
-    solves.
+    The exact solver calls it once per exponent and kernel, and keeps the
+    images as the rows of a table cached per process.
     """
     if m < 0:
         raise UsageError("monomial exponent must be >= 0")

@@ -186,12 +186,17 @@ def _reduce(mid, s):
     return x
 
 
-def fd_solve(p: ProblemSpec, M: int = 256) -> OracleSolution:
-    """Damped-Newton finite-difference solve on a uniform grid of M+1 nodes."""
+def _check_points(M: int) -> None:
+    """The rule for the oracle's grid size, checked before any array is built."""
     if M < 16:
         raise UsageError("oracle grid needs M >= 16")
-    if M > MAX_POINTS:  # before any array is built
+    if M > MAX_POINTS:
         raise UsageError(f"oracle grid M = {M} exceeds the largest, {MAX_POINTS}")
+
+
+def fd_solve(p: ProblemSpec, M: int = 256) -> OracleSolution:
+    """Damped-Newton finite-difference solve on a uniform grid of M+1 nodes."""
+    _check_points(M)
 
     # the discrete defect amplifies rounding by 1/h^2, so the reachable
     # residual floor grows with the grid; converge to whichever is larger

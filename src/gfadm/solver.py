@@ -17,14 +17,14 @@ row must be resolved by the grid, its last two Chebyshev coefficients below
 ``RESOLVED`` times its largest, or the solve raises ``NumericError``.
 ``exact_polynomial`` keeps every term as an exact polynomial via
 closed-form monomial images (polynomial nonlinearities only).  Each
-component keeps one table of them per solve, one row per exponent, made by
-one ``kernel_monomial_image`` call when a row's degree first reaches it;
-the image of a row is its coefficients times their table rows, summed
-over axis 0 as one array.  A row whose image would pass ``DEGREE_CAP``
-raises ``DegreeCapError`` before the table grows.  Both run the same
-recursion; they differ in how a row is computed and imaged.  A solve
-records f1 and f2 on one series tape, a subexpression they share once,
-and extends it once per step: one rows call gives both components' rows.
+kernel has one read-only table of them per process, one row per exponent
+up to ``DEGREE_CAP - 2``, cached as the grid's node matrices are; the
+image of a row is its coefficients times their table rows, summed over
+axis 0 as one array.  A row whose image would pass ``DEGREE_CAP`` raises
+``DegreeCapError``.  Both run the same recursion; they differ in how a
+row is computed and imaged.  A solve records f1 and f2 on one series
+tape, a subexpression they share once, and extends it once per step: one
+rows call gives both components' rows.
 
 Convergence is checked at run time, not assumed: a solve records each
 term's size at the nodes and fits their trend over the later terms
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -102,6 +102,9 @@ class ComponentSpec:
             raise UsageError(
                 "two-sided Dirichlet components support only b = 0 on the right"
             )
+        if self.b / self.a < 0:  # the kernel's robin_shift
+            raise UsageError("right boundary condition needs b/a >= 0:"
+                             " a and b of one sign, or b = 0")
 
     @classmethod
     def make(cls, operator, alpha=0.0, left=NEUMANN_ZERO, left_value=0.0,
@@ -302,53 +305,41 @@ def _solve_grid(p: ProblemSpec, n_terms: int, grid_size: int) -> SolutionSeries:
                     lambda *terms: tuple(map(max, *term_peaks)))
 
 
-class _MonomialImages:
-    """The images of polynomials under one kernel, from a table of monomial images.
+@lru_cache(maxsize=64)
+def _monomial_images(k: KernelSpec) -> np.ndarray:
+    """Row m < DEGREE_CAP - 1: ``kernel_monomial_image(k, m)``, zero-padded; read-only."""
+    table = np.zeros((DEGREE_CAP - 1, DEGREE_CAP + 1))
+    for m in range(DEGREE_CAP - 1):
+        jm = kernel_monomial_image(k, m).coeffs
+        table[m, : jm.size] = jm
+    table.flags.writeable = False
+    return table
 
-    Row m of the table holds the coefficients of ``kernel_monomial_image``
-    of x^m, zero-padded, made by one call when a polynomial of degree m or
-    more first needs it; rows up to degree ``DEGREE_CAP - 2``, whose images
-    reach the cap, fit.  A solve keeps one per component.
-    """
 
-    def __init__(self, kern: KernelSpec):
-        self.kern = kern
-        self.table = np.zeros((DEGREE_CAP - 1, DEGREE_CAP + 1))
-        self.known = 0
-
-    def __call__(self, row: Polynomial) -> Polynomial:
-        """The image of row: sum over m of c_m J_m, bitwise as Polynomials add."""
-        c = row.coeffs
-        for m in range(self.known, c.size):
-            jm = kernel_monomial_image(self.kern, m).coeffs
-            self.table[m, : jm.size] = jm
-        self.known = max(self.known, c.size)
-        if c.size == 1 and c[0] == 0.0:  # the zero polynomial
-            return Polynomial.zero()
-        # c_m J_m as Polynomial's product by a number makes it: the + 0.0
-        # turns each -0.0 into +0.0, whatever value the reduction starts
-        # from.  With no -0.0 addend a padding +0.0, and the row of a zero
-        # c_m, add nothing, so the reduction over axis 0, row by row in m
-        # order, is bitwise the loop of Polynomial additions over the
-        # non-zero c_m (row is trimmed: its last one is c[-1])
-        scaled = self.table[: c.size, : c.size + 2] * c[:, None]
-        scaled += 0.0
-        return Polynomial._of(np.add.reduce(scaled, axis=0))
+def _row_image(k: KernelSpec, row: Polynomial) -> Polynomial:
+    """The image of row under k: sum over m of c_m J_m, bitwise as Polynomials add."""
+    # c_m J_m as Polynomial's product by a number makes it: the + 0.0 turns
+    # each -0.0 into +0.0, whatever value the reduction starts from, so the
+    # padding and the rows of zero c_m add nothing, and the reduction over
+    # axis 0, in m order, is bitwise the loop of Polynomial additions over
+    # the non-zero c_m (c[-1] is one of them, or row is zero: its image is [0.0])
+    c = row.coeffs
+    scaled = _monomial_images(k)[: c.size, : c.size + 2] * c[:, None]
+    scaled += 0.0
+    return Polynomial._of(np.add.reduce(scaled, axis=0))
 
 
 def _solve_exact(p: ProblemSpec, n_terms: int) -> SolutionSeries:
     def rows(fs, terms1, terms2, expansion):
         return [a[-1] for a in adomian_polynomial_rows(fs, terms1, terms2, expansion)]
 
-    images = [_MonomialImages(c.kernel()) for c in p.components]
-
     def image(kern, row, j, component):
-        if row.degree + 2 > DEGREE_CAP:  # before the table would grow past it
+        if row.degree + 2 > DEGREE_CAP:  # past the table's last row
             raise DegreeCapError(
                 f"degree {row.degree + 2} of term {j + 1} of component {component}"
                 f" exceeds cap {DEGREE_CAP}"
             )
-        out = images[component - 1](row)
+        out = _row_image(kern, row)
         _finite(out.coeffs, j, component)
         return out
 

@@ -1,10 +1,11 @@
 """The exact backend's row image as it was before the monomial table, for checks.
 
-``gfadm.solver`` images an Adomian row on the exact backend through a
-per-solve table of monomial images, scaled and reduced as one array.  This
-is the loop it replaces: one ``kernel_monomial_image`` call per non-zero
-coefficient, and one Polynomial product and sum each.  The tests require
-the table's image to be bitwise this one, length and signed zeros included.
+``gfadm.solver`` images an Adomian row on the exact backend through its
+kernel's table of monomial images, built once per process, scaled and
+reduced as one array.  This is the loop it replaces: one
+``kernel_monomial_image`` call per non-zero coefficient, and one
+Polynomial product and sum each.  The tests require the table's image to
+be bitwise this one, length and signed zeros included.
 """
 
 from gfadm.grids import Polynomial

@@ -10,7 +10,7 @@ require the reader to match on every file both accept.
 import configparser
 from pathlib import Path
 
-from gfadm.cli import _RUN, _parse_kv, _parse_word
+from gfadm.cli import _LINES, _RUN, _parse_line
 from gfadm.errors import ExpressionError, ProblemFileError, UsageError
 from gfadm.solver import GRID, ComponentSpec, ProblemSpec
 
@@ -37,16 +37,14 @@ def _parse_component(section) -> ComponentSpec:
         if key not in section:
             raise ProblemFileError(f"missing key {key!r} in [{section.name}]")
 
-    operator, alpha = _parse_word(section, "operator")
-    left, left_value = _parse_word(section, "left")
-    right = _parse_kv(section["right"], {"a", "b", "c"}, "right")
-    if set(right) != {"a", "b", "c"}:
-        raise ProblemFileError("right condition needs a=, b= and c=")
+    (operator, shape), (left, value), (_, right) = (
+        _parse_line(line, section[line]) for line in _LINES)
 
     try:
         return ComponentSpec.make(
-            operator, alpha=alpha, left=left, left_value=left_value,
-            a=right["a"], b=right["b"], c=right["c"], rhs=section["rhs"],
+            operator, alpha=shape.get("alpha", 0.0), left=left,
+            left_value=value.get("value", 0.0), a=right["a"], b=right["b"],
+            c=right["c"], rhs=section["rhs"],
         )
     except (ExpressionError, UsageError) as exc:
         raise ProblemFileError(f"[{section.name}]: {exc}") from exc

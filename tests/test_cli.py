@@ -320,6 +320,38 @@ class TestErrors:
         assert res.output == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("problem, points, code, message", [
+        (DIVERGENT, "8", 1, "oracle grid needs M >= 16"),
+        (DIVERGENT, "999999999", 1,
+         "oracle grid M = 999999999 exceeds the largest, 524288"),
+        (DIVERGENT, "64", 3, "the series diverges: the increments of terms 6..11"),
+        (PROBLEMS / "example1_symmetric.ini", "8", 1, "oracle grid needs M >= 16"),
+    ])
+    def test_fd_points_checked_before_the_solve(self, runner, monkeypatch, problem,
+                                                points, code, message):
+        """--fd-points outside the oracle's range is an input error, reported
+        before the series is solved; a valid one reaches the solve."""
+        if code == 1:
+            def solve(*args, **kwargs):
+                raise AssertionError("solved before checking --fd-points")
+
+            monkeypatch.setattr(cli, "gfadm_solve", solve)
+        res = runner.invoke(main, ["compare", str(problem), "--fd-points", points])
+        assert res.exit_code == code
+        assert res.output.startswith(f"error: {message}")
+        assert res.output.count("\n") == 1
+
+    @pytest.mark.parametrize("right", ["a=1 b=-0.5 c=1", "a=-1 b=0.5 c=1"])
+    def test_negative_robin_shift_exit_1(self, runner, tmp_path, right):
+        """A right condition with b/a < 0 is rejected when the file is read."""
+        problem = _write(tmp_path, ZERO_RHS.replace("a=1 b=0 c=1", right, 1))
+        out = tmp_path / "out" / "s.csv"
+        res = runner.invoke(main, ["solve", problem, "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output == ("error: [component.1]: right boundary condition needs"
+                              " b/a >= 0: a and b of one sign, or b = 0\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.ini"]
+
     def test_missing_file(self, runner):
         res = runner.invoke(main, ["solve", "/nonexistent.ini"])
         assert res.exit_code == 1

@@ -175,6 +175,30 @@ rhs = 0
     # a repeat on a continuation line names the key's first line
     (ZERO_RHS.replace("a=1 b=0 c=2", "a=1 b=0\n  c=2 c=5", 1), 9,
      "repeated key 'c' in right"),
+] + [
+    # every other error in an operator, left or right line names it too
+    (ZERO_RHS.replace(old, new, 1), line, message)
+    for old, new, line, message in [
+        ("lane_emden alpha=2", "foo", 2, "unknown operator 'foo'"),
+        ("lane_emden alpha=2", "", 2, "unknown operator ''"),
+        ("lane_emden alpha=2", "flat alpha=2", 2, "flat operator takes no parameters"),
+        ("lane_emden alpha=2", "lane_emden", 2, "lane_emden operator needs alpha=<value>"),
+        ("lane_emden alpha=2", "lane_emden alpha", 2,
+         "expected key=value in operator: 'alpha'"),
+        ("lane_emden alpha=2", "lane_emden beta=2", 2, "unknown key 'beta' in operator"),
+        ("lane_emden alpha=2", "lane_emden alpha=two", 2, "bad number 'two' in operator"),
+        ("neumann0", "robin", 3, "unknown left condition 'robin'"),
+        ("neumann0", "neumann0 value=1", 3,
+         "neumann0 left condition takes no parameters"),
+        ("neumann0", "dirichlet", 3, "dirichlet left condition needs value=<value>"),
+        ("neumann0", "dirichlet value=1 value=2", 3, "repeated key 'value' in left"),
+        ("a=1 b=0 c=1", "", 4, "right condition needs a=<value>"),
+        ("a=1 b=0 c=1", "a=1 b=0", 4, "right condition needs c=<value>"),
+        ("a=1 b=0 c=1", "b=0 c=1", 4, "right condition needs a=<value>"),
+        ("a=1 b=0 c=1", "a=1 b=0 c=1 d=2", 4, "unknown key 'd' in right"),
+        ("a=1 b=0 c=1", "a=1 b=0 c=x", 4, "bad number 'x' in right"),
+        ("a=1 b=0 c=1", "a=1 b=0 c", 4, "expected key=value in right: 'c'"),
+    ]
 ])
 def test_rejected_forms_name_their_line(text, line, message, tmp_path):
     path = tmp_path / "problem.ini"

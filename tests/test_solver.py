@@ -56,6 +56,16 @@ class TestComponentSpec:
             ComponentSpec.make("lane_emden", alpha=1.0, a=0.0, b=1.0, c=0.0,
                                rhs="y1")
 
+    @pytest.mark.parametrize("a, b", [(1.0, -0.5), (-1.0, 0.5)])
+    def test_negative_robin_shift_rejected(self, a, b):
+        with pytest.raises(UsageError) as exc:
+            ComponentSpec.make("lane_emden", alpha=2.0, a=a, b=b, c=1.0, rhs="y1")
+        assert str(exc.value) == ("right boundary condition needs b/a >= 0:"
+                                  " a and b of one sign, or b = 0")
+        # b = 0 of either sign, and a, b of one sign, are accepted
+        for a, b in ((-1.0, 0.0), (1.0, -0.0), (-2.0, -1.0)):
+            ComponentSpec.make("lane_emden", alpha=2.0, a=a, b=b, c=1.0, rhs="y1")
+
     def test_unknown_operator(self):
         with pytest.raises(UsageError):
             ComponentSpec.make("heat", rhs="y1")
@@ -180,31 +190,15 @@ def test_degree_cap():
         gfadm_solve(ProblemSpec(c, c), 31, backend=EXACT)
 
 
-def _counted_monomial_images(monkeypatch):
-    """The (kernel, m) of every ``kernel_monomial_image`` call the solver makes."""
-    calls = []
-    original = gfadm.solver.kernel_monomial_image
-
-    def counted(k, m):
-        calls.append((k, m))
-        return original(k, m)
-
-    monkeypatch.setattr(gfadm.solver, "kernel_monomial_image", counted)
-    return calls
-
-
-def test_degree_cap_checked_before_the_table_grows(monkeypatch):
+def test_degree_cap_checked_before_the_table_grows():
     # y_10 = 1 - x makes y1^5 gain 6 degrees per term, deg y_1j = 6j + 1:
     # row 9 has degree 59, past the table's last exponent, DEGREE_CAP - 2
     c1 = ComponentSpec.make("flat", left=DIRICHLET, left_value=1.0, c=0.0,
                             rhs="y1^5")
     c2 = ComponentSpec.make("lane_emden", alpha=2.0, c=1.0, rhs="y1*y2")
-    calls = _counted_monomial_images(monkeypatch)
     with pytest.raises(DegreeCapError) as exc:
         gfadm_solve(ProblemSpec(c1, c2), 12, backend=EXACT)
     assert str(exc.value) == "degree 61 of term 10 of component 1 exceeds cap 60"
-    # the table of component 1 stopped at row 8's degree, 53
-    assert max(m for k, m in calls if k == c1.kernel()) == 53
 
 
 BUNDLED = [catalytic_problem, catalytic_symmetric_problem,
@@ -303,8 +297,7 @@ def test_exact_solve_matches_numpy_polynomial(problem, monkeypatch):
     fast = gfadm_solve(p, 11, backend=EXACT)
     for name, op in OPERATORS.items():
         monkeypatch.setattr(Polynomial, name, op)
-    monkeypatch.setattr(gfadm.solver._MonomialImages, "__call__",
-                        lambda self, row: row_image(self.kern, row))
+    monkeypatch.setattr(gfadm.solver, "_row_image", row_image)
     slow = gfadm_solve(p, 11, backend=EXACT)
     for name in ("terms1", "terms2", "rows1", "rows2"):
         for a, b in zip(getattr(fast, name), getattr(slow, name), strict=True):
@@ -338,34 +331,41 @@ def _image_rows():
 
 @pytest.mark.parametrize("kern", IMAGE_KERNELS)
 def test_row_image_matches_term_by_term_reference(kern):
-    """The table's image is bitwise the per-monomial loop's, however it grows."""
+    """The table's image is bitwise the per-monomial loop's."""
     rows = _image_rows()
     assert rows[-1].degree == gfadm.solver.DEGREE_CAP - 2
-    growing = gfadm.solver._MonomialImages(kern)
-    for row in rows + rows[::-1]:
+    for row in rows:
         slow = row_image(kern, row).coeffs.tobytes()
-        assert growing(row).coeffs.tobytes() == slow
-        # a fresh table, grown to the row's degree by one call
-        assert gfadm.solver._MonomialImages(kern)(row).coeffs.tobytes() == slow
-    assert growing.known == gfadm.solver.DEGREE_CAP - 1  # it never shrinks
+        assert gfadm.solver._row_image(kern, row).coeffs.tobytes() == slow
 
 
-@pytest.mark.parametrize("make, count", [(catalytic_problem, 2 * 21),
-                                         (_flat_dirichlet_problem, 2 * 33)])
-def test_one_monomial_image_per_exponent_component_and_solve(make, count,
-                                                             monkeypatch):
-    # row 10 has degree 20 in both catalytic components, and 32 in both
-    # components of the flat Dirichlet problem
+def test_monomial_table_is_read_only():
+    table = gfadm.solver._monomial_images(IMAGE_KERNELS[0])
+    assert table.shape == (gfadm.solver.DEGREE_CAP - 1, gfadm.solver.DEGREE_CAP + 1)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make", [catalytic_problem, _flat_dirichlet_problem])
+def test_one_monomial_table_per_kernel(make, monkeypatch):
+    """The first solve builds each distinct kernel's table; a second builds none."""
     p = make()
-    calls = _counted_monomial_images(monkeypatch)
-    for _ in range(2):  # a second solve makes its own tables
-        calls.clear()
-        sol = gfadm_solve(p, 11, backend=EXACT)
-        expected = [(c.kernel(), m)
-                    for c, rows in zip(p.components, (sol.rows1, sol.rows2))
-                    for m in range(max(r.degree for r in rows) + 1)]
-        assert sorted(calls, key=repr) == sorted(expected, key=repr)
-        assert len(calls) == count
+    calls = []
+    original = gfadm.solver.kernel_monomial_image
+
+    def counted(k, m):
+        calls.append((k, m))
+        return original(k, m)
+
+    monkeypatch.setattr(gfadm.solver, "kernel_monomial_image", counted)
+    gfadm.solver._monomial_images.cache_clear()
+    gfadm_solve(p, 11, backend=EXACT)
+    kernels = {c.kernel() for c in p.components}
+    assert sorted(calls, key=repr) == sorted(
+        [(k, m) for k in kernels for m in range(gfadm.solver.DEGREE_CAP - 1)], key=repr)
+    calls.clear()
+    gfadm_solve(p, 11, backend=EXACT)
+    assert calls == []
 
 
 def test_non_finite_parameters_rejected():
