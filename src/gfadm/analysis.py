@@ -34,8 +34,6 @@ interpolant shows there is rounding that the division by x would magnify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import adomian
@@ -43,8 +41,8 @@ from .errors import BoundInapplicableError, EvaluationError, UsageError
 from .expr import STEP, Expression, Joint, eval_scalar, evaluate
 from .grids import BOX_POINTS, DENSE_POINTS, value_at_zero, values_at
 from .kernels import kernel_bound_m
-from .solver import ADOMIAN_IDENTITY, SPECTRAL, ProblemSpec, SolutionSeries, \
-    build_baseline
+from .record import Record
+from .solver import ADOMIAN_IDENTITY, SPECTRAL, ProblemSpec, SolutionSeries
 
 # nothing here calls it; the benchmark's tracer binds the name (ROADMAP item 10)
 adomian_coefficients = adomian.adomian_coefficients
@@ -55,14 +53,13 @@ _LIPSCHITZ_SAMPLES = 11
 _BOX_PADDING = 0.1
 
 
-@dataclass
-class ResidualReport:
-    """Pointwise residuals per component."""
+class ResidualReport(Record):
+    """Pointwise residuals per component: ``points1`` lists (x, r_1n(x))."""
 
-    n: int
-    method: str
-    points1: list = field(default_factory=list)  # (x, r_1n(x))
-    points2: list = field(default_factory=list)
+    def __init__(self, n: int, method: str, points1: list | None = None,
+                 points2: list | None = None):
+        self._set(n, method, [] if points1 is None else points1,
+                  [] if points2 is None else points2)
 
 
 def _operator_value(comp, d1, d2, d1_0, d2_0, x: np.ndarray) -> np.ndarray:
@@ -256,14 +253,13 @@ def error_bound(m: float, l: float, max_f0: float, n: int) -> float:
     return gamma**n * m / (1.0 - gamma) * max_f0
 
 
-@dataclass
-class ConvergenceEstimate:
-    m: float
-    l1: float
-    l2: float
-    gamma: float
-    max_f0: float
-    bounds: dict  # n -> bound value, empty when gamma >= 1
+class ConvergenceEstimate(Record):
+    """The bound calculator's quantities; ``bounds`` maps n to the bound,
+    empty when gamma >= 1."""
+
+    def __init__(self, m: float, l1: float, l2: float, gamma: float, max_f0: float,
+                 bounds: dict):
+        self._set(m, l1, l2, gamma, max_f0, bounds)
 
     @property
     def l(self) -> float:
@@ -280,7 +276,8 @@ def convergence_estimate(
     Each quantity is sampled once: the box of both components' partial sums
     from one evaluation (:func:`solution_box`), (l1, l2) from one open-grid
     sample of the joined f ``p.rhs`` on that box (:func:`lipschitz_estimate`)
-    and max |f(x, y10, y20)| from one evaluation at 201 points.
+    and max |f(x, y10, y20)| from one evaluation at 201 points, made once
+    per problem and kept on it, as ``p.rhs`` is.
     """
     m = max(kernel_bound_m(c.kernel()) for c in p.components)
     box = solution_box(sol)
@@ -289,10 +286,7 @@ def convergence_estimate(
     except EvaluationError as exc:
         raise EvaluationError(f"pole inside Lipschitz box {box}: {exc}") from exc
     gamma = 2.0 * m * max(l1, l2)
-    base1, base2 = build_baseline(p)
-    xs = np.linspace(0.0, 1.0, 201)
-    max_f0 = max(float(np.max(np.abs(f)))
-                 for f in eval_scalar(p.rhs, xs, base1(xs), base2(xs)))
+    max_f0 = p._max_f0
     bounds = {}
     if gamma < 1.0:
         bounds = {int(n): error_bound(m, max(l1, l2), max_f0, int(n))

@@ -42,10 +42,10 @@ import sys
 import time
 import warnings
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import ExpressionError, GfadmError, NoConvergenceError, ProblemFileError, \
     UnsupportedBackendError, UsageError
+from .record import Record
 from .solver import ADOMIAN_IDENTITY, DIRICHLET, EXACT, GRID, NEUMANN_ZERO, SPECTRAL, \
     ComponentSpec, ProblemSpec, SolutionSeries, evaluate_partial_sum, gfadm_solve
 
@@ -63,7 +63,9 @@ _LINES = {
 # list options: name -> (converter, test of one value, message when one fails)
 _LISTS = {
     "n": (int, lambda n: n >= 1, "n values must be >= 1"),
-    "abscissae": (float, lambda x: 0.0 <= x <= 1.0, "abscissae must lie in [0, 1]"),
+    # x + 0.0 reads -0.0 as 0.0, which prints without its sign
+    "abscissae": (lambda text: float(text) + 0.0, lambda x: 0.0 <= x <= 1.0,
+                  "abscissae must lie in [0, 1]"),
 }
 
 
@@ -261,16 +263,17 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}", flush=True)
 
 
-class _Solved(NamedTuple):
-    """A problem file solved at the orders its command asked for."""
+class _Solved(Record):
+    """A problem file solved at the orders its command asked for.
 
-    problem: ProblemSpec
-    sol: SolutionSeries
-    backend: str
-    ns: list  # truncation orders, ascending; the series has the last
-    xs: list  # abscissae
-    seconds: float  # wall time of the series solve
-    paths: list  # the files it writes, checked before the solve
+    ``ns`` are the truncation orders, ascending, the series having the
+    last; ``xs`` the abscissae; ``seconds`` the series solve's wall time;
+    ``paths`` the files the command writes, checked before the solve.
+    """
+
+    def __init__(self, problem: ProblemSpec, sol: SolutionSeries, backend: str,
+                 ns: list, xs: list, seconds: float, paths: list):
+        self._set(problem, sol, backend, ns, xs, seconds, paths)
 
 
 def _execute(command, file, backend, grid_size, n=None, n_list=None, abscissae=None, **opts):

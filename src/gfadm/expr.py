@@ -10,7 +10,8 @@ non-negative integer exponent):
     atom   := NUMBER | 'x' | 'y1' | 'y2' | '(' expr ')'
 
 Parentheses and unary minuses nest at most ``MAX_NESTING`` deep; deeper
-input raises :class:`~gfadm.errors.ExpressionError`.
+input raises :class:`~gfadm.errors.ExpressionError`, as does a NUMBER too
+large for a float.
 
 A parsed f is a flat program, an :class:`Expression`: its steps in
 evaluation order (the post-order of the syntax tree), each reading earlier
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationError, ExpressionError, OrderMismatchError
+from .record import Record
 from .series import RunningSeries
 
 # parentheses and unary minuses, one inside another; the parser recurses at
@@ -45,8 +46,7 @@ _VARS = ("x", "y1", "y2")
 _BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}  # the binary operators' precedence
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(Record):
     """A parsed f: steps ``(op, a, b)`` in evaluation order, the last its value.
 
     ``op`` is ``"num"`` (the constant a), ``"x"``, ``"y1"`` or ``"y2"``,
@@ -54,8 +54,10 @@ class Expression:
     or one of ``+ - * /`` (step a op step b).  No two steps are equal.
     """
 
-    steps: tuple
     roots = (-1,)  # the step of its value, as in a Joint
+
+    def __init__(self, steps: tuple):
+        self._set(steps)
 
 
 class _Program:
@@ -173,7 +175,10 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            return self.program.add("num", float(val))
+            value = float(val)
+            if value == np.inf:
+                raise ExpressionError(f"number {val!r} overflows to infinity", pos)
+            return self.program.add("num", value)
         if kind == "ident":
             if val in _VARS:
                 return self.program.add(val)
@@ -267,12 +272,11 @@ def eval_scalar(e, x, y1, y2):
     return tuple(out) if isinstance(e, Joint) else out[0]
 
 
-@dataclass(frozen=True)
-class Joint:
+class Joint(Record):
     """Expressions joined (:func:`join`): ``steps`` and the step of each one's value."""
 
-    steps: tuple
-    roots: tuple
+    def __init__(self, steps: tuple, roots: tuple):
+        self._set(steps, roots)
 
 
 def join(exprs) -> Joint:

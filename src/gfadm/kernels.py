@@ -19,25 +19,28 @@ classical kernel for ``y''`` with zero values at both ends,
 function, which is one step of the solution recursion.  The image of a grid
 function's interpolant is a polynomial of degree n + 2, computed exactly up
 to rounding on Chebyshev coefficients (Greengard 1991; Olver & Townsend
-2013).  At the grid's own nodes, where the solver wants it, the image is one
-product with a cached (n+1) x (n+1) node matrix, the Chebyshev
-Vandermonde matrix of the nodes times the coefficient map; at any other
-points the coefficients are summed by Clenshaw, which keeps the polynomial
-exact between nodes.  Any other callable is integrated by composite
-quadrature, the independent reference.  ``numpy.polynomial`` is imported
-by the grid path alone, and the quadrature's nodes are made on its first
-use, so a solve on the exact backend loads neither.
+2013).  Multiplication by x and the antiderivative are closed forms on the
+coefficients, and the lane_emden equation ``x w' + alpha w = x g`` with
+the regularity row is an upper triangular system, solved by back
+substitution.  At the grid's own nodes, where the solver wants it, the
+image is one product with a cached (n+1) x (n+1) node matrix, the
+Chebyshev Vandermonde matrix of the nodes (a closed form in cosines)
+times the coefficient map; at any other points the coefficients are
+summed by Clenshaw, which keeps the polynomial exact between nodes.  Any
+other callable is integrated by composite quadrature, the independent
+reference.  Its Gauss-Legendre nodes, the package's one use of
+``numpy.polynomial``, are made on its first use, so no solve loads it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
 from .grids import GridFunction, Polynomial, chebyshev_coefficient_matrix, grid_nodes
+from .record import Record
 
 LANE_EMDEN = "lane_emden"
 DIRICHLET_DIRICHLET = "dirichlet_dirichlet"
@@ -47,19 +50,17 @@ DIRICHLET_DIRICHLET = "dirichlet_dirichlet"
 _GEOM_LEVELS = 24
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    family: str
-    alpha: float = 0.0
-    robin_shift: float = 0.0
+class KernelSpec(Record):
+    """A kernel: its family, its shape factor alpha and its Robin shift b/a."""
 
-    def __post_init__(self):
-        if self.family not in (LANE_EMDEN, DIRICHLET_DIRICHLET):
-            raise UsageError(f"unknown kernel family {self.family!r}")
-        if self.family == LANE_EMDEN and self.alpha < 0:
+    def __init__(self, family: str, alpha: float = 0.0, robin_shift: float = 0.0):
+        if family not in (LANE_EMDEN, DIRICHLET_DIRICHLET):
+            raise UsageError(f"unknown kernel family {family!r}")
+        if family == LANE_EMDEN and alpha < 0:
             raise UsageError("lane_emden kernel requires alpha >= 0")
-        if self.robin_shift < 0:
+        if robin_shift < 0:
             raise UsageError("robin_shift must be >= 0")
+        self._set(family, alpha, robin_shift)
 
     @property
     def weight_exponent(self) -> float:
@@ -121,37 +122,61 @@ def _quad(k: KernelSpec, g, x: float) -> float:
     return total
 
 
+def _times_x(c: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients (in t = 2x - 1, one column each) of x times c.
+
+    x = (1 + t)/2, t T_k = (T_k-1 + T_k+1)/2 and t T_0 = T_1; one row more.
+    """
+    out = np.zeros((len(c) + 1, c.shape[1]))
+    out[:-1] = 0.5 * c
+    out[1:] += 0.25 * c
+    out[1] += 0.25 * c[0]
+    out[:-2] += 0.25 * c[1:]
+    return out
+
+
+def _integral(c: np.ndarray, at: float) -> np.ndarray:
+    """Coefficients of the antiderivative in x of c, zero at t = at (1 or -1).
+
+    int T_0 dt = T_1, int T_1 dt = T_2/4, int T_j dt = T_j+1/(2(j+1)) -
+    T_j-1/(2(j-1)), with dx = dt/2, and T_j(+-1) = (+-1)^j; one row more.
+    """
+    m = len(c)
+    four_j = 4.0 * np.arange(1, m + 1)[:, None]
+    out = np.zeros((m + 1, c.shape[1]))
+    out[1:] = c / four_j
+    out[1] = 0.5 * c[0]
+    out[1 : m - 1] -= c[2:] / four_j[: m - 2]
+    out[0] = -(at ** np.arange(1, m + 1)) @ out[1:]
+    return out
+
+
 @functools.lru_cache(maxsize=64)
 def _image_coeffs(k: KernelSpec, n: int) -> np.ndarray:
     """Map from values on the n-grid to the image's coefficients in 2x - 1.
 
-    With ``w = y'`` a lane_emden image solves ``x w' + alpha w = x g``, a
-    system upper triangular on Chebyshev coefficients with ``j + alpha`` on
-    the diagonal for T_j, then ``y(1) + robin_shift w(1) = 0``.  A
-    dirichlet_dirichlet image solves ``y'' = g``, ``y(0) = y(1) = 0``.
+    With ``w = y'`` a lane_emden image solves ``x w' + alpha w = x g``, then
+    ``y(1) + robin_shift w(1) = 0``.  On Chebyshev coefficients ``x d/dx``
+    is ``(1 + t) d/dt``, whose row i >= 1 is ``i + alpha`` on the diagonal
+    and ``2j`` in every column j > i; with the regularity row ``w(x=0) =
+    sum (-1)^j w_j = 0`` as row 0 the system is upper triangular, and a
+    back substitution, one row at a time for all the columns at once,
+    solves it.  A dirichlet_dirichlet image solves ``y'' = g``, ``y(0) =
+    y(1) = 0``.
     """
-    from numpy.polynomial import chebyshev
-
     g = chebyshev_coefficient_matrix(n)  # one column per node value
     if k.family == DIRICHLET_DIRICHLET:
-        y = chebyshev.chebint(g, 2, lbnd=-1, scl=0.5, axis=0)
+        y = _integral(_integral(g, -1.0), -1.0)
         y[:2] -= 0.5 * y.sum(axis=0)  # subtract x y(1), with x = (T_0 + T_1)/2
     else:
-        size = n + 2
-        eye = np.eye(size)
-        # multiplication by x of coefficients of degree <= n:
-        # x T_k = T_k / 2 + (T_k-1 + T_k+1) / 4, and x T_0 = (T_0 + T_1) / 2
-        xmul = 0.5 * np.eye(size, n + 1) + 0.25 * (np.eye(size, n + 1, 1)
-                                                  + np.eye(size, n + 1, -1))
-        xmul[1, 0] = 0.5
-        # x w' + alpha w = x g, with d/dx = 2 d/dt
-        op = 2.0 * xmul @ chebyshev.chebder(eye, axis=0) + k.alpha * eye
-        rhs = xmul @ g
-        # the first row (singular at alpha = 0) becomes regularity, w(x=0) = 0
-        op[0] = (-1.0) ** np.arange(size)
-        rhs[0] = 0.0
-        w = np.linalg.solve(op, rhs)
-        y = chebyshev.chebint(w, lbnd=1, scl=0.5, axis=0)
+        rhs = _times_x(g)
+        w = np.empty_like(rhs)
+        right = np.zeros(n + 1)  # sum over j > i of 2j w_j
+        for i in range(n + 1, 0, -1):
+            w[i] = (rhs[i] - right) / (i + k.alpha)
+            right += 2.0 * i * w[i]
+        w[0] = -((-1.0) ** np.arange(1, n + 2)) @ w[1:]
+        y = _integral(w, 1.0)
         y[0] -= k.robin_shift * w.sum(axis=0)  # T_k(1) = 1
     y.flags.writeable = False
     return y
@@ -159,13 +184,23 @@ def _image_coeffs(k: KernelSpec, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _node_image(k: KernelSpec, n: int) -> np.ndarray:
-    """Map from values on the n-grid to the image's values at the same nodes."""
-    from numpy.polynomial import chebyshev
+    """Map from values on the n-grid to the image's values at the same nodes.
 
-    t = 2.0 * grid_nodes(n) - 1.0
-    out = chebyshev.chebvander(t, n + 2) @ _image_coeffs(k, n)
+    Node k is ``t = cos(pi (n - k) / n)``, where ``T_j(t) = cos(pi j (n - k) / n)``.
+    """
+    vander = np.cos(np.pi * np.outer(np.arange(n, -1, -1), np.arange(n + 3)) / n)
+    out = vander @ _image_coeffs(k, n)
     out.flags.writeable = False
     return out
+
+
+def _clenshaw(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``sum_j coeffs[j] T_j(t)`` by Clenshaw's recurrence, three or more coefficients."""
+    t2 = 2.0 * t
+    b0, b1 = coeffs[-2], coeffs[-1]
+    for c in coeffs[-3::-1]:
+        b0, b1 = c - b1, b0 + b1 * t2
+    return b0 + b1 * t
 
 
 def kernel_apply(k: KernelSpec, g, x):
@@ -188,10 +223,8 @@ def kernel_apply(k: KernelSpec, g, x):
     if not np.all((0.0 <= xs) & (xs <= 1.0)):
         raise UsageError("kernel_apply wants x in [0, 1]")
     if isinstance(g, GridFunction):
-        from numpy.polynomial import chebyshev
-
         coeffs = _image_coeffs(k, g.values.size - 1) @ g.values
-        out = chebyshev.chebval(2.0 * xs - 1.0, coeffs)
+        out = _clenshaw(coeffs, 2.0 * xs - 1.0)
     else:
         out = np.reshape([_quad(k, g, t) for t in xs.ravel()], xs.shape)
     return float(out) if xs.ndim == 0 else out

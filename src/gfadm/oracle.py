@@ -22,12 +22,11 @@ solve with :class:`NoConvergenceError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoConvergenceError, UsageError
 from .expr import eval_scalar
+from .record import Record
 from .solver import NEUMANN_ZERO, ProblemSpec, build_baseline
 
 NEWTON_TOL = 1e-10
@@ -38,13 +37,12 @@ MAX_POINTS = 2**19
 _PERTURB = np.array([[1.0, -1.0, 0.0, -0.0], [0.0, -0.0, 1.0, -1.0]])
 
 
-@dataclass
-class OracleSolution:
-    nodes: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
-    iterations: int
-    residual_norm: float
+class OracleSolution(Record):
+    """The oracle's values y1, y2 at its nodes and how its Newton solve ended."""
+
+    def __init__(self, nodes: np.ndarray, y1: np.ndarray, y2: np.ndarray,
+                 iterations: int, residual_norm: float):
+        self._set(nodes, y1, y2, iterations, residual_norm)
 
     def values(self, component: int) -> np.ndarray:
         return self.y1 if component == 1 else self.y2

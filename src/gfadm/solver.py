@@ -30,13 +30,20 @@ Convergence is checked at run time, not assumed: a solve records each
 term's size at the nodes and fits their trend over the later terms
 (:attr:`SolutionSeries.observed_ratio`); a series that grows warns, and
 one that has outgrown its first term raises :class:`NoConvergenceError`.
+
+A problem, its components and a solution are records
+(:class:`~gfadm.record.Record`): plain classes, read-only once made and
+compared by value, with no code generated when their module loads.  A
+:class:`ComponentSpec` makes its kernel once, and a :class:`ProblemSpec`
+joins f1 and f2 once (``rhs``) and keeps the bound calculator's
+max |f(x, y10, y20)| once it is computed, as each depends on the problem
+alone.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from itertools import accumulate
 
@@ -44,11 +51,12 @@ import numpy as np
 
 from .adomian import adomian_coefficients, adomian_expansion, adomian_polynomial_rows
 from .errors import DegreeCapError, NoConvergenceError, NumericError, UsageError
-from .expr import Expression, Joint, join, parse_expression
+from .expr import Expression, Joint, eval_scalar, join, parse_expression
 from .grids import GridFunction, Polynomial, _coefficient_table, \
     chebyshev_coefficient_matrix, grid_nodes
 from .kernels import DIRICHLET_DIRICHLET, LANE_EMDEN, KernelSpec, kernel_apply, \
     kernel_monomial_image
+from .record import Record
 
 GRID = "grid"
 EXACT = "exact_polynomial"
@@ -69,42 +77,41 @@ NEUMANN_ZERO = "neumann0"
 DIRICHLET = "dirichlet"
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
-    """One equation of the coupled system."""
+class ComponentSpec(Record):
+    """One equation of the coupled system.
 
-    operator: str  # "lane_emden" | "flat"
-    alpha: float
-    left_kind: str  # NEUMANN_ZERO | DIRICHLET
-    left_value: float
-    a: float
-    b: float
-    c: float
-    rhs: Expression
+    ``operator`` is "lane_emden" or "flat" and ``left_kind`` NEUMANN_ZERO
+    or DIRICHLET; ``a y(1) + b y'(1) = c`` on the right.
+    """
 
-    def __post_init__(self):
-        if self.operator not in ("lane_emden", "flat"):
-            raise UsageError(f"unknown operator {self.operator!r}")
-        if self.operator == "flat" and self.alpha != 0.0:
+    def __init__(self, operator: str, alpha: float, left_kind: str, left_value: float,
+                 a: float, b: float, c: float, rhs: Expression):
+        if operator not in ("lane_emden", "flat"):
+            raise UsageError(f"unknown operator {operator!r}")
+        if operator == "flat" and alpha != 0.0:
             raise UsageError("flat operator has no shape factor")
-        if self.operator == "lane_emden" and self.alpha < 0:
+        if operator == "lane_emden" and alpha < 0:
             raise UsageError("shape factor must be >= 0")
-        if self.left_kind not in (NEUMANN_ZERO, DIRICHLET):
-            raise UsageError(f"unknown left boundary condition {self.left_kind!r}")
-        if self.operator == "lane_emden" and self.left_kind != NEUMANN_ZERO:
+        if left_kind not in (NEUMANN_ZERO, DIRICHLET):
+            raise UsageError(f"unknown left boundary condition {left_kind!r}")
+        if operator == "lane_emden" and left_kind != NEUMANN_ZERO:
             raise UsageError("the singular operator requires y'(0) = 0 (regularity)")
-        if self.a == 0.0:
+        if a == 0.0:
             raise UsageError("right boundary condition needs a != 0")
-        if not all(map(math.isfinite, (self.alpha, self.left_value, self.a,
-                                       self.b, self.c, self.b / self.a))):
+        if not all(map(math.isfinite, (alpha, left_value, a, b, c, b / a))):
             raise UsageError("alpha, the left value, a, b, c and b/a must be finite")
-        if self.left_kind == DIRICHLET and self.b != 0.0:
+        if left_kind == DIRICHLET and b != 0.0:
             raise UsageError(
                 "two-sided Dirichlet components support only b = 0 on the right"
             )
-        if self.b / self.a < 0:  # the kernel's robin_shift
+        if b / a < 0:  # the kernel's robin_shift
             raise UsageError("right boundary condition needs b/a >= 0:"
                              " a and b of one sign, or b = 0")
+        self._set(operator, alpha, left_kind, left_value, a, b, c, rhs)
+        kernel = (KernelSpec(LANE_EMDEN, alpha=alpha, robin_shift=b / a)
+                  if left_kind == NEUMANN_ZERO else KernelSpec(DIRICHLET_DIRICHLET))
+        # made once: every solve and every bound asks for it
+        object.__setattr__(self, "_kernel", kernel)
 
     @classmethod
     def make(cls, operator, alpha=0.0, left=NEUMANN_ZERO, left_value=0.0,
@@ -114,19 +121,15 @@ class ComponentSpec:
                    float(a), float(b), float(c), f)
 
     def kernel(self) -> KernelSpec:
-        if self.left_kind == NEUMANN_ZERO:
-            return KernelSpec(LANE_EMDEN, alpha=self.alpha,
-                              robin_shift=self.b / self.a)
-        return KernelSpec(DIRICHLET_DIRICHLET)
+        return self._kernel
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record):
     """The full coupled boundary value problem."""
 
-    component1: ComponentSpec
-    component2: ComponentSpec
-    name: str = ""
+    def __init__(self, component1: ComponentSpec, component2: ComponentSpec,
+                 name: str = ""):
+        self._set(component1, component2, name)
 
     @property
     def components(self):
@@ -136,6 +139,15 @@ class ProblemSpec:
     def rhs(self) -> Joint:
         """f1 and f2 as one program (see :func:`~gfadm.expr.join`), joined once."""
         return join([c.rhs for c in self.components])
+
+    @cached_property
+    def _max_f0(self) -> float:
+        """max |f_i(x, y10, y20)| over i and 201 points of [0, 1], the bound's
+        ``max_f0``, from one evaluation of :attr:`rhs` on the baseline."""
+        base1, base2 = build_baseline(self)
+        xs = np.linspace(0.0, 1.0, 201)
+        return max(float(np.max(np.abs(f)))
+                   for f in eval_scalar(self.rhs, xs, base1(xs), base2(xs)))
 
 
 def build_baseline(p: ProblemSpec) -> tuple[Polynomial, Polynomial]:
@@ -151,8 +163,7 @@ def build_baseline(p: ProblemSpec) -> tuple[Polynomial, Polynomial]:
     return tuple(out)
 
 
-@dataclass
-class SolutionSeries:
+class SolutionSeries(Record):
     """Computed term functions y_{i,0..n} plus the Adomian rows behind them.
 
     Terms and rows are Polynomials (exact backend) or GridFunctions (grid
@@ -160,24 +171,21 @@ class SolutionSeries:
     S_{i,n} = sum_{j<n} A_{i,j}, which are L psi_{i,n}, are formed once, in
     the same type.  A solve also records the increments
     d_j = max_i max |y_{i,j}| at the nodes, j = 1..n (the exact backend's
-    at the nodes of the 64-grid), behind :attr:`observed_ratio`.
+    at the nodes of the 64-grid), behind :attr:`observed_ratio`.  The rows
+    are ``A_{i,j}``, j = 0..n-1, and the increments floats.
     """
 
-    problem: ProblemSpec
-    terms1: list
-    terms2: list
-    rows1: list  # A_{1,j}, j = 0..n-1
-    rows2: list
-    increments: tuple = ()  # d_1..d_n, as floats
-    _sums: tuple = field(init=False, repr=False)
-    _row_sums: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not len(self.rows1) == len(self.rows2) == self.n_terms:
-            raise UsageError(f"a solution of order {self.n_terms} needs"
-                             f" {self.n_terms} Adomian rows per component")
-        self._sums = (list(accumulate(self.terms1)), list(accumulate(self.terms2)))
-        self._row_sums = (list(accumulate(self.rows1)), list(accumulate(self.rows2)))
+    def __init__(self, problem: ProblemSpec, terms1: list, terms2: list, rows1: list,
+                 rows2: list, increments: tuple = ()):
+        n = len(terms1) - 1
+        if not len(rows1) == len(rows2) == n:
+            raise UsageError(f"a solution of order {n} needs"
+                             f" {n} Adomian rows per component")
+        self._set(problem, terms1, terms2, rows1, rows2, increments)
+        object.__setattr__(self, "_sums",
+                           (list(accumulate(terms1)), list(accumulate(terms2))))
+        object.__setattr__(self, "_row_sums",
+                           (list(accumulate(rows1)), list(accumulate(rows2))))
 
     @property
     def n_terms(self) -> int:

@@ -25,6 +25,7 @@ from gfadm import (
     catalytic_symmetric_problem,
     co2_pge_problem,
     adomian_coefficients,
+    build_baseline,
     convergence_estimate,
     error_bound,
     eval_scalar,
@@ -38,7 +39,7 @@ from gfadm import (
     solution_box,
     to_text,
 )
-from gfadm import analysis, expr, grids, series
+from gfadm import analysis, expr, grids, series, solver
 from gfadm.cli import parse_problem_file
 from gfadm.errors import EvaluationError, GfadmError
 from gfadm.expr import STEP, join
@@ -199,7 +200,8 @@ def test_both_components_take_one_joined_evaluation(method, monkeypatch):
     The pointwise report, the dense stage of the search, every zoom round
     while both components refine (their two point sets stacked, (2, 41)),
     every round of a component left refining alone ((1, 41)) and the
-    bound's max |f(x, y10, y20)| each make one call.
+    bound's max |f(x, y10, y20)|, made once per problem by ``solver``, each
+    make one call.
     """
     p = SOLO_ROUNDS[method][0]()
     sol = gfadm_solve(p, 6, backend=GRID)
@@ -211,6 +213,7 @@ def test_both_components_take_one_joined_evaluation(method, monkeypatch):
         return eval_scalar(e, x, *args)
 
     monkeypatch.setattr(analysis, "eval_scalar", counted)
+    monkeypatch.setattr(solver, "eval_scalar", counted)
     residual(p, sol, 6, ABSCISSAE, method)
     assert calls == [(p.rhs, (9,))]
     calls.clear()
@@ -227,6 +230,34 @@ def test_both_components_take_one_joined_evaluation(method, monkeypatch):
     convergence_estimate(p, sol, [1])
     assert calls == [(p.rhs, (201,))]
 
+
+
+def test_bound_evaluates_max_f0_once_per_problem(monkeypatch):
+    """max |f(x, y10, y20)| depends on the problem alone: it is made by one
+    201-point evaluation on a problem's first estimate, kept on the problem,
+    and equals that evaluation's value bitwise."""
+    p = catalytic_problem()
+    sol = gfadm_solve(p, 5, backend=GRID)
+    xs = np.linspace(0.0, 1.0, 201)
+    base1, base2 = build_baseline(p)
+    want = max(float(np.max(np.abs(f)))
+               for f in eval_scalar(p.rhs, xs, base1(xs), base2(xs)))
+    sizes = []
+
+    def counted(e, x, *args):
+        sizes.append(np.size(x))
+        return eval_scalar(e, x, *args)
+
+    monkeypatch.setattr(analysis, "eval_scalar", counted)
+    monkeypatch.setattr(solver, "eval_scalar", counted)
+    first = convergence_estimate(p, sol, [2])
+    assert sizes == [201]
+    second = convergence_estimate(p, gfadm_solve(p, 7, backend=GRID), [3])
+    assert sizes == [201]
+    assert first.max_f0 == second.max_f0 == want
+    # an equal problem read again evaluates its own
+    assert convergence_estimate(catalytic_problem(), sol, [2]).max_f0 == want
+    assert sizes == [201, 201]
 
 def _record_calls(monkeypatch, module):
     """Each call of the module's residual functions: the shape of its

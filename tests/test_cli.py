@@ -385,6 +385,21 @@ class TestErrors:
             "error: [component.1]: unexpected character '@' (at position 3)"]
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("backend", ["grid", "poly"])
+    def test_overflowing_literal_exit_1(self, tmp_path, backend):
+        """A literal too large for a float is an input error that names its
+        position, before any solve, not a non-finite row half-way through."""
+        text = (PROBLEMS / "example1_catalytic.ini").read_text()
+        bad = text.replace("rhs = 1*y1^2", "rhs = 1e400*y1 + 1*y1^2", 1)
+        assert bad != text
+        res = _run_in_subprocess("solve", _write(tmp_path, bad), "--backend", backend,
+                                 "--out", str(tmp_path / "s.csv"))
+        assert res.returncode == 1
+        assert res.stderr.splitlines() == [
+            "error: [component.1]: number '1e400' overflows to infinity (at position 0)"]
+        assert res.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.ini"]
+
     def test_unknown_run_backend_exit_1(self, tmp_path):
         """A [run] backend outside grid and poly is a problem-file error, in one line."""
         res = _solve_file_in_subprocess(tmp_path, ZERO_RHS.replace(
@@ -587,6 +602,24 @@ class TestErrors:
         assert res.exit_code == 2
         assert "degree 61 of term 10 of component 1 exceeds cap 60" in res.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("cmd, out_name, written", [
+        ("solve", "s.csv", ["s.csv"]),
+        ("residual", "s", ["s_points.csv", "s_summary.csv"])])
+    def test_negative_zero_abscissa_is_zero(self, runner, tmp_path, cmd, out_name,
+                                            written):
+        """--abscissae=-0.0 writes the rows of 0, not of -0.0000000."""
+        texts = []
+        for given in ("-0.0,0.5", "0,0.5"):
+            out = tmp_path / given
+            res = runner.invoke(main, [cmd, _problem("example1_symmetric.ini"),
+                                       f"--abscissae={given}",
+                                       "--out", str(out / out_name)])
+            assert res.exit_code == 0, res.output
+            texts.append([(out / name).read_text() for name in written])
+        assert texts[0] == texts[1]
+        assert "-0.0000000" not in "".join(texts[0])
+        assert "\n0.0000000," in texts[0][0] or "\n5,0.0000000," in texts[0][0]
 
     def test_bad_abscissae(self, runner, tmp_path):
         res = runner.invoke(main, ["solve", _write(tmp_path, ZERO_RHS),

@@ -85,6 +85,22 @@ class TestParse:
         assert str(exc.value) == f"unexpected character {char!r} (at position {position})"
         assert exc.value.position == position
 
+    @pytest.mark.parametrize("text, literal, position", [
+        ("1e400*y1 + y1^2", "1e400", 0), ("y1 - 2.5E+309", "2.5E+309", 5),
+        ("y1^2*(3 + " + "9" * 400 + ".)", "9" * 400 + ".", 10)])
+    def test_literal_that_overflows_is_an_expression_error(self, text, literal, position):
+        """A number too large for a float is rejected where it stands, not read as inf."""
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == \
+            f"number {literal!r} overflows to infinity (at position {position})"
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize("text, value", [
+        ("1.7976931348623157e308", 1.7976931348623157e308), ("1e-400", 0.0)])
+    def test_largest_float_and_underflow_parse(self, text, value):
+        assert eval_scalar(parse_expression(text), 0.0, 0.0, 0.0) == value
+
     @pytest.mark.parametrize("text", ["(" * 300 + "y1" + ")" * 300, "-" * 2000 + "y1",
                                       "-(" * 60 + "y1" + ")" * 60])
     def test_nesting_past_the_limit_is_an_expression_error(self, text):

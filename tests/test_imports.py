@@ -1,8 +1,10 @@
 """Every module-level import of the gfadm modules is read by its module; none
 of them imports scipy, at module level or inside a function; none uses
-numpy.polynomial beyond its Chebyshev and Legendre modules; and the oracle
-imports none of the series solver's machinery.  The package loads its public
-names on first use, and each CLI command loads only the modules it runs."""
+numpy.polynomial beyond its Chebyshev and Legendre modules, and only the
+kernels' quadrature reference imports it; no module imports dataclasses;
+and the oracle imports none of the series solver's machinery.  The package
+loads its public names on first use, and each CLI command loads only the
+modules it runs."""
 
 import ast
 import importlib
@@ -78,6 +80,39 @@ def test_numpy_polynomial_only_chebyshev_and_legendre(path):
     assert sorted(used - NUMPY_POLYNOMIAL_ALLOWED) == []
 
 
+def _imports(tree):
+    """(module, line) of every import in a module, at any depth."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(a.name, node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out += [(f"{node.module}.{a.name}", node.lineno) for a in node.names]
+    return out
+
+
+def test_numpy_polynomial_only_in_the_quadrature_reference():
+    """The Gauss-Legendre nodes of ``kernels._quad`` are the one use, imported
+    in the function that makes them; the grid path builds its maps itself."""
+    uses = []
+    for path in sorted(Path(gfadm.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = {line: node.name for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)
+                     for line in range(node.lineno, node.end_lineno + 1)}
+        uses += [(path.name, functions.get(line), name) for name, line in _imports(tree)
+                 if name.startswith("numpy.polynomial")]
+    assert uses == [("kernels.py", "_gauss_legendre", "numpy.polynomial.legendre")]
+
+
+@pytest.mark.parametrize("path", sorted(Path(gfadm.__file__).parent.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    """Records are plain classes (``gfadm.record``): no start-up code is generated."""
+    assert [name for name, _ in _imports(ast.parse(path.read_text()))
+            if name.split(".")[0] == "dataclasses"] == []
+
+
 # the finite-difference oracle checks the series solver, so it shares only
 # the expression evaluator and the baseline with it (through solver)
 ORACLE_FORBIDDEN = {"kernels", "grids", "series", "adomian"}
@@ -148,12 +183,13 @@ class TestPublicNames:
             exec("from gfadm import no_such_name", {})
 
 
-# what a command may not load: the modules of the other commands, the grid
-# path's numpy.polynomial, the exact solve's json, the logging package,
-# configparser (problem files are read by the CLI's own reader) and click
-# (argparse reads the command line)
+# what a command may not load: the modules of the other commands,
+# numpy.polynomial (the kernel maps are built without it), the exact solve's
+# json, the logging package, configparser (problem files are read by the
+# CLI's own reader), click (argparse reads the command line) and dataclasses
+# (records are plain classes)
 WATCHED = ("gfadm.analysis", "gfadm.oracle", "gfadm.benchmarks", "numpy.polynomial",
-           "json", "logging", "configparser", "click")
+           "json", "logging", "configparser", "click", "dataclasses")
 
 
 def _loaded_after(code, tmp_path):
@@ -190,9 +226,12 @@ class TestImportBudget:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "example1_catalytic_solution.coeffs.json", "example1_catalytic_solution.csv"]
 
-    def test_grid_solve_loads_numpy_polynomial_only(self, tmp_path):
-        loaded = _loaded_after(_command("solve", "example2_oxygen.ini"), tmp_path)
-        assert loaded == {"numpy.polynomial"}
+    @pytest.mark.parametrize("cmd, own", [
+        ("solve", set()), ("residual", {"gfadm.analysis"}), ("bound", {"gfadm.analysis"}),
+        ("compare", {"gfadm.oracle"})], ids=["solve", "residual", "bound", "compare"])
+    def test_grid_commands_load_only_their_own_module(self, cmd, own, tmp_path):
+        loaded = _loaded_after(_command(cmd, "example2_oxygen.ini"), tmp_path)
+        assert loaded == own
 
     def test_compare_loads_no_analysis(self, tmp_path):
         loaded = _loaded_after(_command("compare", "example1_symmetric.ini"), tmp_path)

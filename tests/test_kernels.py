@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference_image
 from reference_image import image_at
 
 from gfadm import (
@@ -12,7 +13,7 @@ from gfadm import (
     kernel_monomial_image,
 )
 from gfadm.grids import GridFunction, Polynomial, chebyshev_lobatto, grid_nodes
-from gfadm.kernels import _kernel_values, _node_image
+from gfadm.kernels import _image_coeffs, _kernel_values, _node_image
 
 LE0 = KernelSpec(LANE_EMDEN, alpha=0.0)
 LE1 = KernelSpec(LANE_EMDEN, alpha=1.0)
@@ -151,6 +152,39 @@ class TestGridImage:
             assert _node_image.cache_info() == info
         # every caller shares the cached matrix
         assert not _node_image(k, n).flags.writeable
+
+    @pytest.mark.parametrize("k", IMAGE_KERNELS)
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 128])
+    def test_maps_match_the_numpy_polynomial_build(self, k, n):
+        """The closed-form maps against chebint, chebder, np.linalg.solve and
+        chebvander (``reference_image``): the images of smooth functions to
+        1e-14 of the image's size, and every entry to 1e-13 of the largest,
+        as the dense solve's own rounding reaches 7.5e-14 of it at alpha = 0,
+        n = 128 (see test_back_substitution_is_nearer_the_exact_map)."""
+        nodes = grid_nodes(n)
+        coeffs = reference_image.image_coeffs(k, n)
+        at_nodes = reference_image.node_image(k, n)
+        for fn in SMOOTH + [np.ones_like, lambda s: s**2]:
+            g = fn(nodes)
+            want = coeffs @ g
+            size = np.max(np.abs(want))
+            assert np.max(np.abs(_image_coeffs(k, n) @ g - want)) <= 1e-14 * size
+            assert np.max(np.abs(_node_image(k, n) @ g - at_nodes @ g)) <= 1e-14 * size
+        # the largest entry of either map (a dirichlet_dirichlet node map at
+        # n = 1 is zero up to rounding)
+        largest = max(np.max(np.abs(coeffs)), np.max(np.abs(at_nodes)))
+        assert np.max(np.abs(_image_coeffs(k, n) - coeffs)) <= 1e-13 * largest
+        assert np.max(np.abs(_node_image(k, n) - at_nodes)) <= 1e-13 * largest
+
+    @pytest.mark.parametrize("k", [LE0, KernelSpec(LANE_EMDEN, 1.0, robin_shift=0.5)])
+    def test_back_substitution_is_nearer_the_exact_map(self, k):
+        """At n = 128 the back substitution is within 2e-14 of the map solved
+        in 40 digits, and nearer to it than the dense solve."""
+        exact = reference_image.image_coeffs_exact(k, 128)
+        size = np.max(np.abs(exact))
+        new = np.max(np.abs(_image_coeffs(k, 128) - exact))
+        old = np.max(np.abs(reference_image.image_coeffs(k, 128) - exact))
+        assert new <= 2e-14 * size and new < old
 
     def test_cached_nodes_take_the_node_matrix_and_stay_unpoisoned(self):
         """The solver's nodes are found by identity; no public array can change them."""
